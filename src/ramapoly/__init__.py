@@ -9,9 +9,9 @@ from .bijections import (Case, CaseTag, ColoredRootedTree, DomainError,
                          lift, lower, plane_fwd, plane_inv, rooted_fwd,
                          rooted_inv, unflatten_min, unfold_stem, unrooted_fwd,
                          unrooted_inv)
-from .polynomials import (IntPoly, check_sums, f, psi_bew, psi_ramanujan,
-                          q_from_psi, q_shor, q_shor_alt, q_zeng_a, q_zeng_b)
-from .series import RatSeries, exp_linear, genfun_mismatch, inv_power, verify_genfun
+from .polynomials import (IntPoly, f, psi_bew, psi_ramanujan, q_from_psi, q_shor,
+                          q_shor_alt, q_zeng_a, q_zeng_b)
+from .series import RatSeries, exp_linear, genfun_mismatch, inv_power
 from .trees import (ClassFilter, CycleError, DisconnectedError, LabelError,
                     PlaneTree, RootedTree, TreeError, build, enumerate_rooted,
                     enumerate_unrooted, plane_from_text, plane_to_text,

@@ -74,9 +74,6 @@ __all__ = [
     "plane_inv",
 ]
 
-_INF = float("inf")
-
-
 class DomainError(ValueError):
     """Input outside a map's stated domain."""
 
@@ -189,7 +186,7 @@ def _fold_with_info(t: RootedTree, trace: list | None) -> tuple[RootedTree, int,
     stem = t.path_to_root(mn)[::-1]
     tt = len(stem)
     outs = []
-    cur = _INF
+    cur = t.max_label + 1  # above every label
     for j, u in enumerate(stem):
         outs.append(cur)
         nxt = stem[j + 1] if j + 1 < tt else v
@@ -206,12 +203,12 @@ def _fold_with_info(t: RootedTree, trace: list | None) -> tuple[RootedTree, int,
     return _from_pmap(pm), w, heads
 
 
-def _descend_to_attach(t: RootedTree, r: int, bound: float) -> int:
+def _descend_to_attach(t: RootedTree, r: int, bound: int) -> int:
     # First node z on the downward path from r toward beta(r) such that z is
     # below `bound` and below everything in subtree(r) outside subtree(z)
     # (the root r passes the second test vacuously).
     target = t.beta(r)
-    out = _INF
+    out = t.max_label + 1  # above every label
     u = r
     while True:
         if u < bound and u < out:
@@ -238,7 +235,7 @@ def unfold_stem(t: RootedTree, trace: list | None = None) -> RootedTree:
     if not heads or t.beta(heads[-1]) != mn:
         raise ReconstructionError("the min label must lie under the fold node")
     attach = []
-    bound: float = w
+    bound = w
     for r in heads:
         attach.append(_descend_to_attach(t, r, bound))
         bound = t.beta(r)
@@ -555,31 +552,16 @@ def color_merge(t: RootedTree) -> ColoredRootedTree:
 
 def insert_root(t: RootedTree) -> RootedTree:
     """R_{n,k}[deg(1)=r] -> T_{n+1,k}[deg(1)=r+1, deg(2)=0]: a fresh smallest
-    root adopts the whole tree and the min label's children."""
-    _require_contiguous(t)
-    pm = {1: 0}
-    for v, p in zip(t.labels, t.parents):
-        pm[v + 1] = 1 if p in (0, 1) else p + 1
-    return _from_pmap(pm)
+    root adopts the whole tree and the min label's children, i.e.
+    `color_split` with every child of the min colored black."""
+    return color_split(ColoredRootedTree(t, frozenset(t.children(t.min_label))))
 
 
 def extract_root(t: RootedTree) -> RootedTree:
     """Inverse of `insert_root`."""
-    n = _require_contiguous(t) - 1
-    if n < 1 or t.root != 1:
-        raise DomainError("expected a tree on [n+1] rooted at 1")
-    if t.degree(2) != 0:
+    if t.size > 1 and t.degree(t.labels[1]) != 0:
         raise DomainError("the second-smallest label must be a leaf")
-    holder = next(c for c in t.children(1) if t.beta(c) == 2)
-    pm = {}
-    for v, p in zip(t.labels, t.parents):
-        if v == 1:
-            continue
-        if p == 1:
-            pm[v - 1] = 0 if v == holder else 1
-        else:
-            pm[v - 1] = p - 1
-    return _from_pmap(pm)
+    return color_merge(t).tree
 
 
 # -- all-improper trees <-> increasing plane trees --------------------------------

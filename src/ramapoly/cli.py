@@ -18,8 +18,8 @@ from . import verify as vf
 from .polynomials import (IntPoly, f, poly_table, psi_bew, psi_ramanujan,
                           q_from_psi, q_shor, q_shor_alt, q_zeng_a, q_zeng_b)
 from .series import genfun_mismatch
-from .trees import (ClassFilter, TreeError, enumerate_rooted, enumerate_unrooted,
-                    plane_from_text, plane_to_text, tree_from_text, tree_to_text)
+from .trees import (ClassFilter, enumerate_rooted, enumerate_unrooted, plane_from_text,
+                    plane_to_text, tree_from_text, tree_to_text)
 
 _POLY_METHODS = {
     ("psi", "bew"): psi_bew,
@@ -34,14 +34,7 @@ _POLY_METHODS = {
 
 _DEFAULT_METHOD = {"psi": "bew", "q": "shor", "f": "shor"}
 
-_SUITES = {
-    "tables": (vf.reproduce_tables, None),
-    "recurrences": (vf.check_recurrences, 12),
-    "identities": (vf.check_identities, 6),
-    "bijections": (vf.check_bijections, 6),
-    "conjecture": (vf.check_conjecture, 8),
-    "genfun": (vf.check_genfun, 4),
-}
+_SUITES = vf.SUITES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -158,12 +151,11 @@ def _cmd_enumerate(args) -> int:
     filt = ClassFilter(k=args.k, deg_min=args.deg1, deg_second=args.deg2,
                        deg_max=args.degmax, lam=args.lam, mu=args.mu,
                        beta_star=args.beta_star, path_proper=args.path_proper)
-    gen = (enumerate_unrooted if args.unrooted else enumerate_rooted)(args.n, filt)
     if args.count:
-        print(sum(1 for _ in gen))
-    else:
-        for t in gen:
-            print(tree_to_text(t))
+        print(vf.count_class(args.n, filt, args.unrooted))
+        return 0
+    for t in (enumerate_unrooted if args.unrooted else enumerate_rooted)(args.n, filt):
+        print(tree_to_text(t))
     return 0
 
 
@@ -239,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
                 "bij": _cmd_bij, "verify": _cmd_verify, "genfun": _cmd_genfun}
     try:
         return handlers[args.command](args)
-    except (TreeError, bj.DomainError, bj.ReconstructionError) as exc:
+    except ValueError as exc:  # TreeError, DomainError and ReconstructionError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

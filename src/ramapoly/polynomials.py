@@ -40,7 +40,6 @@ __all__ = [
     "q_zeng_b",
     "q_from_psi",
     "f",
-    "check_sums",
 ]
 
 
@@ -281,32 +280,6 @@ def f(n: int, k: int) -> int:
     if n == 1:
         return 1
     return (n - 1) * f(n - 1, k) + (n + k - 2) * f(n - 1, k - 1)
-
-
-def check_sums(nmax: int) -> list[tuple[str, bool]]:
-    """Exact row-sum identities up to nmax: sum_k psi_k(r, x) = x^r,
-    sum_k Q_{n,k}(x) = (x+n)^(n-1), sum_k f_{n,k} = n^(n-1).
-
-    Returns (description, ok) pairs.
-    """
-    if nmax < 1:
-        raise ValueError("nmax must be positive")
-    out = []
-    x = IntPoly.x()
-    for r in range(nmax + 1):
-        total = IntPoly()
-        for k in range(1, r + 2):
-            total = total + psi_bew(r, k)
-        out.append((f"sum_k psi_k({r},x) = x^{r}", total == x ** r))
-    for n in range(1, nmax + 1):
-        total = IntPoly()
-        for k in range(n):
-            total = total + q_shor(n, k)
-        out.append((f"sum_k Q_({n},k)(x) = (x+{n})^{n - 1}",
-                    total == IntPoly((n, 1)) ** (n - 1)))
-        out.append((f"sum_k f({n},k) = {n}^{n - 1}",
-                    sum(f(n, k) for k in range(n)) == n ** (n - 1)))
-    return out
 
 
 def poly_table(family: str, maximum: int) -> dict[tuple[int, int], IntPoly]:

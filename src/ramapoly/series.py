@@ -20,7 +20,7 @@ from typing import Callable, Iterable
 
 from .polynomials import psi_bew
 
-__all__ = ["RatSeries", "exp_linear", "inv_power", "verify_genfun", "genfun_mismatch"]
+__all__ = ["RatSeries", "exp_linear", "inv_power", "genfun_mismatch"]
 
 
 class RatSeries:
@@ -132,9 +132,3 @@ def genfun_mismatch(r: int, x_val: int, order: int,
             return j
     return None
 
-
-def verify_genfun(r: int, x_val: int, order: int,
-                  psi_eval: Callable[[int, int, int], int] | None = None) -> bool:
-    """True iff both sides of the generating-function identity agree on all
-    order+1 coefficients at x = x_val."""
-    return genfun_mismatch(r, x_val, order, psi_eval) is None

@@ -40,9 +40,6 @@ __all__ = [
     "plane_from_text",
 ]
 
-_INF = float("inf")
-
-
 class TreeError(ValueError):
     """Base class for malformed-tree errors."""
 
@@ -231,7 +228,7 @@ class RootedTree:
         is smaller than everything in the max subtree outside u's own
         subtree.  Defined whenever the max label has a child."""
         betas = self._beta_all()
-        out = _INF
+        out = self.max_label + 1  # above every label
         path = self.max_to_beta_path()
         for prev, u in zip(path, path[1:]):
             side = [betas[c] for c in self.children(prev) if c != u]
@@ -250,7 +247,7 @@ class RootedTree:
         betas = self._beta_all()
         path = self.path_to_root(mn)
         outs = {}
-        out = _INF
+        out = self.max_label + 1  # above every label
         for idx in range(len(path) - 1, -1, -1):
             u = path[idx]
             outs[u] = out
@@ -393,20 +390,18 @@ class PlaneTree:
 # -- class filters -----------------------------------------------------------
 
 
-def _parse_deg_spec(spec: str) -> tuple[str, int]:
+def _parse_deg_spec(spec: str) -> tuple[int, bool]:
+    # (bound, exact): "0" and "=m" pin the degree, ">m" and ">=m" bound it
+    # from below.
     s = spec.strip()
-    if s.startswith(">="):
-        return (">=", int(s[2:]))
-    if s.startswith(">"):
-        return (">=", int(s[1:]) + 1)
-    if s.startswith("="):
-        return ("==", int(s[1:]))
-    return ("==", int(s))
-
-
-def _deg_ok(d: int, spec: str) -> bool:
-    op, v = _parse_deg_spec(spec)
-    return d >= v if op == ">=" else d == v
+    try:
+        if s.startswith(">="):
+            return int(s[2:]), False
+        if s.startswith(">"):
+            return int(s[1:]) + 1, False
+        return int(s[1:] if s.startswith("=") else s), True
+    except ValueError:
+        raise ValueError(f"bad degree spec {spec!r}") from None
 
 
 @dataclass(frozen=True)
@@ -414,14 +409,11 @@ class ClassFilter:
     """Predicate bundle naming a tree class.
 
     Degree constraints are strings like "0", "=2", ">0", ">=3" and apply to
-    the minimum, second-smallest, and maximum label respectively.  `lam`,
-    `mu`, and `beta_star` pin critical-node values (constraints on lam imply
-    deg(max) > 0, on mu that the min is not the root, on beta_star that
-    deg(min) > 0).  `path_proper` is the number of proper edges on the
-    max-to-root path.  `min_under_max` constrains whether the min label is a
-    descendant of the max label, and `alpha_below_beta_star` the order of
-    alpha versus beta_star (both defined only where the underlying statistics
-    are).
+    the minimum, second-smallest, and maximum label respectively; a bad spec
+    raises ValueError at construction.  `lam`, `mu`, and `beta_star` pin
+    critical-node values (constraints on lam imply deg(max) > 0, on mu that
+    the min is not the root, on beta_star that deg(min) > 0).  `path_proper`
+    is the number of proper edges on the max-to-root path.
     """
 
     k: int | None = None
@@ -430,45 +422,34 @@ class ClassFilter:
     deg_max: str | None = None
     path_proper: int | None = None
     lam: int | None = None
-    lam_above_min: bool | None = None
     mu: int | None = None
     beta_star: int | None = None
-    min_under_max: bool | None = None
-    alpha_below_beta_star: bool | None = None
+
+    def __post_init__(self):
+        # (position in the sorted labels, bound, exact) per degree spec
+        specs = ((0, self.deg_min), (1, self.deg_second), (-1, self.deg_max))
+        object.__setattr__(self, "_degs", tuple(
+            (pos, *_parse_deg_spec(spec)) for pos, spec in specs if spec is not None))
 
     def matches(self, t: RootedTree) -> bool:
         if self.k is not None and t.improper_count() != self.k:
             return False
-        if self.deg_min is not None and not _deg_ok(t.degree(t.min_label), self.deg_min):
-            return False
-        if self.deg_second is not None:
-            if t.size < 2 or not _deg_ok(t.degree(t.labels[1]), self.deg_second):
+        for pos, bound, exact in self._degs:
+            if pos >= t.size:
                 return False
-        if self.deg_max is not None and not _deg_ok(t.degree(t.max_label), self.deg_max):
-            return False
+            d = t.degree(t.labels[pos])
+            if (d != bound) if exact else (d < bound):
+                return False
         if self.path_proper is not None and t.proper_on_max_path() != self.path_proper:
             return False
-        if self.lam is not None or self.lam_above_min is not None:
-            if t.degree(t.max_label) == 0:
-                return False
-            lam = t.lower_critical()
-            if self.lam is not None and lam != self.lam:
-                return False
-            if self.lam_above_min is not None and (lam > t.min_label) != self.lam_above_min:
+        if self.lam is not None:
+            if t.degree(t.max_label) == 0 or t.lower_critical() != self.lam:
                 return False
         if self.mu is not None:
             if t.root == t.min_label or t.mu() != self.mu:
                 return False
         if self.beta_star is not None:
             if t.degree(t.min_label) == 0 or t.beta_star() != self.beta_star:
-                return False
-        if self.min_under_max is not None:
-            if t.is_descendant(t.min_label, t.max_label) != self.min_under_max:
-                return False
-        if self.alpha_below_beta_star is not None:
-            if t.degree(t.max_label) == 0 or t.degree(t.min_label) == 0:
-                return False
-            if (t.alpha() < t.beta_star()) != self.alpha_below_beta_star:
                 return False
         return True
 

@@ -16,6 +16,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import factorial, prod
+from typing import Callable, Hashable
 
 from . import bijections as bj
 from .polynomials import IntPoly, f, psi_bew, psi_ramanujan, q_from_psi, q_shor, q_shor_alt, q_zeng_a, q_zeng_b
@@ -25,6 +26,7 @@ from .trees import ClassFilter, PlaneTree, RootedTree, enumerate_rooted, enumera
 __all__ = [
     "CheckResult",
     "VerificationReport",
+    "tabulate",
     "count_class",
     "reproduce_tables",
     "check_recurrences",
@@ -33,7 +35,9 @@ __all__ = [
     "check_conjecture",
     "check_genfun",
     "lambda_table",
+    "lambda_recurrence_mismatches",
     "double_factorial",
+    "SUITES",
     "PSI_TABLE",
     "Q_TABLE",
     "LAMBDA_TABLES",
@@ -52,7 +56,7 @@ class CheckResult:
 class VerificationReport:
     suite: str
     results: list[CheckResult] = field(default_factory=list)
-    wall_time: float = 0.0
+    wall_ns: int = 0
 
     @property
     def ok(self) -> bool:
@@ -74,7 +78,7 @@ class VerificationReport:
         state = "PASS" if self.ok else "FAIL"
         return (f"suite {self.suite}: {state} "
                 f"({len(self.results) - len(self.failures)}/{len(self.results)} checks, "
-                f"{self.wall_time:.2f}s)")
+                f"{self.wall_ns / 10**9:.2f}s)")
 
     def lines(self, only_failures: bool = False) -> list[str]:
         out = []
@@ -91,7 +95,8 @@ class VerificationReport:
                            "actual": r.actual, "ok": r.ok}, sort_keys=True)
                for r in self.results]
         out.append(json.dumps({"suite": self.suite, "ok": self.ok,
-                               "checks": len(self.results), "wall_time": round(self.wall_time, 3)},
+                               "checks": len(self.results),
+                               "wall_time": round(self.wall_ns / 10**9, 3)},
                               sort_keys=True))
         return out
 
@@ -102,16 +107,16 @@ class VerificationReport:
         merged = cls(suite)
         for part in parts:
             merged.results.extend(part.results)
-            merged.wall_time = max(merged.wall_time, part.wall_time)
+            merged.wall_ns = max(merged.wall_ns, part.wall_ns)
         merged.results.sort(key=lambda r: r.name)
         return merged
 
 
 def _timed(fn):
     def wrap(*args, **kwargs):
-        t0 = time.perf_counter()
+        t0 = time.perf_counter_ns()
         rep = fn(*args, **kwargs)
-        rep.wall_time = time.perf_counter() - t0
+        rep.wall_ns = time.perf_counter_ns() - t0
         return rep
     return wrap
 
@@ -121,10 +126,17 @@ def double_factorial(m: int) -> int:
     return prod(range(1, m + 1, 2))
 
 
+def tabulate(n: int, key: Callable[[RootedTree], Hashable], unrooted: bool = False) -> Counter:
+    """key(t) -> count over all trees on [n] (rooted at 1 when `unrooted`);
+    trees whose key is None are left out."""
+    tab = Counter(map(key, enumerate_unrooted(n) if unrooted else enumerate_rooted(n)))
+    tab.pop(None, None)
+    return tab
+
+
 def count_class(n: int, filt: ClassFilter | None = None, unrooted: bool = False) -> int:
     """Exact cardinality of a filtered enumeration."""
-    gen = enumerate_unrooted(n, filt) if unrooted else enumerate_rooted(n, filt)
-    return sum(1 for _ in gen)
+    return tabulate(n, (filt or ClassFilter()).matches, unrooted)[True]
 
 
 # -- golden tables (coefficients low-to-high) -----------------------------------
@@ -161,14 +173,45 @@ LAMBDA_TABLES: dict[int, dict[tuple[int, int], int]] = {
 }
 
 
+def _lambda_cell(t: RootedTree) -> tuple[int, int] | None:
+    # (k, lambda); lambda is defined only when the max label has a child
+    return (t.improper_count(), t.lower_critical()) if t.degree(t.max_label) else None
+
+
+def _k_lambda(t: RootedTree) -> tuple[int, int | None]:
+    return t.improper_count(), (t.lower_critical() if t.degree(t.max_label) else None)
+
+
 def lambda_table(n: int) -> Counter:
     """(k, lambda) -> count over rooted trees on [n] whose max label has a
     child."""
-    tab: Counter = Counter()
-    for t in enumerate_rooted(n):
-        if t.degree(t.max_label) > 0:
-            tab[(t.improper_count(), t.lower_critical())] += 1
-    return tab
+    return tabulate(n, _lambda_cell)
+
+
+def lambda_recurrence_mismatches(prev: Counter, cur: Counter,
+                                 n: int) -> list[tuple[int, int, int, int]]:
+    """(k, i, expected, actual) for every cell of the lambda table `cur` on
+    [n] that breaks the recurrence from the table `prev` on [n-1]:
+    |R_{n,k}[lambda=i]| = (n-2)|R_{n-1,k}[lambda=i]| + (n+k-3)|R_{n-1,k-1}[lambda=i]|
+    for 1 <= i <= n-2."""
+    out = []
+    for i in range(1, n - 1):
+        for k in range(n):
+            want = (n - 2) * prev.get((k, i), 0) + (n + k - 3) * prev.get((k - 1, i), 0)
+            if cur.get((k, i), 0) != want:
+                out.append((k, i, want, cur.get((k, i), 0)))
+    return out
+
+
+def _check_row_sums(rep: VerificationReport, rmax: int, nmax: int) -> None:
+    # sum_k psi_k(r, x) = x^r for r <= rmax, sum_k Q_{n,k}(x) = (x+n)^(n-1)
+    # for n <= nmax
+    for r in range(rmax + 1):
+        rep.check(f"psi row sum r={r}", IntPoly.x() ** r,
+                  sum((psi_bew(r, k) for k in range(1, r + 2)), IntPoly()))
+    for n in range(1, nmax + 1):
+        rep.check(f"Q row sum n={n}", IntPoly((n, 1)) ** (n - 1),
+                  sum((q_shor(n, k) for k in range(n)), IntPoly()))
 
 
 @_timed
@@ -177,18 +220,9 @@ def reproduce_tables() -> VerificationReport:
     rep = VerificationReport("tables")
     for (r, k), coeffs in sorted(PSI_TABLE.items()):
         rep.check(f"psi r={r} k={k}", IntPoly(coeffs), psi_bew(r, k))
-    for r in range(5):
-        total = IntPoly()
-        for k in range(1, r + 2):
-            total = total + psi_bew(r, k)
-        rep.check(f"psi row sum r={r}", IntPoly.x() ** r, total)
     for (n, k), coeffs in sorted(Q_TABLE.items()):
         rep.check(f"Q n={n} k={k}", IntPoly(coeffs), q_shor(n, k))
-    for n in range(1, 6):
-        total = IntPoly()
-        for k in range(n):
-            total = total + q_shor(n, k)
-        rep.check(f"Q row sum n={n}", IntPoly((n, 1)) ** (n - 1), total)
+    _check_row_sums(rep, 4, 5)
     tabs = {n: lambda_table(n) for n in range(2, 6)}
     for i, cells in sorted(LAMBDA_TABLES.items()):
         for (n, k), value in sorted(cells.items()):
@@ -197,7 +231,7 @@ def reproduce_tables() -> VerificationReport:
 
 
 @_timed
-def check_recurrences(nmax: int = 12) -> VerificationReport:
+def check_recurrences(nmax: int) -> VerificationReport:
     """All generation routes agree exactly, degrees and leading signs are
     right, and the three row-sum identities hold."""
     rep = VerificationReport("recurrences")
@@ -213,18 +247,8 @@ def check_recurrences(nmax: int = 12) -> VerificationReport:
             rep.note(f"Q leading positive n={n} k={k}", base.leading > 0)
             rep.check(f"f = Q(0) n={n} k={k}", f(n, k), base(0))
         rep.note(f"Q zero out of range n={n}", q_shor(n, n).is_zero() and q_shor(n, -1).is_zero())
-    x = IntPoly.x()
-    for r in range(nmax + 1):
-        total = IntPoly()
-        for k in range(1, r + 2):
-            total = total + psi_bew(r, k)
-        rep.check(f"sum psi r={r}", x ** r, total)
-    for n in range(1, nmax + 1):
-        total = IntPoly()
-        for k in range(n):
-            total = total + q_shor(n, k)
-        rep.check(f"sum Q n={n}", IntPoly((n, 1)) ** (n - 1), total)
-        rep.check(f"sum f n={n}", n ** (n - 1), sum(f(n, k) for k in range(n)))
+        rep.check(f"f row sum n={n}", n ** (n - 1), sum(f(n, k) for k in range(n)))
+    _check_row_sums(rep, nmax, nmax)
     return rep
 
 
@@ -239,23 +263,25 @@ def _poly_from_counts(counts: Counter) -> IntPoly:
     return IntPoly(counts.get(j, 0) for j in range(top + 1))
 
 
+def _k_deg1(t: RootedTree) -> tuple[int, int]:
+    return t.improper_count(), t.degree(1)
+
+
+def _k_deg1_internal(t: RootedTree) -> tuple[int, int, bool, bool]:
+    # (k, deg(1), max label internal, second-smallest label internal)
+    return (*_k_deg1(t), t.degree(t.max_label) > 0, t.degree(t.labels[1]) > 0)
+
+
 def _unrooted_summary(size: int):
     """One pass over trees on [size] rooted at 1: counts keyed by
     (k, deg(1)) for the full class and the four degree-constrained ones."""
     keys = ("all", "max_leaf", "max_internal", "second_leaf", "second_internal")
     out = {key: Counter() for key in keys}
-    for t in enumerate_unrooted(size):
-        k = t.improper_count()
-        cell = (k, t.degree(1))
-        out["all"][cell] += 1
-        if t.degree(t.max_label) == 0:
-            out["max_leaf"][cell] += 1
-        else:
-            out["max_internal"][cell] += 1
-        if t.degree(t.labels[1]) == 0:
-            out["second_leaf"][cell] += 1
-        else:
-            out["second_internal"][cell] += 1
+    tab = tabulate(size, _k_deg1_internal, unrooted=True)
+    for (k, d, max_internal, second_internal), c in tab.items():
+        out["all"][(k, d)] += c
+        out["max_internal" if max_internal else "max_leaf"][(k, d)] += c
+        out["second_internal" if second_internal else "second_leaf"][(k, d)] += c
     return out
 
 
@@ -269,7 +295,7 @@ def _deg1_poly(counter: Counter, k: int) -> IntPoly:
 
 
 @_timed
-def check_identities(nmax: int = 7) -> VerificationReport:
+def check_identities(nmax: int) -> VerificationReport:
     """Enumeration interpretations of the Q family and the counting
     identities that tie consecutive sizes together; nmax bounds the largest
     enumerated tree."""
@@ -285,10 +311,7 @@ def check_identities(nmax: int = 7) -> VerificationReport:
 
     rooted = {}
     for n in range(1, nmax):
-        cnt: Counter = Counter()
-        for t in enumerate_rooted(n):
-            cnt[(t.improper_count(), t.degree(1))] += 1
-        rooted[n] = cnt
+        cnt = rooted[n] = tabulate(n, _k_deg1)
         for k in range(n):
             total = sum(c for (kk, _), c in cnt.items() if kk == k)
             rep.check(f"f interpretation n={n} k={k}", f(n, k), total)
@@ -552,7 +575,7 @@ def certify_plane(rep: VerificationReport, n: int) -> None:
 
 
 @_timed
-def check_bijections(nmax: int = 7) -> VerificationReport:
+def check_bijections(nmax: int) -> VerificationReport:
     """Certify every map: domain -> codomain onto-ness, injectivity, inverse
     round-trips, and statistic deltas, over full enumerations."""
     rep = VerificationReport("bijections")
@@ -571,7 +594,7 @@ def check_bijections(nmax: int = 7) -> VerificationReport:
 
 
 @_timed
-def check_conjecture(nmax: int = 8) -> VerificationReport:
+def check_conjecture(nmax: int) -> VerificationReport:
     """The refined recurrence for |R_{n,k}[lambda=i]|, its special cases, and
     the all-improper double-factorial count."""
     if nmax < 3:
@@ -580,23 +603,14 @@ def check_conjecture(nmax: int = 8) -> VerificationReport:
     tabs: dict[int, Counter] = {}
     totals: dict[int, Counter] = {}
     for n in range(2, nmax + 1):
-        tab: Counter = Counter()
-        tot: Counter = Counter()
-        for t in enumerate_rooted(n):
-            k = t.improper_count()
-            tot[k] += 1
-            if t.degree(n) > 0:
-                tab[(k, t.lower_critical())] += 1
-        tabs[n] = tab
-        totals[n] = tot
+        cells = tabulate(n, _k_lambda)
+        tabs[n] = Counter({cell: c for cell, c in cells.items() if cell[1] is not None})
+        totals[n] = Counter()
+        for (k, _), c in cells.items():
+            totals[n][k] += c
     for n in range(3, nmax + 1):
-        prev = tabs[n - 1]
-        for i in range(1, n - 1):
-            for k in range(0, n):
-                rep.check(
-                    f"lambda recurrence n={n} k={k} i={i}",
-                    (n - 2) * prev.get((k, i), 0) + (n + k - 3) * prev.get((k - 1, i), 0),
-                    tabs[n].get((k, i), 0))
+        rep.check(f"lambda recurrence n={n}, mismatching (k, i, expected, actual)",
+                  [], lambda_recurrence_mismatches(tabs[n - 1], tabs[n], n))
     for n in range(2, nmax + 1):
         for i in range(1, n):
             rep.check(f"k=1 classes are (n-2)! n={n} i={i}",
@@ -616,7 +630,7 @@ def check_conjecture(nmax: int = 8) -> VerificationReport:
 
 
 @_timed
-def check_genfun(rmax: int = 4, x_values: tuple[int, ...] = tuple(range(-2, 6)),
+def check_genfun(rmax: int, x_values: tuple[int, ...] = tuple(range(-2, 6)),
                  order: int = 10) -> VerificationReport:
     """The generating-function identity at integer x, plus a perturbed
     negative control that must fail."""
@@ -634,3 +648,15 @@ def check_genfun(rmax: int = 4, x_values: tuple[int, ...] = tuple(range(-2, 6)),
     rep.note("negative control: perturbed table must fail",
              bad is not None, f"first mismatch at coeff {bad}")
     return rep
+
+
+# suite name -> (suite, size bound it runs at by default, None for the fixed
+# tables); the defaults are the acceptance sizes
+SUITES: dict[str, tuple[Callable[..., VerificationReport], int | None]] = {
+    "tables": (reproduce_tables, None),
+    "recurrences": (check_recurrences, 12),
+    "identities": (check_identities, 7),
+    "bijections": (check_bijections, 7),
+    "conjecture": (check_conjecture, 8),
+    "genfun": (check_genfun, 4),
+}

@@ -177,6 +177,17 @@ def test_genfun_command(capsys):
     assert code == 0 and out.strip() == "genfun r=2 x=3 M=6: PASS"
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", "0", "--count"],
+    ["enumerate", "--n", "3", "--deg1", "abc", "--count"],
+    ["genfun", "--r", "-1", "--x", "0", "--order", "3"],
+    ["verify", "--suite", "conjecture", "--nmax", "2"],
+])
+def test_library_value_error_exit_code(capsys, argv):
+    code, _, err = run(capsys, argv)
+    assert code == 2 and err.startswith("error: ")
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["poly", "--family", "q", "--n", "3"])

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from ramapoly.polynomials import (IntPoly, check_sums, f, psi_bew, psi_ramanujan,
-                                  q_from_psi, q_shor, q_shor_alt, q_zeng_a,
-                                  q_zeng_b, poly_table)
+from ramapoly.polynomials import (IntPoly, f, psi_bew, psi_ramanujan, q_from_psi,
+                                  q_shor, q_shor_alt, q_zeng_a, q_zeng_b, poly_table)
 from ramapoly.trees import enumerate_rooted
 from ramapoly.verify import PSI_TABLE, Q_TABLE
 
@@ -127,12 +126,6 @@ def test_f_counts_trees_by_improper_edges():
         for k in range(n):
             assert counts.get(k, 0) == f(n, k)
         assert sum(counts.values()) == n ** (n - 1)
-
-
-def test_check_sums():
-    assert all(ok for _, ok in check_sums(8))
-    with pytest.raises(ValueError):
-        check_sums(0)
 
 
 def test_poly_table():

@@ -306,6 +306,8 @@ def test_filter_degree_specs():
     assert ClassFilter(deg_min=">=2").matches(t)
     assert not ClassFilter(deg_min="0").matches(t)
     assert ClassFilter(deg_max="0").matches(t)
+    with pytest.raises(ValueError):
+        ClassFilter(deg_min="abc")
 
 
 def test_filter_critical_values():
@@ -317,11 +319,3 @@ def test_filter_critical_values():
 def test_filter_lambda_requires_max_child():
     leafy = build(1, {2: 1, 3: 2})
     assert not ClassFilter(lam=1).matches(leafy)
-    assert not ClassFilter(lam_above_min=True).matches(leafy)
-
-
-def test_filter_relations():
-    t = tt("3 5 0 1 3")
-    assert ClassFilter(min_under_max=False).matches(t)
-    assert ClassFilter(alpha_below_beta_star=True).matches(t)
-    assert not ClassFilter(min_under_max=True).matches(t)

@@ -7,7 +7,8 @@ from ramapoly.verify import (LAMBDA_TABLES, PSI_TABLE, Q_TABLE, CheckResult,
                              VerificationReport, check_bijections,
                              check_conjecture, check_genfun, check_identities,
                              check_recurrences, count_class, double_factorial,
-                             lambda_table, reproduce_tables)
+                             lambda_recurrence_mismatches, lambda_table,
+                             reproduce_tables)
 
 
 def test_report_pass_fail_coupling():
@@ -60,6 +61,13 @@ def test_lambda_table_matches_golden():
             assert tabs[n][(k, i)] == value
 
 
+def test_lambda_recurrence_mismatches():
+    prev, cur = lambda_table(4), lambda_table(5)
+    assert lambda_recurrence_mismatches(prev, cur, 5) == []
+    cur[(2, 1)] += 1
+    assert lambda_recurrence_mismatches(prev, cur, 5) == [(2, 1, 29, 30)]
+
+
 def test_golden_tables_complete():
     assert len(PSI_TABLE) == 15 and len(Q_TABLE) == 15
     assert sum(len(v) for v in LAMBDA_TABLES.values()) == 26
@@ -76,7 +84,7 @@ def test_check_recurrences_passes():
 
 def test_check_identities_passes_small():
     rep = check_identities(5)
-    assert rep.ok and rep.wall_time < 30
+    assert rep.ok and rep.wall_ns < 30 * 10**9
 
 
 def test_check_bijections_passes_small():
