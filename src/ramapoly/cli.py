@@ -36,6 +36,9 @@ _DEFAULT_METHOD = {"psi": "bew", "q": "shor", "f": "shor"}
 
 _SUITES = vf.SUITES
 
+# [10] has 10^9 rooted trees, hours of enumeration
+_ENUMERATE_LIMIT = 10
+
 
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="ramapoly")
@@ -68,6 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="proper edges on the max-to-root path")
     p.add_argument("--unrooted", action="store_true",
                    help="enumerate trees rooted at 1 (the unrooted convention)")
+    p.add_argument("--force", action="store_true",
+                   help=f"run even when n >= {_ENUMERATE_LIMIT} (hours or more)")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--count", action="store_true")
     mode.add_argument("--list", action="store_true", dest="list_them")
@@ -148,6 +153,9 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.n >= _ENUMERATE_LIMIT and not args.force:
+        raise ValueError(f"n >= {_ENUMERATE_LIMIT} enumerates at least 10^9 trees "
+                         "and runs for hours; pass --force to run it anyway")
     filt = ClassFilter(k=args.k, deg_min=args.deg1, deg_second=args.deg2,
                        deg_max=args.degmax, lam=args.lam, mu=args.mu,
                        beta_star=args.beta_star, path_proper=args.path_proper)
@@ -233,6 +241,9 @@ def main(argv: list[str] | None = None) -> int:
         return handlers[args.command](args)
     except ValueError as exc:  # TreeError, DomainError and ReconstructionError too
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:  # the polynomial routes recurse once per row
+        print("error: size too large for the recursive route", file=sys.stderr)
         return 2
     except BrokenPipeError:
         return 0

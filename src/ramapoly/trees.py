@@ -1,7 +1,7 @@
 """Rooted labeled trees, improper-edge statistics, and exhaustive enumeration.
 
 A rooted labeled tree lives on an arbitrary finite set of distinct positive
-integer labels and is stored as a parent map.  For an edge (p, c) with c the
+integer labels, stored sorted with the parent of each.  For an edge (p, c), c the
 child, the edge is *proper* when p is smaller than every label in the subtree
 of c, and *improper* otherwise.  The count of improper edges is the central
 statistic here; the classes R_{n,k} (rooted trees on [n] with k improper
@@ -20,6 +20,7 @@ mutate their inputs.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -61,15 +62,71 @@ class RootedTree:
 
     `parents[i]` is the parent label of `labels[i]`, with 0 marking the root.
     The constructor trusts its arguments; use `build` for validated input.
+
+    The statistics run on positions: `labels[i - 1]` sits at position i, and
+    position 0 stands above the root.  Labels are sorted, so position order
+    is label order and every comparison holds unchanged in position space;
+    positions turn back into labels only at the public methods.
     """
 
-    __slots__ = ("labels", "parents", "_kids", "_betas")
+    __slots__ = ("labels", "parents", "_core")
 
     def __init__(self, labels: tuple[int, ...], parents: tuple[int, ...]):
         self.labels = labels
         self.parents = parents
-        self._kids = None
-        self._betas = None
+        self._core = None
+
+    def _arrays(self) -> tuple[tuple[int, ...], list, list[int]]:
+        """(up, kids, low) by position, built once per tree: the parent (0 at
+        the root), the children in increasing order (`()` for a leaf) and the
+        position of beta.  Slot 0 has the root as its only child and low 0."""
+        core = self._core
+        if core is None:
+            labels, n = self.labels, len(self.labels)
+            ups = (self.parents if labels[-1] == n  # on [n] a label is its own position
+                   else [bisect_left(labels, p) + 1 if p else 0 for p in self.parents])
+            up = (0,) + tuple(ups)
+            kids: list = [()] * (n + 1)
+            low = list(range(n + 1))
+            for i, p in enumerate(ups, 1):
+                if kids[p]:
+                    kids[p].append(i)
+                else:
+                    kids[p] = [i]
+                # beta: walk up from each position in increasing order, halting at
+                # an ancestor (or slot 0) that already holds a smaller minimum
+                while low[p] > i:
+                    low[p] = i
+                    p = up[p]
+            core = self._core = (up, kids, low)
+        return core
+
+    def _pos(self, v: int) -> int:
+        labels, n = self.labels, len(self.labels)
+        i = v if labels[-1] == n else bisect_left(labels, v) + 1
+        if 0 < i <= n and labels[i - 1] == v:
+            return i
+        raise LabelError(f"label {v} not in tree")
+
+    def _names(self, positions) -> tuple[int, ...]:
+        return tuple([self.labels[i - 1] for i in positions])
+
+    def _up_path(self, i: int) -> list[int]:
+        # positions (i, ..., root) following parent links
+        up = self._arrays()[0]
+        path = [i]
+        while up[i]:
+            i = up[i]
+            path.append(i)
+        return path
+
+    def _subtree_positions(self, i: int) -> list[int]:
+        kids = self._arrays()[1]
+        out = [i]
+        for u in out:  # breadth-first: the list grows while it is walked
+            out.extend(kids[u])
+        out.sort()
+        return out
 
     # -- basic structure ---------------------------------------------------
 
@@ -93,186 +150,136 @@ class RootedTree:
         """Label -> parent label mapping, root mapped to 0."""
         return dict(zip(self.labels, self.parents))
 
-    def _children(self) -> dict[int, list[int]]:
-        if self._kids is None:
-            kids: dict[int, list[int]] = {v: [] for v in self.labels}
-            for v, p in zip(self.labels, self.parents):
-                if p:
-                    kids[p].append(v)
-            self._kids = kids
-        return self._kids
-
     def parent(self, v: int) -> int | None:
         """Parent label of v, or None for the root."""
-        p = self.parents[self._pos(v)]
-        return p if p else None
-
-    def _pos(self, v: int) -> int:
-        try:
-            i = self.labels.index(v)
-        except ValueError:
-            raise LabelError(f"label {v} not in tree") from None
-        return i
+        return self.parents[self._pos(v) - 1] or None
 
     def children(self, v: int) -> tuple[int, ...]:
-        kids = self._children()
-        if v not in kids:
-            raise LabelError(f"label {v} not in tree")
-        return tuple(kids[v])
+        return self._names(self._arrays()[1][self._pos(v)])
 
     def degree(self, v: int) -> int:
-        return len(self.children(v))
+        return len(self._arrays()[1][self._pos(v)])
 
     def path_to_root(self, v: int) -> tuple[int, ...]:
         """The sequence (v, ..., root) following parent links."""
-        pm = self.parent_map()
-        if v not in pm:
-            raise LabelError(f"label {v} not in tree")
-        path = [v]
-        while pm[path[-1]]:
-            path.append(pm[path[-1]])
-        return tuple(path)
+        return self._names(self._up_path(self._pos(v)))
 
     def is_descendant(self, x: int, y: int) -> bool:
         """True iff x lies in the subtree rooted at y (every node is its own
         descendant)."""
-        return y in self.path_to_root(x)
+        return self._pos(y) in self._up_path(self._pos(x))
 
     def subtree_labels(self, v: int) -> tuple[int, ...]:
         """Sorted labels of the subtree rooted at v."""
-        kids = self._children()
-        if v not in kids:
-            raise LabelError(f"label {v} not in tree")
-        out = []
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            out.append(u)
-            stack.extend(kids[u])
-        out.sort()
-        return tuple(out)
+        return self._names(self._subtree_positions(self._pos(v)))
 
     def subtree(self, v: int) -> RootedTree:
         """The subtree rooted at v as a standalone tree."""
-        sub = self.subtree_labels(v)
-        inside = set(sub)
-        pm = self.parent_map()
-        return RootedTree(sub, tuple(pm[u] if u != v and pm[u] in inside else 0
-                                     for u in sub))
+        i = self._pos(v)
+        sub = self._subtree_positions(i)
+        return RootedTree(self._names(sub),
+                          tuple([self.parents[u - 1] if u != i else 0 for u in sub]))
 
     # -- improper-edge statistics ------------------------------------------
 
-    def _beta_all(self) -> dict[int, int]:
-        # Walk up from each label in increasing order; stop once an ancestor
-        # already holds a smaller minimum.
-        if self._betas is None:
-            pm = self.parent_map()
-            betas = {v: v for v in self.labels}
-            for v in self.labels:
-                u = pm[v]
-                while u and betas[u] > v:
-                    betas[u] = v
-                    u = pm[u]
-            self._betas = betas
-        return self._betas
-
     def beta(self, v: int) -> int:
         """Minimum label in the subtree rooted at v."""
-        betas = self._beta_all()
-        if v not in betas:
-            raise LabelError(f"label {v} not in tree")
-        return betas[v]
+        return self.labels[self._arrays()[2][self._pos(v)] - 1]
 
     def is_proper(self, c: int) -> bool:
         """True iff the edge entering c from its parent is proper."""
-        p = self.parent(c)
-        if p is None:
+        i = self._pos(c)
+        up, _, low = self._arrays()
+        if not up[i]:
             raise TreeError("the root has no entering edge")
-        return p < self.beta(c)
+        return up[i] < low[i]
 
     def improper_count(self) -> int:
-        betas = self._beta_all()
-        return sum(1 for v, p in zip(self.labels, self.parents)
-                   if p and p > betas[v])
+        up, _, low = self._arrays()
+        # the root's parent slot 0 never exceeds a position
+        return sum(map(int.__gt__, up, low))
 
     def proper_on_max_path(self) -> int:
         """Number of proper edges on the path from the max label to the root
         (0 when the max label is the root)."""
-        path = self.path_to_root(self.max_label)
-        return sum(1 for c in path[:-1] if self.is_proper(c))
+        up, _, low = self._arrays()
+        return sum(up[i] < low[i] for i in self._up_path(len(self.labels))[:-1])
 
     def upper_critical(self) -> int:
         """Head of the first proper edge on the max-to-root path."""
-        path = self.path_to_root(self.max_label)
-        for c in path[:-1]:
-            if self.is_proper(c):
-                return self.parent(c)
+        up, _, low = self._arrays()
+        for i in self._up_path(len(self.labels))[:-1]:
+            if up[i] < low[i]:
+                return self.labels[up[i] - 1]
         raise TreeError("no proper edge on the path from the max label")
 
     def max_to_beta_path(self) -> tuple[int, ...]:
         """The downward path (max, ..., beta(max)); max must have a child."""
-        mx = self.max_label
-        if self.degree(mx) == 0:
+        _, kids, low = self._arrays()
+        u = len(self.labels)
+        if not kids[u]:
             raise TreeError("max label is a leaf")
-        betas = self._beta_all()
-        target = betas[mx]
-        path = [mx]
-        u = mx
+        target = low[u]
+        path = [u]
         while u != target:
-            u = next(c for c in self.children(u) if betas[c] == target)
+            u = next(c for c in kids[u] if low[c] == target)
             path.append(u)
-        return tuple(path)
+        return self._names(path)
 
     def lower_critical(self) -> int:
         """First node u past the max label on the path toward beta(max) that
         is smaller than everything in the max subtree outside u's own
         subtree.  Defined whenever the max label has a child."""
-        betas = self._beta_all()
-        out = self.max_label + 1  # above every label
-        path = self.max_to_beta_path()
-        for prev, u in zip(path, path[1:]):
-            side = [betas[c] for c in self.children(prev) if c != u]
-            out = min([out, prev, *side])
-            if u < out:
-                return u
-        raise AssertionError("beta(max) always qualifies")
+        _, kids, low = self._arrays()
+        prev = len(self.labels)
+        if not kids[prev]:
+            raise TreeError("max label is a leaf")
+        target = low[prev]
+        # `out` is the minimum of the max subtree outside the subtree of the
+        # next node; beta(max) is below it, so the loop always returns.
+        out = prev
+        while True:
+            for c in kids[prev]:
+                b = low[c]
+                if b == target:
+                    nxt = c
+                elif b < out:
+                    out = b
+            if nxt < out:
+                return self.labels[nxt - 1]
+            prev = nxt
 
     def mu(self) -> int:
         """First node past the min label on the min-to-root path that is
         smaller than everything outside its subtree; the root qualifies
         vacuously.  Defined whenever the min label is not the root."""
-        mn = self.min_label
-        if self.root == mn:
+        _, kids, low = self._arrays()
+        path = self._up_path(1)
+        if len(path) == 1:
             raise TreeError("min label is the root")
-        betas = self._beta_all()
-        path = self.path_to_root(mn)
-        outs = {}
-        out = self.max_label + 1  # above every label
-        for idx in range(len(path) - 1, -1, -1):
-            u = path[idx]
-            outs[u] = out
-            if idx:
-                nxt = path[idx - 1]
-                side = [betas[c] for c in self.children(u) if c != nxt]
-                out = min([out, u, *side])
-        for u in path[1:]:
-            if u < outs[u]:
-                return u
-        raise AssertionError("the root always qualifies")
+        # Walk root-down keeping the minimum outside the current subtree; the
+        # last node that qualifies is the first one seen from the min.
+        out = len(kids)  # above every position
+        for j in range(len(path) - 1, 0, -1):
+            u = path[j]
+            if u < out:
+                found = u
+            out = min(out, u, *[low[c] for c in kids[u] if c != path[j - 1]])
+        return self.labels[found - 1]
 
     def alpha(self) -> int:
         """max{beta(b) : b child of the max label}."""
-        mx = self.max_label
-        if self.degree(mx) == 0:
+        _, kids, low = self._arrays()
+        if not kids[-1]:
             raise TreeError("max label is a leaf")
-        return max(self.beta(b) for b in self.children(mx))
+        return self.labels[max([low[b] for b in kids[-1]]) - 1]
 
     def beta_star(self) -> int:
         """min{beta(a) : a child of the min label}."""
-        mn = self.min_label
-        if self.degree(mn) == 0:
+        _, kids, low = self._arrays()
+        if not kids[1]:
             raise TreeError("min label is a leaf")
-        return min(self.beta(a) for a in self.children(mn))
+        return self.labels[min([low[a] for a in kids[1]]) - 1]
 
     # -- relabeling ---------------------------------------------------------
 
@@ -286,8 +293,7 @@ class RootedTree:
             raise LabelError("relabel target has wrong size")
         if target and target[0] < 1:
             raise LabelError("labels must be positive")
-        ren = dict(zip(self.labels, target))
-        return RootedTree(target, tuple(ren[p] if p else 0 for p in self.parents))
+        return RootedTree(target, tuple(target[self._pos(p) - 1] if p else 0 for p in self.parents))
 
     # -- value semantics ----------------------------------------------------
 
@@ -337,10 +343,7 @@ def build(root: int, parent: Mapping[int, int]) -> RootedTree:
             raise CycleError(f"cycle through label {u}")
         for w in path:
             state[w] = True
-    pm = dict(parent)
-    pm[root] = 0
-    slabels = tuple(sorted(labels))
-    return RootedTree(slabels, tuple(pm[v] for v in slabels))
+    return _from_pmap({**parent, root: 0})
 
 
 def _from_pmap(pmap: Mapping[int, int]) -> RootedTree:
@@ -426,8 +429,8 @@ class ClassFilter:
     beta_star: int | None = None
 
     def __post_init__(self):
-        # (position in the sorted labels, bound, exact) per degree spec
-        specs = ((0, self.deg_min), (1, self.deg_second), (-1, self.deg_max))
+        # (tree position, bound, exact) per degree spec
+        specs = ((1, self.deg_min), (2, self.deg_second), (-1, self.deg_max))
         object.__setattr__(self, "_degs", tuple(
             (pos, *_parse_deg_spec(spec)) for pos, spec in specs if spec is not None))
 
@@ -435,23 +438,20 @@ class ClassFilter:
         if self.k is not None and t.improper_count() != self.k:
             return False
         for pos, bound, exact in self._degs:
-            if pos >= t.size:
+            if pos > t.size:
                 return False
-            d = t.degree(t.labels[pos])
+            d = len(t._arrays()[1][pos])
             if (d != bound) if exact else (d < bound):
                 return False
         if self.path_proper is not None and t.proper_on_max_path() != self.path_proper:
             return False
-        if self.lam is not None:
-            if t.degree(t.max_label) == 0 or t.lower_critical() != self.lam:
-                return False
-        if self.mu is not None:
-            if t.root == t.min_label or t.mu() != self.mu:
-                return False
-        if self.beta_star is not None:
-            if t.degree(t.min_label) == 0 or t.beta_star() != self.beta_star:
-                return False
-        return True
+        if self.lam is not None and (not t.degree(t.max_label)
+                                     or t.lower_critical() != self.lam):
+            return False
+        if self.mu is not None and (t.root == t.min_label or t.mu() != self.mu):
+            return False
+        return self.beta_star is None or (t.degree(t.min_label) > 0
+                                          and t.beta_star() == self.beta_star)
 
 
 # -- enumeration ---------------------------------------------------------------

@@ -112,6 +112,12 @@ class VerificationReport:
         return merged
 
 
+def _require_size(value: int, least: int, name: str = "nmax") -> None:
+    # A size below the smallest one a suite checks would report a vacuous pass.
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
+
+
 def _timed(fn):
     def wrap(*args, **kwargs):
         t0 = time.perf_counter_ns()
@@ -234,6 +240,7 @@ def reproduce_tables() -> VerificationReport:
 def check_recurrences(nmax: int) -> VerificationReport:
     """All generation routes agree exactly, degrees and leading signs are
     right, and the three row-sum identities hold."""
+    _require_size(nmax, 1)
     rep = VerificationReport("recurrences")
     for r in range(nmax + 1):
         same = all(psi_bew(r, k) == psi_ramanujan(r, k) for k in range(0, r + 3))
@@ -299,6 +306,7 @@ def check_identities(nmax: int) -> VerificationReport:
     """Enumeration interpretations of the Q family and the counting
     identities that tie consecutive sizes together; nmax bounds the largest
     enumerated tree."""
+    _require_size(nmax, 2)
     rep = VerificationReport("identities")
     x = IntPoly.x()
 
@@ -578,6 +586,7 @@ def certify_plane(rep: VerificationReport, n: int) -> None:
 def check_bijections(nmax: int) -> VerificationReport:
     """Certify every map: domain -> codomain onto-ness, injectivity, inverse
     round-trips, and statistic deltas, over full enumerations."""
+    _require_size(nmax, 2)
     rep = VerificationReport("bijections")
     for n in range(2, nmax + 1):
         _certify_rooted(rep, n)
@@ -597,8 +606,7 @@ def check_bijections(nmax: int) -> VerificationReport:
 def check_conjecture(nmax: int) -> VerificationReport:
     """The refined recurrence for |R_{n,k}[lambda=i]|, its special cases, and
     the all-improper double-factorial count."""
-    if nmax < 3:
-        raise ValueError("nmax must be at least 3")
+    _require_size(nmax, 3)
     rep = VerificationReport("conjecture")
     tabs: dict[int, Counter] = {}
     totals: dict[int, Counter] = {}
@@ -634,6 +642,7 @@ def check_genfun(rmax: int, x_values: tuple[int, ...] = tuple(range(-2, 6)),
                  order: int = 10) -> VerificationReport:
     """The generating-function identity at integer x, plus a perturbed
     negative control that must fail."""
+    _require_size(rmax, 0, "rmax")
     rep = VerificationReport("genfun")
     for r in range(rmax + 1):
         for x in x_values:

@@ -1,12 +1,21 @@
 import io
 import json
 import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+import ramapoly.cli as cli
+from ramapoly import verify
 from ramapoly.cli import main
-from ramapoly.trees import ClassFilter, enumerate_rooted, enumerate_unrooted, tree_to_text
+from ramapoly.trees import (ClassFilter, enumerate_rooted, enumerate_unrooted,
+                            plane_from_text, tree_from_text, tree_to_text)
 from ramapoly.verify import VerificationReport
+
+from conftest import rooted_trees
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -182,10 +191,47 @@ def test_genfun_command(capsys):
     ["enumerate", "--n", "3", "--deg1", "abc", "--count"],
     ["genfun", "--r", "-1", "--x", "0", "--order", "3"],
     ["verify", "--suite", "conjecture", "--nmax", "2"],
+    # sizes below the smallest each suite checks, which used to pass vacuously
+    ["verify", "--suite", "bijections", "--nmax", "0"],
+    ["verify", "--suite", "recurrences", "--nmax", "-3"],
+    ["verify", "--suite", "genfun", "--nmax", "-1"],
+    ["verify", "--suite", "identities", "--nmax", "1"],
 ])
 def test_library_value_error_exit_code(capsys, argv):
     code, _, err = run(capsys, argv)
     assert code == 2 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["poly", "--family", "q", "--n", "1500", "--k", "3"],
+    ["poly", "--family", "psi", "--method", "ramanujan", "--n", "600", "--k", "300"],
+])
+def test_recursion_depth_exit_code(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == "error: size too large for the recursive route\n"
+
+
+@pytest.mark.parametrize("mode", [["--count"], ["--list"], ["--list", "--unrooted"]])
+def test_enumerate_refuses_ten_labels_without_force(capsys, monkeypatch, mode):
+    calls = []
+
+    def spy(*args):
+        # count_class(n, filt, unrooted) returns a count, the enumerations
+        # (n, filt) an iterator
+        calls.append(args)
+        return 7 if len(args) == 3 else iter(())
+
+    monkeypatch.setattr(verify, "count_class", spy)
+    monkeypatch.setattr(cli, "enumerate_rooted", spy)
+    monkeypatch.setattr(cli, "enumerate_unrooted", spy)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, ["enumerate", "--n", "10", *mode])
+    assert time.perf_counter() - t0 < 1
+    assert code == 2 and out == "" and err.startswith("error: ") and "--force" in err
+    assert calls == []
+    code, _, _ = run(capsys, ["enumerate", "--n", "10", "--force", *mode])
+    assert code == 0 and len(calls) == 1
 
 
 def test_usage_error_exit_code():
@@ -195,3 +241,73 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--n", "3", "--count", "--bogus"])
     assert exc.value.code == 2
+
+
+# -- fuzzing the bij pipe ----------------------------------------------------------
+
+BIJ_MAPS = ["lower", "lift", "lemma36", "rooted", "unrooted", "color", "cor22", "plane"]
+
+
+@st.composite
+def plane_texts(draw):
+    # an increasing plane tree on [n]: each label joins a smaller one at a
+    # drawn slot among its children
+    kids: dict[int, list[int]] = {1: []}
+    for v in range(2, draw(st.integers(1, 6)) + 1):
+        above = kids[draw(st.integers(1, v - 1))]
+        above.insert(draw(st.integers(0, len(above))), v)
+        kids[v] = []
+
+    def text(v):
+        return f"{v}({' '.join(map(text, kids[v]))})" if kids[v] else str(v)
+    return text(1)
+
+
+STDIN_TEXTS = st.one_of(
+    st.text(max_size=16),
+    st.text(alphabet="0123456789 ()\n-:labelsbck", max_size=24),
+    rooted_trees(max_size=6).map(tree_to_text),
+    st.builds(lambda t, black: tree_to_text(t) + "\nblack: " + " ".join(map(str, black)),
+              rooted_trees(max_size=5, contiguous=True),
+              st.lists(st.integers(0, 6), max_size=3)),
+    plane_texts(),
+)
+
+
+def _bij(which, direction, text):
+    # `run` needs capsys and monkeypatch, which hypothesis does not reset
+    # between the examples of one test
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["bij", "--map", which, "--dir", direction])
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+def _parsed(which, direction, text):
+    # the value the map reads from `text`, so that equal inputs compare equal
+    # however they were spaced
+    if which == "plane" and direction == "inv":
+        return plane_from_text(text)
+    if which == "color" and direction == "fwd":
+        return cli._read_colored(text)
+    return tree_from_text(text)
+
+
+@pytest.mark.parametrize("which", BIJ_MAPS)
+@pytest.mark.parametrize("direction", ["fwd", "inv"])
+@settings(max_examples=25, deadline=None)
+@given(text=STDIN_TEXTS)
+def test_bij_pipe_fuzz(which, direction, text):
+    code, out, err = _bij(which, direction, text)
+    if code == 2:
+        assert out == "" and err.startswith("error: ")
+        return
+    assert code == 0 and err == ""
+    back_dir = "inv" if direction == "fwd" else "fwd"
+    code, back, err = _bij(which, back_dir, out)
+    assert code == 0 and err == ""
+    assert _parsed(which, direction, back) == _parsed(which, direction, text)

@@ -200,6 +200,57 @@ def test_stats_match_definitional_oracles_exhaustively():
                 assert t.beta_star() == bs
 
 
+GAPPY_LABELS = (2, 3, 5, 7, 11, 13)
+
+
+def _rejects(accessor, label) -> bool:
+    # pytest.raises costs more than the accessor, and this runs ~5*10^5 times
+    try:
+        accessor(label)
+    except LabelError:
+        return True
+    return False
+
+
+def test_position_core_matches_oracles_on_both_label_sets():
+    # Every rooted tree with n <= 6, on [n] and relabelled onto a set with
+    # gaps, where a label's position and its value differ.
+    for n in range(1, 7):
+        for base in enumerate_rooted(n):
+            for t in (base, base.relabel(GAPPY_LABELS[:n])):
+                labels = t.labels
+                for v in labels:
+                    assert t.parent(v) == (t.parents[labels.index(v)] or None)
+                    kids = tuple(u for u in labels if t.parent(u) == v)
+                    assert t.children(v) == kids and t.degree(v) == len(kids)
+                    path = oc.o_path_to_root(t, v)
+                    assert t.path_to_root(v) == tuple(path)
+                    sub = oc.o_subtree(t, v)
+                    assert t.subtree_labels(v) == tuple(sorted(sub))
+                    assert t.beta(v) == min(sub)  # o_beta, without a second o_subtree
+                    for y in labels:
+                        assert t.is_descendant(v, y) == (y in path)
+                assert t.improper_count() == oc.o_improper_count(t)
+                assert t.proper_on_max_path() == oc.o_proper_on_max_path(t)
+                for stat, oracle in ((t.upper_critical, oc.o_upper_critical),
+                                     (t.lower_critical, oc.o_lower_critical),
+                                     (t.mu, oc.o_mu), (t.alpha, oc.o_alpha),
+                                     (t.beta_star, oc.o_beta_star)):
+                    want = oracle(t)
+                    if want is None:
+                        with pytest.raises(TreeError):
+                            stat()
+                    else:
+                        assert stat() == want
+                gap = [v for v in range(1, labels[-1]) if v not in labels][-1:]
+                for bad in [0, labels[-1] + 1, *gap]:
+                    assert all(_rejects(accessor, bad) for accessor in (
+                        t.parent, t.children, t.degree, t.path_to_root, t.subtree_labels,
+                        t.subtree, t.beta, t.is_proper,
+                        lambda v: t.is_descendant(v, t.root),
+                        lambda v: t.is_descendant(t.root, v)))
+
+
 def test_critical_nodes_match_definitions_on_all_seven_label_trees():
     # full brute-force recomputation of the two path statistics at n=7
     for t in enumerate_rooted(7):
