@@ -48,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .trees import PlaneTree, RootedTree, _from_pmap
+from .trees import PlaneTree, RootedTree, _from_pmap, _moved
 
 __all__ = [
     "DomainError",
@@ -111,10 +111,6 @@ class ColoredRootedTree:
             raise DomainError("black nodes must be children of the min label")
 
 
-def _pm(t: RootedTree) -> dict[int, int]:
-    return dict(zip(t.labels, t.parents))
-
-
 def _note(trace, msg) -> None:
     if trace is not None:
         trace.append(msg)
@@ -138,11 +134,8 @@ def lower(t: RootedTree, trace: list | None = None) -> RootedTree:
         raise DomainError("no proper edge on the path from the max label to the root")
     w = path[idx + 1]
     _note(trace, f"lower: reverse {path[:idx + 2]} at critical node {w}")
-    pm = _pm(t)
-    pm[mx] = pm[w]
-    for above, below in zip(path[: idx + 1], path[1: idx + 2]):
-        pm[below] = above
-    return _from_pmap(pm)
+    return _moved(t, {mx: t.parent(w) or 0,
+                      **dict(zip(path[1: idx + 2], path[: idx + 1]))})
 
 
 def lift(t: RootedTree, trace: list | None = None) -> RootedTree:
@@ -155,12 +148,7 @@ def lift(t: RootedTree, trace: list | None = None) -> RootedTree:
     down = t.max_to_beta_path()
     seg = down[: down.index(lam) + 1]
     _note(trace, f"lift: reverse {seg} at critical node {lam}")
-    pm = _pm(t)
-    old = pm[mx]
-    for above, below in zip(seg, seg[1:]):
-        pm[above] = below
-    pm[lam] = old
-    return _from_pmap(pm)
+    return _moved(t, {**dict(zip(seg, seg[1:])), lam: t.parent(mx) or 0})
 
 
 # -- stem folding (deg(min)=1 <-> deg(min)=0) ----------------------------------
@@ -196,11 +184,7 @@ def _fold_with_info(t: RootedTree, trace: list | None) -> tuple[RootedTree, int,
     assert bounds[-1] == tt - 1, "the min label always ends the last segment"
     heads = tuple(stem[b] for b in [0] + [b + 1 for b in bounds[:-1]])
     _note(trace, f"fold: w={w} segment heads at {heads}")
-    pm = _pm(t)
-    pm[v] = 0
-    for head in heads:
-        pm[head] = w
-    return _from_pmap(pm), w, heads
+    return _moved(t, {v: 0, **dict.fromkeys(heads, w)}), w, heads
 
 
 def _descend_to_attach(t: RootedTree, r: int, bound: int) -> int:
@@ -240,23 +224,16 @@ def unfold_stem(t: RootedTree, trace: list | None = None) -> RootedTree:
         attach.append(_descend_to_attach(t, r, bound))
         bound = t.beta(r)
     _note(trace, f"unfold: w={w} segment heads {tuple(heads)} attach at {tuple(attach)}")
-    pm = _pm(t)
-    old_root = t.root
-    pm[heads[0]] = 0
-    for nxt, z in zip(heads[1:], attach[:-1]):
-        pm[nxt] = z
-    pm[old_root] = mn
-    return _from_pmap(pm)
+    return _moved(t, {heads[0]: 0, **dict(zip(heads[1:], attach)), t.root: mn})
 
 
 # -- the four-case surgery on R(0) classes ------------------------------------
 
 
-def _splice(pm: dict[int, int], sub: RootedTree, parent: int) -> None:
-    # Overwrite pm entries for sub's labels with sub's structure, attaching
-    # sub's root to `parent`.
-    for u, p in sub.parent_map().items():
-        pm[u] = p if p else parent
+def _graft(sub: RootedTree, parent: int) -> dict[int, int]:
+    # Moves that put sub's labels back as they sit in sub, with sub's root
+    # hung under `parent`.
+    return {u: p or parent for u, p in zip(sub.labels, sub.parents)}
 
 
 def flatten_min(t: RootedTree, trace: list | None = None) -> RootedTree:
@@ -280,52 +257,35 @@ def flatten_min(t: RootedTree, trace: list | None = None) -> RootedTree:
     bs = t.beta_star()
     under = t.is_descendant(mn, mx)
 
+    to_max = dict.fromkeys(t.children(mn), mx)  # in every case
     if al > bs:
+        # alpha takes the max's place and children; it may itself be a child
+        # of the max, so its own entry must come after theirs
         q = t.parent(al)
-        pm = _pm(t)
-        pm[al] = pm[mx]
-        for b in t.children(mx):
-            if b != al:
-                pm[b] = al
-        pm[mx] = q if q != mx else al
-        for c in t.children(mn):
-            pm[c] = mx
         _note(trace, CaseTag(Case.B, located=al))
-        return _from_pmap(pm)
+        return _moved(t, {**dict.fromkeys(t.children(mx), al), al: t.parent(mx) or 0,
+                          mx: q if q != mx else al, **to_max})
 
     if not under:
-        pm = _pm(t)
-        for c in t.children(mn):
-            pm[c] = mx
         _note(trace, CaseTag(Case.A))
-        return _from_pmap(pm)
+        return _moved(t, to_max)
 
     if t.degree(mx) >= 2:
         kids = sorted(t.children(mx), key=t.beta)
         b1, b2 = kids[0], kids[1]
         limit = bs if len(kids) < 3 else min(bs, t.beta(kids[2]))
         ci = _descend_to_attach(t, b2, limit)
-        pm = _pm(t)
-        pm[b1] = ci
-        for c in t.children(mn):
-            pm[c] = mx
         _note(trace, CaseTag(Case.C, located=ci))
-        return _from_pmap(pm)
+        return _moved(t, {b1: ci, **to_max})
 
+    # case D: all but the min's lowest child subtree go under the max first,
+    # then what stays under the max's only child is folded
     b = t.children(mx)[0]
     a_kids = sorted(t.children(mn), key=t.beta)
-    moved: set[int] = set()
-    for a in a_kids[1:]:
-        moved.update(t.subtree_labels(a))
-    pm = _pm(t)
-    for a in a_kids[1:]:
-        pm[a] = mx
-    s_labels = [u for u in t.subtree_labels(b) if u not in moved]
-    sub = _from_pmap({u: (pm[u] if u != b else 0) for u in s_labels})
-    folded, w, heads = _fold_with_info(sub, trace)
-    _splice(pm, folded, mx)
+    t1 = _moved(t, dict.fromkeys(a_kids[1:], mx))
+    folded, w, heads = _fold_with_info(t1.subtree(b), trace)
     _note(trace, CaseTag(Case.D, located=w, boundaries=heads))
-    return _from_pmap(pm)
+    return _moved(t1, _graft(folded, mx))
 
 
 def unflatten_min(t: RootedTree, m: int, trace: list | None = None) -> RootedTree:
@@ -345,51 +305,37 @@ def unflatten_min(t: RootedTree, m: int, trace: list | None = None) -> RootedTre
 
     if not under and t.degree(mx) > m:
         kids = sorted(t.children(mx), key=t.beta, reverse=True)
-        pm = _pm(t)
-        for c in kids[:m]:
-            pm[c] = mn
         _note(trace, CaseTag(Case.A))
-        return _from_pmap(pm)
+        return _moved(t, dict.fromkeys(kids[:m], mn))
 
     if not under:
-        pm = _pm(t)
-        for c in t.children(mx):
-            pm[c] = mn
-        t2 = _from_pmap(pm)
+        t2 = _moved(t, dict.fromkeys(t.children(mx), mn))
         path = t2.path_to_root(mx)[::-1]
         pair = next(((y, c) for y, c in zip(path, path[1:]) if t2.is_proper(c)), None)
         if pair is None:
             raise ReconstructionError("no proper edge on the root-to-max path")
         y, on_path = pair
-        pm2 = _pm(t2)
-        for c in t2.children(y):
-            if c != on_path and t2.beta(c) > y:
-                pm2[c] = mx
-        swap = {y: mx, mx: y}
+        high = [c for c in t2.children(y) if c != on_path and t2.beta(c) > y]
         _note(trace, CaseTag(Case.B, located=y))
-        return _from_pmap({swap.get(v, v): swap.get(p, p) if p else 0
-                           for v, p in pm2.items()})
+        # y and the max trade places: the max takes y's parent and y's other
+        # children; y takes the max's place, a leaf in t2, and adopts the high
+        # children.  When the max is a child of y, the later entries hang y
+        # under it.
+        q = t2.parent(mx)
+        return _moved(t2, {**dict.fromkeys(t2.children(y), mx), **dict.fromkeys(high, y),
+                           mx: t2.parent(y) or 0, y: mx if q == y else q})
 
     if t.degree(mx) > m:
         x = t.lower_critical()
         kids = sorted(t.children(mx), key=t.beta, reverse=True)
-        pm = _pm(t)
-        for c in kids[:m]:
-            pm[c] = mn
         holder = next(c for c in t.children(x) if t.beta(c) == mn)
-        pm[holder] = mx
         _note(trace, CaseTag(Case.C, located=x))
-        return _from_pmap(pm)
+        return _moved(t, {**dict.fromkeys(kids[:m], mn), holder: mx})
 
     holder = next(c for c in t.children(mx) if t.beta(c) == mn)
     sub = unfold_stem(t.subtree(holder), trace)
-    pm = _pm(t)
-    for c in t.children(mx):
-        if c != holder:
-            pm[c] = mn
-    _splice(pm, sub, mx)
     _note(trace, CaseTag(Case.D, located=sub.root))
-    return _from_pmap(pm)
+    return _moved(t, {**dict.fromkeys(t.children(mx), mn), **_graft(sub, mx)})
 
 
 # -- the rooted-tree bijection --------------------------------------------------
@@ -455,23 +401,16 @@ def unrooted_fwd(t: RootedTree, trace: list | None = None) -> RootedTree:
         raise DomainError("second-smallest label must have a child")
     x = _branch_of(t, second)
     y = _branch_of(t, mx)
-    pm = _pm(t)
     if x == y or t.degree(mx) > 0:
         which = "shared branch" if x == y else "max already internal"
         _note(trace, f"case: {which}; recurse into branch {x}")
-        _splice(pm, rooted_fwd(t.subtree(x), trace), mn)
-        return _from_pmap(pm)
+        return _moved(t, _graft(rooted_fwd(t.subtree(x), trace), mn))
     _note(trace, f"case: leaf max in branch {y}; swap roles across {x}/{y}")
     sub_x, sub_y = t.subtree(x), t.subtree(y)
     lifted = sub_x.relabel([u for u in sub_x.labels if u != second] + [mx])
     lowered = sub_y.relabel([second] + [u for u in sub_y.labels if u != mx])
-    for u in sub_x.labels:
-        del pm[u]
-    for u in sub_y.labels:
-        del pm[u]
-    _splice(pm, rooted_fwd(lifted, trace), mn)
-    _splice(pm, lowered, mn)
-    return _from_pmap(pm)
+    # the two branches trade `second` and the max, so the grafts cover them
+    return _moved(t, {**_graft(rooted_fwd(lifted, trace), mn), **_graft(lowered, mn)})
 
 
 def unrooted_inv(t: RootedTree, trace: list | None = None) -> RootedTree:
@@ -484,28 +423,18 @@ def unrooted_inv(t: RootedTree, trace: list | None = None) -> RootedTree:
     second = t.labels[1]
     u = _branch_of(t, mx)
     v = _branch_of(t, second)
-    pm = _pm(t)
     if u == v:
         _note(trace, f"case: shared branch; recurse into branch {u}")
-        _splice(pm, rooted_inv(t.subtree(u), trace), mn)
-        return _from_pmap(pm)
+        return _moved(t, _graft(rooted_inv(t.subtree(u), trace), mn))
     sub_v = t.subtree(v)
     if sub_v.degree(sub_v.max_label) > 0:
         _note(trace, f"case: branch {v} max internal; recurse into it")
-        _splice(pm, rooted_inv(sub_v, trace), mn)
-        return _from_pmap(pm)
+        return _moved(t, _graft(rooted_inv(sub_v, trace), mn))
     _note(trace, f"case: swapped roles; recurse into branch {u} and relabel")
-    sub_u = t.subtree(u)
-    back = rooted_inv(sub_u, trace)
+    back = rooted_inv(t.subtree(u), trace)
     restored_x = back.relabel([second] + [w for w in back.labels if w != mx])
     restored_y = sub_v.relabel([w for w in sub_v.labels if w != second] + [mx])
-    for w in sub_u.labels:
-        del pm[w]
-    for w in sub_v.labels:
-        del pm[w]
-    _splice(pm, restored_x, mn)
-    _splice(pm, restored_y, mn)
-    return _from_pmap(pm)
+    return _moved(t, {**_graft(restored_x, mn), **_graft(restored_y, mn)})
 
 
 # -- coloring equivalence and the fresh-root map ---------------------------------
@@ -523,11 +452,9 @@ def color_split(c: ColoredRootedTree) -> RootedTree:
     on [n+1] rooted at 1: a fresh smallest root adopts the black subtrees
     and the rest of the tree, and labels shift up by one."""
     t = c.tree
-    _require_contiguous(t)
-    pm = {1: 0}
-    for v, p in zip(t.labels, t.parents):
-        pm[v + 1] = 1 if (p == 0 or v in c.black) else p + 1
-    return _from_pmap(pm)
+    n = _require_contiguous(t)
+    return RootedTree(tuple(range(1, n + 2)), (0,) + tuple(
+        1 if (p == 0 or v in c.black) else p + 1 for v, p in zip(t.labels, t.parents)))
 
 
 def color_merge(t: RootedTree) -> ColoredRootedTree:
@@ -539,15 +466,9 @@ def color_merge(t: RootedTree) -> ColoredRootedTree:
         raise DomainError("expected a tree on [n+1] rooted at 1")
     holder = next(c for c in t.children(1) if t.beta(c) == 2)
     black = frozenset(c - 1 for c in t.children(1) if c != holder)
-    pm = {}
-    for v, p in zip(t.labels, t.parents):
-        if v == 1:
-            continue
-        if p == 1:
-            pm[v - 1] = 0 if v == holder else 1
-        else:
-            pm[v - 1] = p - 1
-    return ColoredRootedTree(_from_pmap(pm), black)
+    parents = tuple((0 if v == holder else 1) if p == 1 else p - 1
+                    for v, p in zip(t.labels[1:], t.parents[1:]))
+    return ColoredRootedTree(RootedTree(tuple(range(1, n + 1)), parents), black)
 
 
 def insert_root(t: RootedTree) -> RootedTree:
@@ -573,22 +494,22 @@ def plane_fwd(t: RootedTree) -> PlaneTree:
     ordered children, recursively."""
     if t.improper_count() != t.size - 1:
         raise DomainError("every edge must be improper")
-    return _plane_rec(t)
+    return _plane_piece(t, t.root, set())
 
 
-def _plane_rec(t: RootedTree) -> PlaneTree:
-    if t.size == 1:
-        return PlaneTree(t.min_label)
-    pm = _pm(t)
-    path = t.path_to_root(t.min_label)
+def _plane_piece(t: RootedTree, r: int, done: set[int]) -> PlaneTree:
+    # The subtree of r less the subtrees of r's children in `done`, the nodes
+    # already placed (only r can lose children: every other node of a piece
+    # keeps its whole subtree).  Its min becomes the plane root, and the
+    # pieces hanging from the nodes on its path up to r become the ordered
+    # children.
+    v = mn = min([r] + [t.beta(c) for c in t.children(r) if c not in done])
     kids = []
-    prev_labels = {t.min_label}
-    for vi in path[1:]:
-        piece = set(t.subtree_labels(vi)) - prev_labels
-        sub = _from_pmap({u: (pm[u] if u != vi else 0) for u in piece})
-        kids.append(_plane_rec(sub))
-        prev_labels |= piece
-    return PlaneTree(t.min_label, tuple(kids))
+    while v != r:
+        done.add(v)
+        v = t.parent(v)
+        kids.append(_plane_piece(t, v, done))
+    return PlaneTree(mn, tuple(kids))
 
 
 def plane_inv(p: PlaneTree) -> RootedTree:

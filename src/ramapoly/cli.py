@@ -39,6 +39,9 @@ _SUITES = vf.SUITES
 # [10] has 10^9 rooted trees, hours of enumeration
 _ENUMERATE_LIMIT = 10
 
+# the suites whose size bound is the number of labels they enumerate
+_ENUMERATING_SUITES = ("identities", "bijections", "conjecture")
+
 
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="ramapoly")
@@ -99,6 +102,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _refuse_huge(n: int, force: bool | None = None) -> None:
+    # Refuse before any enumeration; `force` is the override of `enumerate`,
+    # None for the commands that have none.
+    if n >= _ENUMERATE_LIMIT and not force:
+        hint = "; pass --force to run it anyway" if force is not None else ""
+        raise ValueError(f"n >= {_ENUMERATE_LIMIT} enumerates 10^8 trees or more "
+                         f"and runs for hours{hint}")
+
+
 def _cmd_poly(args) -> int:
     method = args.method or _DEFAULT_METHOD[args.family]
     fn = _POLY_METHODS.get((args.family, method))
@@ -136,6 +148,7 @@ def _cmd_table(args) -> int:
     if args.maximum < 2:
         print("lambda tables need --max at least 2", file=sys.stderr)
         return 2
+    _refuse_huge(args.maximum)
     tabs = {n: vf.lambda_table(n) for n in range(2, args.maximum + 1)}
     for i in range(1, args.maximum):
         if args.json:
@@ -153,9 +166,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.n >= _ENUMERATE_LIMIT and not args.force:
-        raise ValueError(f"n >= {_ENUMERATE_LIMIT} enumerates at least 10^9 trees "
-                         "and runs for hours; pass --force to run it anyway")
+    _refuse_huge(args.n, args.force)
     filt = ClassFilter(k=args.k, deg_min=args.deg1, deg_second=args.deg2,
                        deg_max=args.degmax, lam=args.lam, mu=args.mu,
                        beta_star=args.beta_star, path_proper=args.path_proper)
@@ -216,7 +227,10 @@ def _cmd_verify(args) -> int:
     if default_nmax is None:
         rep = fn()
     else:
-        rep = fn(args.nmax if args.nmax is not None else default_nmax)
+        nmax = args.nmax if args.nmax is not None else default_nmax
+        if args.suite in _ENUMERATING_SUITES:
+            _refuse_huge(nmax)
+        rep = fn(nmax)
     if args.json:
         for line in rep.json_lines():
             print(line)

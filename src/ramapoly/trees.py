@@ -146,10 +146,6 @@ class RootedTree:
     def max_label(self) -> int:
         return self.labels[-1]
 
-    def parent_map(self) -> dict[int, int]:
-        """Label -> parent label mapping, root mapped to 0."""
-        return dict(zip(self.labels, self.parents))
-
     def parent(self, v: int) -> int | None:
         """Parent label of v, or None for the root."""
         return self.parents[self._pos(v) - 1] or None
@@ -347,9 +343,19 @@ def build(root: int, parent: Mapping[int, int]) -> RootedTree:
 
 
 def _from_pmap(pmap: Mapping[int, int]) -> RootedTree:
-    # Trusted internal constructor for surgery results.
+    # Trusted internal constructor for a label set put together from scratch.
     labels = tuple(sorted(pmap))
     return RootedTree(labels, tuple(pmap[v] for v in labels))
+
+
+def _moved(t: RootedTree, moves: Mapping[int, int]) -> RootedTree:
+    # Trusted internal constructor for surgery results: t with each label of
+    # `moves` re-hung under its new parent label (0 for the root), on the
+    # same labels.
+    parents = list(t.parents)
+    for v, p in moves.items():
+        parents[t._pos(v) - 1] = p
+    return RootedTree(t.labels, tuple(parents))
 
 
 # -- plane trees -------------------------------------------------------------
@@ -494,27 +500,25 @@ def _parent_arrays(n: int, fixed_root: int | None = None) -> Iterator[tuple[int,
         yield from rec(1, fixed_root is not None)
 
 
-def enumerate_rooted(n: int, filt: ClassFilter | None = None) -> Iterator[RootedTree]:
-    """All n^(n-1) rooted labeled trees on [n] passing `filt`, each exactly
-    once, ordered lexicographically by parent array (root encoded 0)."""
+def _trees(n: int, filt: ClassFilter | None, fixed_root: int | None) -> Iterator[RootedTree]:
     if n < 1:
         raise ValueError("n must be positive")
     labels = tuple(range(1, n + 1))
-    for parents in _parent_arrays(n):
+    for parents in _parent_arrays(n, fixed_root):
         t = RootedTree(labels, parents)
         if filt is None or filt.matches(t):
             yield t
+
+
+def enumerate_rooted(n: int, filt: ClassFilter | None = None) -> Iterator[RootedTree]:
+    """All n^(n-1) rooted labeled trees on [n] passing `filt`, each exactly
+    once, ordered lexicographically by parent array (root encoded 0)."""
+    return _trees(n, filt, None)
 
 
 def enumerate_unrooted(n: int, filt: ClassFilter | None = None) -> Iterator[RootedTree]:
     """All n^(n-2) trees on [n] in the unrooted convention: rooted at 1."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    labels = tuple(range(1, n + 1))
-    for parents in _parent_arrays(n, fixed_root=1):
-        t = RootedTree(labels, parents)
-        if filt is None or filt.matches(t):
-            yield t
+    return _trees(n, filt, 1)
 
 
 # -- text formats ----------------------------------------------------------------

@@ -179,19 +179,20 @@ LAMBDA_TABLES: dict[int, dict[tuple[int, int], int]] = {
 }
 
 
-def _lambda_cell(t: RootedTree) -> tuple[int, int] | None:
-    # (k, lambda); lambda is defined only when the max label has a child
-    return (t.improper_count(), t.lower_critical()) if t.degree(t.max_label) else None
-
-
 def _k_lambda(t: RootedTree) -> tuple[int, int | None]:
+    # lambda is defined only when the max label has a child
     return t.improper_count(), (t.lower_critical() if t.degree(t.max_label) else None)
+
+
+def _with_lambda(cells: Counter) -> Counter:
+    # the (k, lambda) cells of the trees whose lambda is defined
+    return Counter({cell: c for cell, c in cells.items() if cell[1] is not None})
 
 
 def lambda_table(n: int) -> Counter:
     """(k, lambda) -> count over rooted trees on [n] whose max label has a
     child."""
-    return tabulate(n, _lambda_cell)
+    return _with_lambda(tabulate(n, _k_lambda))
 
 
 def lambda_recurrence_mismatches(prev: Counter, cur: Counter,
@@ -612,7 +613,7 @@ def check_conjecture(nmax: int) -> VerificationReport:
     totals: dict[int, Counter] = {}
     for n in range(2, nmax + 1):
         cells = tabulate(n, _k_lambda)
-        tabs[n] = Counter({cell: c for cell, c in cells.items() if cell[1] is not None})
+        tabs[n] = _with_lambda(cells)
         totals[n] = Counter()
         for (k, _), c in cells.items():
             totals[n][k] += c

@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -393,3 +394,32 @@ def test_plane_round_trip_random_labels(t):
         p = plane_fwd(t)
         assert p.is_increasing()
         assert plane_inv(p) == t
+
+
+# -- the min-rooted maps off [n] ---------------------------------------------------
+
+MIN_ROOTED = [t for n in range(2, 7) for t in enumerate_unrooted(n)]
+
+
+@st.composite
+def min_rooted_trees(draw):
+    # a tree rooted at its min, moved onto a drawn label set
+    t = draw(st.sampled_from(MIN_ROOTED))
+    return t.relabel(draw(st.sets(st.integers(1, 60), min_size=t.size, max_size=t.size)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(min_rooted_trees())
+def test_unrooted_round_trip_random_labels(t):
+    if t.degree(t.labels[1]) > 0:
+        u = unrooted_fwd(t)
+        assert u.labels == t.labels and u.root == t.root
+        assert u.improper_count() == t.improper_count() + 1
+        assert u.degree(u.root) == t.degree(t.root)
+        assert u.degree(u.max_label) > 0
+        assert unrooted_inv(u) == t
+    if t.degree(t.max_label) > 0:
+        v = unrooted_inv(t)
+        assert v.improper_count() == t.improper_count() - 1
+        assert v.degree(v.root) == t.degree(t.root)
+        assert unrooted_fwd(v) == t

@@ -234,6 +234,32 @@ def test_enumerate_refuses_ten_labels_without_force(capsys, monkeypatch, mode):
     assert code == 0 and len(calls) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["table", "--which", "lambda", "--max", "{n}"],
+    ["verify", "--suite", "conjecture", "--nmax", "{n}"],
+    ["verify", "--suite", "bijections", "--nmax", "{n}"],
+    ["verify", "--suite", "identities", "--nmax", "{n}"],
+])
+def test_enumerating_commands_refuse_ten_labels(capsys, monkeypatch, argv):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return iter(())
+
+    monkeypatch.setattr(verify, "enumerate_rooted", spy)
+    monkeypatch.setattr(verify, "enumerate_unrooted", spy)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, [a.format(n=10) for a in argv])
+    assert time.perf_counter() - t0 < 1
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert "--force" not in err  # only enumerate has the override
+    assert calls == []
+    # the spy sees a legal size, so the refusal is what kept it idle above
+    run(capsys, [a.format(n=3) for a in argv])
+    assert calls
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["poly", "--family", "q", "--n", "3"])
