@@ -2,8 +2,9 @@
 """Run every verification suite and print a one-line summary per suite.
 
 Sizes are the acceptance defaults of `ramapoly.verify.SUITES`; pass --fast
-for a quick smoke pass or tune individual bounds.  Exit status is 0 iff
-everything passed.
+for a quick smoke pass.  To run one suite at another size, use
+`ramapoly verify --suite NAME --nmax N`.  Exit status is 0 iff everything
+passed.
 """
 
 import argparse
@@ -16,24 +17,19 @@ def main() -> int:
     size = {name: nmax for name, (_, nmax) in verify.SUITES.items()}
     ap = argparse.ArgumentParser()
     ap.add_argument("--fast", action="store_true", help="small sizes, a few seconds")
-    ap.add_argument("--recurrence-nmax", type=int, default=size["recurrences"])
-    ap.add_argument("--identity-nmax", type=int, default=size["identities"])
-    ap.add_argument("--bijection-nmax", type=int, default=size["bijections"])
-    ap.add_argument("--conjecture-nmax", type=int, default=size["conjecture"])
     ap.add_argument("--verbose", action="store_true", help="print failing checks")
     args = ap.parse_args()
     if args.fast:
-        args.identity_nmax = min(args.identity_nmax, 5)
-        args.bijection_nmax = min(args.bijection_nmax, 5)
-        args.conjecture_nmax = min(args.conjecture_nmax, 5)
+        for name in ("identities", "bijections", "conjecture"):
+            size[name] = min(size[name], 5)
 
     reports = [
         verify.reproduce_tables(),
-        verify.check_recurrences(args.recurrence_nmax),
+        verify.check_recurrences(size["recurrences"]),
         verify.check_genfun(size["genfun"]),
-        verify.check_identities(args.identity_nmax),
-        verify.check_bijections(args.bijection_nmax),
-        verify.check_conjecture(args.conjecture_nmax),
+        verify.check_identities(size["identities"]),
+        verify.check_bijections(size["bijections"]),
+        verify.check_conjecture(size["conjecture"]),
     ]
     ok = True
     for rep in reports:

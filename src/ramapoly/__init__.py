@@ -11,7 +11,7 @@ from .bijections import (Case, CaseTag, ColoredRootedTree, DomainError,
                          unrooted_inv)
 from .polynomials import (IntPoly, f, psi_bew, psi_ramanujan, q_from_psi, q_shor,
                           q_shor_alt, q_zeng_a, q_zeng_b)
-from .series import RatSeries, exp_linear, genfun_mismatch, inv_power
+from .series import genfun_mismatch
 from .trees import (ClassFilter, CycleError, DisconnectedError, LabelError,
                     PlaneTree, RootedTree, TreeError, build, enumerate_rooted,
                     enumerate_unrooted, plane_from_text, plane_to_text,

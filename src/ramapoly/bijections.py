@@ -48,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .trees import PlaneTree, RootedTree, _from_pmap, _moved
+from .trees import PlaneTree, RootedTree, TreeError, _from_pmap, _moved
 
 __all__ = [
     "DomainError",
@@ -124,18 +124,14 @@ def lower(t: RootedTree, trace: list | None = None) -> RootedTree:
     the max label takes the critical node's place.  Adds one improper edge
     and removes one proper edge from the max-to-root path."""
     mx = t.max_label
+    try:
+        w = t.upper_critical()
+    except TreeError:
+        raise DomainError("no proper edge on the path from the max label to the root") from None
     path = t.path_to_root(mx)
-    idx = None
-    for i, c in enumerate(path[:-1]):
-        if t.is_proper(c):
-            idx = i
-            break
-    if idx is None:
-        raise DomainError("no proper edge on the path from the max label to the root")
-    w = path[idx + 1]
-    _note(trace, f"lower: reverse {path[:idx + 2]} at critical node {w}")
-    return _moved(t, {mx: t.parent(w) or 0,
-                      **dict(zip(path[1: idx + 2], path[: idx + 1]))})
+    seg = path[: path.index(w) + 1]
+    _note(trace, f"lower: reverse {seg} at critical node {w}")
+    return _moved(t, {mx: t.parent(w) or 0, **dict(zip(seg[1:], seg))})
 
 
 def lift(t: RootedTree, trace: list | None = None) -> RootedTree:

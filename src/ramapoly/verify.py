@@ -100,17 +100,6 @@ class VerificationReport:
                               sort_keys=True))
         return out
 
-    @classmethod
-    def merge(cls, suite: str, parts: "list[VerificationReport]") -> "VerificationReport":
-        """Associative, order-independent combination of partial reports, for
-        suites whose enumeration ranges were split across workers."""
-        merged = cls(suite)
-        for part in parts:
-            merged.results.extend(part.results)
-            merged.wall_ns = max(merged.wall_ns, part.wall_ns)
-        merged.results.sort(key=lambda r: r.name)
-        return merged
-
 
 def _require_size(value: int, least: int, name: str = "nmax") -> None:
     # A size below the smallest one a suite checks would report a vacuous pass.
@@ -380,6 +369,23 @@ def _labels(n: int) -> tuple[int, ...]:
     return tuple(range(1, n + 1))
 
 
+def _bijects(labels: tuple[int, ...], items: list, cod: set,
+             fwd: Callable[[RootedTree], RootedTree],
+             inv: Callable[[RootedTree], RootedTree],
+             keeps: Callable[[RootedTree], bool] | None = None) -> bool:
+    """fwd maps the trees with parent tuples `items` injectively onto the
+    parent tuples `cod`, inv undoes it on every image, and keeps(image)
+    holds for each."""
+    img = set()
+    ok = True
+    for ps in items:
+        t = RootedTree(labels, ps)
+        u = fwd(t)
+        ok &= inv(u) == t and (keeps is None or keeps(u))
+        img.add(u.parents)
+    return ok and len(img) == len(items) and img == cod
+
+
 def _certify_rooted(rep: VerificationReport, n: int) -> None:
     labels = _labels(n)
     dom: dict = defaultdict(list)
@@ -426,15 +432,8 @@ def _certify_rooted(rep: VerificationReport, n: int) -> None:
             cod_fold[(k, t.mu())].add(ps)
 
     for k, items in sorted(dom.items()):
-        img = set()
-        ok = True
-        for ps in items:
-            t = RootedTree(labels, ps)
-            u = bj.rooted_fwd(t)
-            ok &= u.improper_count() == k + 1 and u.degree(n) > 0
-            ok &= bj.rooted_inv(u) == t
-            img.add(u.parents)
-        ok &= len(img) == len(items) and img == cod.get(k + 1, set())
+        ok = _bijects(labels, items, cod.get(k + 1, set()), bj.rooted_fwd, bj.rooted_inv,
+                      lambda u: u.improper_count() == k + 1 and u.degree(n) > 0)
         rep.note(f"rooted bijection n={n} k={k} ({len(items)} trees)", ok)
     for k, items in sorted(cod.items()):
         ok = all(bj.rooted_fwd(bj.rooted_inv(RootedTree(labels, ps))).parents == ps
@@ -442,43 +441,31 @@ def _certify_rooted(rep: VerificationReport, n: int) -> None:
         rep.note(f"rooted inverse round-trip n={n} k={k}", ok)
 
     for (k, i), items in sorted(dom_path.items()):
-        img = {bj.lower(RootedTree(labels, ps)).parents for ps in items}
-        ok = (len(img) == len(items)
-              and img == cod_path.get((k + 1, i - 1), set())
-              and all(bj.lift(bj.lower(RootedTree(labels, ps))).parents == ps
-                      for ps in items))
+        ok = _bijects(labels, items, cod_path.get((k + 1, i - 1), set()), bj.lower, bj.lift)
         rep.note(f"lowering class n={n} k={k} i={i}", ok)
     for (k, i, m), items in sorted(dom_restricted.items()):
-        img = {bj.lower(RootedTree(labels, ps)).parents for ps in items}
-        ok = img == cod_restricted.get((k + 1, i - 1, m + 1), set())
+        ok = _bijects(labels, items, cod_restricted.get((k + 1, i - 1, m + 1), set()),
+                      bj.lower, bj.lift)
         rep.note(f"restricted lowering n={n} k={k} i={i} deg(max)={m}", ok)
     for (k, m), items in sorted(dom_flat.items()):
-        img = set()
         cases: dict = defaultdict(set)
-        ok = True
-        for ps in items:
-            t = RootedTree(labels, ps)
+
+        def flatten(t):
             trace: list = []
             u = bj.flatten_min(t, trace)
             tag = next(e for e in reversed(trace) if isinstance(e, bj.CaseTag))
-            img.add(u.parents)
             cases[tag.case.value].add(u.parents)
-            ok &= u.improper_count() == k + m
-            ok &= bj.unflatten_min(u, m) == t
-        ok &= len(img) == len(items) and img == cod_flat.get((k + m, m), set())
+            return u
+
+        ok = _bijects(labels, items, cod_flat.get((k + m, m), set()), flatten,
+                      lambda u: bj.unflatten_min(u, m),
+                      lambda u: u.improper_count() == k + m)
         for case, st in cases.items():
             ok &= st == cod_flat_case.get((k + m, m, case), set())
         rep.note(f"flatten classes n={n} k={k} m={m}", ok)
     for (k, w), items in sorted(dom_fold.items()):
-        img = set()
-        ok = True
-        for ps in items:
-            t = RootedTree(labels, ps)
-            u = bj.fold_stem(t)
-            img.add(u.parents)
-            ok &= u.improper_count() == k + 1
-            ok &= bj.unfold_stem(u) == t
-        ok &= len(img) == len(items) and img == cod_fold.get((k + 1, w), set())
+        ok = _bijects(labels, items, cod_fold.get((k + 1, w), set()), bj.fold_stem,
+                      bj.unfold_stem, lambda u: u.improper_count() == k + 1)
         rep.note(f"fold classes n={n} k={k} w={w}", ok)
 
 
@@ -494,15 +481,9 @@ def _certify_unrooted(rep: VerificationReport, size: int) -> None:
         if t.degree(size) > 0:
             cod[(k, r)].add(t.parents)
     for (k, r), items in sorted(dom.items()):
-        img = set()
-        ok = True
-        for ps in items:
-            t = RootedTree(labels, ps)
-            u = bj.unrooted_fwd(t)
-            ok &= u.improper_count() == k + 1 and u.degree(1) == r
-            ok &= bj.unrooted_inv(u) == t
-            img.add(u.parents)
-        ok &= len(img) == len(items) and img == cod.get((k + 1, r), set())
+        ok = _bijects(labels, items, cod.get((k + 1, r), set()), bj.unrooted_fwd,
+                      bj.unrooted_inv,
+                      lambda u: u.improper_count() == k + 1 and u.degree(1) == r)
         rep.note(f"min-rooted bijection size={size} k={k} r={r} ({len(items)} trees)", ok)
     for (k, r), items in sorted(cod.items()):
         ok = all(bj.unrooted_fwd(bj.unrooted_inv(RootedTree(labels, ps))).parents == ps

@@ -190,6 +190,7 @@ def test_genfun_command(capsys):
     ["enumerate", "--n", "0", "--count"],
     ["enumerate", "--n", "3", "--deg1", "abc", "--count"],
     ["genfun", "--r", "-1", "--x", "0", "--order", "3"],
+    ["genfun", "--r", "1", "--x", "0", "--order", "-1"],
     ["verify", "--suite", "conjecture", "--nmax", "2"],
     # sizes below the smallest each suite checks, which used to pass vacuously
     ["verify", "--suite", "bijections", "--nmax", "0"],

@@ -127,19 +127,6 @@ def test_reports_deterministic():
     assert a.results == b.results
 
 
-def test_report_merge_is_order_independent():
-    a = VerificationReport("part")
-    a.check("x", 1, 1)
-    b = VerificationReport("part")
-    b.check("y", 2, 3)
-    ab = VerificationReport.merge("whole", [a, b])
-    ba = VerificationReport.merge("whole", [b, a])
-    assert ab.results == ba.results
-    assert not ab.ok and len(ab.results) == 2
-    nested = VerificationReport.merge("whole", [VerificationReport.merge("whole", [a]), b])
-    assert nested.results == ab.results
-
-
 def test_check_result_is_frozen():
     r = CheckResult("x", "1", "1", True)
     with pytest.raises(AttributeError):
