@@ -21,6 +21,7 @@ mutate their inputs.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -120,14 +121,6 @@ class RootedTree:
             path.append(i)
         return path
 
-    def _subtree_positions(self, i: int) -> list[int]:
-        kids = self._arrays()[1]
-        out = [i]
-        for u in out:  # breadth-first: the list grows while it is walked
-            out.extend(kids[u])
-        out.sort()
-        return out
-
     # -- basic structure ---------------------------------------------------
 
     @property
@@ -165,14 +158,14 @@ class RootedTree:
         descendant)."""
         return self._pos(y) in self._up_path(self._pos(x))
 
-    def subtree_labels(self, v: int) -> tuple[int, ...]:
-        """Sorted labels of the subtree rooted at v."""
-        return self._names(self._subtree_positions(self._pos(v)))
-
     def subtree(self, v: int) -> RootedTree:
         """The subtree rooted at v as a standalone tree."""
         i = self._pos(v)
-        sub = self._subtree_positions(i)
+        kids = self._arrays()[1]
+        sub = [i]
+        for u in sub:  # breadth-first: the list grows while it is walked
+            sub.extend(kids[u])
+        sub.sort()
         return RootedTree(self._names(sub),
                           tuple([self.parents[u - 1] if u != i else 0 for u in sub]))
 
@@ -463,41 +456,108 @@ class ClassFilter:
 # -- enumeration ---------------------------------------------------------------
 
 
+def _prefixes(n: int, fixed_root: int | None = None
+              ) -> Iterator[tuple[tuple[int, ...], int, list[int]]]:
+    # Every parent assignment (p_1..p_{n-1}) that the max label n completes
+    # into a rooted tree on [n] (rooted at `fixed_root` when given), in
+    # lexicographic order, as (prefix, r, free): r is the root among 1..n-1
+    # (0 when there is none, so n must be the root) and `free` lists, in
+    # increasing order, the labels outside the subtree of n, under which n
+    # may hang.  An explicit stack walks the levels 1..n-2 depth first; the
+    # last level n-1 is expanded in place.
+    if n == 1:
+        yield (), 0, []
+        return
+    last = n - 1
+    p = [0] * n
+    # head[i]: where the parent walk from i first left 1..i-1 when i was
+    # assigned (0 at the root).  It exceeds i, so walks over heads climb.
+    head = [0] * n
+    roots = [0] * n  # roots[i]: the root among 1..i (0 while there is none)
+
+    def options(i: int) -> list[tuple[int, int]]:
+        # (parent, head) for each parent of i that closes no cycle
+        if i == fixed_root:
+            return [(0, 0)]
+        out = [] if roots[i - 1] or fixed_root else [(0, 0)]
+        for q in range(1, n + 1):
+            h = q
+            while 0 < h < i:
+                h = head[h]
+            if h != i:
+                out.append((q, h))
+        return out
+
+    stack: list = []  # stack[i - 1]: the untried options of level i < last
+    while True:
+        if len(stack) < last - 1:
+            stack.append(iter(options(len(stack) + 1)))
+        else:
+            # Levels 1..last-1 are set, so each walk ends at 0, last or n.
+            # The labels ending at last join the root's side unless p_last
+            # sends last itself into the subtree of n.
+            fin = head[:]
+            for j in range(last - 1, 0, -1):
+                if 0 < head[j] < last:
+                    fin[j] = fin[head[j]]
+            rooted = [j for j in range(1, last) if not fin[j]]
+            joined = [j for j in range(1, last) if fin[j] in (0, last)] + [last]
+            r = roots[last - 1]
+            for p[last], h in options(last):
+                yield tuple(p[1:]), r or (0 if p[last] else last), rooted if h else joined
+        while stack:  # advance the deepest level that has an option left
+            nxt = next(stack[-1], None)
+            if nxt is not None:
+                break
+            stack.pop()
+        else:
+            return
+        i = len(stack)
+        p[i], head[i] = nxt
+        roots[i] = roots[i - 1] or (0 if p[i] else i)
+
+
 def _parent_arrays(n: int, fixed_root: int | None = None) -> Iterator[tuple[int, ...]]:
     # All parent arrays (p_1..p_n) of rooted trees on [n], in lexicographic
-    # order with 0 marking the root, by DFS with cycle pruning.
-    p = [0] * (n + 1)
+    # order with 0 marking the root: each prefix, completed by every parent
+    # the max label may take.
+    for prefix, _, free in _prefixes(n, fixed_root):
+        for q in free or (0,):
+            yield prefix + (q,)
 
-    def rec(i: int, have_root: bool) -> Iterator[tuple[int, ...]]:
-        if i > n:
-            yield tuple(p[1:])
-            return
-        if i == fixed_root:
-            yield from rec(i + 1, True)
-            return
-        if fixed_root is None and not have_root and i == n:
-            qs: Sequence[int] = (0,)
-        elif have_root or fixed_root is not None:
-            qs = range(1, n + 1)
-        else:
-            qs = range(0, n + 1)
-        for q in qs:
-            if q == 0:
-                p[i] = 0
-                yield from rec(i + 1, True)
-                continue
-            if q == i:
-                continue
-            cur = q
-            while cur and cur < i:
-                cur = p[cur]
-            if cur == i:
-                continue  # closes a cycle
-            p[i] = q
-            yield from rec(i + 1, have_root)
 
-    if n >= 1:
-        yield from rec(1, fixed_root is not None)
+def _k_lambda_counts(n: int) -> Counter:
+    # (k, lambda) -> count over all rooted trees on [n], lambda None where the
+    # max label is a leaf.  The trees completing one prefix differ only in
+    # the parent q of n, so they share the subtree M of n, lambda = lambda(M)
+    # and every edge off the path from q to the root.  One representative
+    # per prefix, n under the prefix's root r, is read through the core.
+    # Hanging n under q instead changes the edge into n (improper iff
+    # q > b = beta(n)) and the edges (up[c], c) on the path from q to r,
+    # whose subtrees gain b: such an edge turns improper iff
+    # b < up[c] < low[c].  The walk from r adds those up top-down.
+    labels = tuple(range(1, n + 1))
+    rows = [[0] * n for _ in range(n + 1)]  # rows[lambda or 0][k]
+    for prefix, r, free in _prefixes(n):
+        t = RootedTree(labels, prefix + (r,))
+        _, kids, low = t._arrays()
+        k = t.improper_count()
+        if not kids[n]:  # b = n: no parent of n moves k (n = 1 is its own root)
+            rows[0][k] += len(free) or 1
+            continue
+        row = rows[t.lower_critical()]
+        if not r:  # n is the root
+            row[k] += 1
+            continue
+        b = low[n]
+        todo = [(r, k - (r > b))]
+        for u, d in todo:  # the list grows while it is walked
+            row[d + (u > b)] += 1
+            for c in kids[u]:
+                if c != n:
+                    todo.append((c, d + (b < u < low[c])))
+    return Counter({(k, lam or None): c
+                    for lam, row in enumerate(rows) for k, c in enumerate(row) if c})
 
 
 def _trees(n: int, filt: ClassFilter | None, fixed_root: int | None) -> Iterator[RootedTree]:

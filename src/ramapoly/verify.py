@@ -21,7 +21,8 @@ from typing import Callable, Hashable
 from . import bijections as bj
 from .polynomials import IntPoly, f, psi_bew, psi_ramanujan, q_from_psi, q_shor, q_shor_alt, q_zeng_a, q_zeng_b
 from .series import genfun_mismatch
-from .trees import ClassFilter, PlaneTree, RootedTree, enumerate_rooted, enumerate_unrooted
+from .trees import (ClassFilter, PlaneTree, RootedTree, _k_lambda_counts, enumerate_rooted,
+                    enumerate_unrooted)
 
 __all__ = [
     "CheckResult",
@@ -168,11 +169,6 @@ LAMBDA_TABLES: dict[int, dict[tuple[int, int], int]] = {
 }
 
 
-def _k_lambda(t: RootedTree) -> tuple[int, int | None]:
-    # lambda is defined only when the max label has a child
-    return t.improper_count(), (t.lower_critical() if t.degree(t.max_label) else None)
-
-
 def _with_lambda(cells: Counter) -> Counter:
     # the (k, lambda) cells of the trees whose lambda is defined
     return Counter({cell: c for cell, c in cells.items() if cell[1] is not None})
@@ -181,7 +177,7 @@ def _with_lambda(cells: Counter) -> Counter:
 def lambda_table(n: int) -> Counter:
     """(k, lambda) -> count over rooted trees on [n] whose max label has a
     child."""
-    return _with_lambda(tabulate(n, _k_lambda))
+    return _with_lambda(_k_lambda_counts(n))
 
 
 def lambda_recurrence_mismatches(prev: Counter, cur: Counter,
@@ -593,7 +589,7 @@ def check_conjecture(nmax: int) -> VerificationReport:
     tabs: dict[int, Counter] = {}
     totals: dict[int, Counter] = {}
     for n in range(2, nmax + 1):
-        cells = tabulate(n, _k_lambda)
+        cells = _k_lambda_counts(n)
         tabs[n] = _with_lambda(cells)
         totals[n] = Counter()
         for (k, _), c in cells.items():
@@ -625,6 +621,7 @@ def check_genfun(rmax: int, x_values: tuple[int, ...] = tuple(range(-2, 6)),
     """The generating-function identity at integer x, plus a perturbed
     negative control that must fail."""
     _require_size(rmax, 0, "rmax")
+    _require_size(order, 1, "order")  # the negative control needs a u^1 coefficient
     rep = VerificationReport("genfun")
     for r in range(rmax + 1):
         for x in x_values:
@@ -632,9 +629,9 @@ def check_genfun(rmax: int, x_values: tuple[int, ...] = tuple(range(-2, 6)),
             rep.note(f"genfun r={r} x={x} M={order}",
                      bad is None, "exact" if bad is None else f"coeff {bad} differs")
     def perturbed(r, k, x):
-        if (r, k) == (1, 2):
-            return 2
-        return psi_bew(r, k)(x)
+        # psi_1 + 1 and psi_2 - 1 keep the row sum, the u^0 coefficient, so
+        # only a coefficient j >= 1 can catch the wrong table
+        return psi_bew(r, k)(x) + {1: 1, 2: -1}.get(k, 0)
     bad = genfun_mismatch(1, 3, order, psi_eval=perturbed)
     rep.note("negative control: perturbed table must fail",
              bad is not None, f"first mismatch at coeff {bad}")

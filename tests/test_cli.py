@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 import ramapoly.cli as cli
-from ramapoly import verify
+from ramapoly import trees, verify
 from ramapoly.cli import main
 from ramapoly.trees import (ClassFilter, enumerate_rooted, enumerate_unrooted,
                             plane_from_text, tree_from_text, tree_to_text)
@@ -248,8 +248,9 @@ def test_enumerating_commands_refuse_ten_labels(capsys, monkeypatch, argv):
         calls.append(args)
         return iter(())
 
-    monkeypatch.setattr(verify, "enumerate_rooted", spy)
-    monkeypatch.setattr(verify, "enumerate_unrooted", spy)
+    # every enumeration, and the lambda census, draws its trees from the
+    # prefix DFS
+    monkeypatch.setattr(trees, "_prefixes", spy)
     t0 = time.perf_counter()
     code, out, err = run(capsys, [a.format(n=10) for a in argv])
     assert time.perf_counter() - t0 < 1

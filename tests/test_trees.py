@@ -1,11 +1,14 @@
+from collections import Counter
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from ramapoly.trees import (ClassFilter, CycleError, DisconnectedError, LabelError,
-                            TreeError, build, enumerate_rooted, enumerate_unrooted,
-                            plane_from_text, plane_to_text, tree_from_text,
-                            tree_to_text)
+                            TreeError, _k_lambda_counts, build, enumerate_rooted,
+                            enumerate_unrooted, plane_from_text, plane_to_text,
+                            tree_from_text, tree_to_text)
 
 import conftest as oc
 from conftest import rooted_trees
@@ -162,6 +165,40 @@ def test_enumerate_canonical_order_and_uniqueness():
         prev = t.parents
 
 
+def _is_tree(ps: tuple[int, ...]) -> bool:
+    # one root, and every parent walk reaches it within n steps
+    n = len(ps)
+    if ps.count(0) != 1:
+        return False
+    for v in range(1, n + 1):
+        for _ in range(n):
+            if not v:
+                break
+            v = ps[v - 1]
+        if v:
+            return False
+    return True
+
+
+def test_enumerate_is_every_acyclic_array_in_order():
+    for n in range(1, 7):
+        arrays = [ps for ps in product(range(n + 1), repeat=n) if _is_tree(ps)]
+        assert [t.parents for t in enumerate_rooted(n)] == arrays
+        assert [t.parents for t in enumerate_unrooted(n)] == [ps for ps in arrays if ps[0] == 0]
+
+
+def _k_lambda_by_methods(t) -> tuple[int, int | None]:
+    return t.improper_count(), (t.lower_critical() if t.degree(t.max_label) else None)
+
+
+def test_k_lambda_counts_match_oracles_and_per_tree_methods():
+    for n in range(1, 7):
+        want = Counter((oc.o_improper_count(t), oc.o_lower_critical(t))
+                       for t in enumerate_rooted(n))
+        assert _k_lambda_counts(n) == want
+    assert _k_lambda_counts(7) == Counter(map(_k_lambda_by_methods, enumerate_rooted(7)))
+
+
 def test_enumerate_filtered_sixteen_tree_classes():
     got1 = {t.parents for t in enumerate_rooted(4, ClassFilter(k=1, deg_min=">0"))}
     assert got1 == SIXTEEN_DEG1
@@ -226,7 +263,7 @@ def test_position_core_matches_oracles_on_both_label_sets():
                     path = oc.o_path_to_root(t, v)
                     assert t.path_to_root(v) == tuple(path)
                     sub = oc.o_subtree(t, v)
-                    assert t.subtree_labels(v) == tuple(sorted(sub))
+                    assert t.subtree(v).labels == tuple(sorted(sub))
                     assert t.beta(v) == min(sub)  # o_beta, without a second o_subtree
                     for y in labels:
                         assert t.is_descendant(v, y) == (y in path)
@@ -245,8 +282,8 @@ def test_position_core_matches_oracles_on_both_label_sets():
                 gap = [v for v in range(1, labels[-1]) if v not in labels][-1:]
                 for bad in [0, labels[-1] + 1, *gap]:
                     assert all(_rejects(accessor, bad) for accessor in (
-                        t.parent, t.children, t.degree, t.path_to_root, t.subtree_labels,
-                        t.subtree, t.beta, t.is_proper,
+                        t.parent, t.children, t.degree, t.path_to_root, t.subtree,
+                        t.beta, t.is_proper,
                         lambda v: t.is_descendant(v, t.root),
                         lambda v: t.is_descendant(t.root, v)))
 

@@ -118,7 +118,13 @@ def test_check_conjecture_passes_small():
 def test_check_genfun_includes_negative_control():
     rep = check_genfun(rmax=2, x_values=(0, 1), order=6)
     assert rep.ok
-    assert any("negative control" in r.name for r in rep.results)
+    control = [r for r in rep.results if "negative control" in r.name]
+    assert len(control) == 1 and control[0].ok
+    # the perturbation keeps the row sum, so coefficient 0 cannot catch it
+    coeff = control[0].actual.rpartition(" ")[2]
+    assert coeff.isdigit() and int(coeff) >= 1
+    with pytest.raises(ValueError):
+        check_genfun(rmax=2, order=0)
 
 
 def test_reports_deterministic():
