@@ -34,8 +34,6 @@ _POLY_METHODS = {
 
 _DEFAULT_METHOD = {"psi": "bew", "q": "shor", "f": "shor"}
 
-_SUITES = vf.SUITES
-
 # [10] has 10^9 rooted trees, hours of enumeration
 _ENUMERATE_LIMIT = 10
 
@@ -88,9 +86,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--audit", action="store_true",
                    help="print the dispatch trace on stderr")
 
-    p = sub.add_parser("verify", help="run an oracle suite")
-    p.add_argument("--suite", choices=sorted(_SUITES), required=True)
-    p.add_argument("--nmax", type=int)
+    p = sub.add_parser("verify", help="run an oracle suite, or all of them")
+    p.add_argument("--suite", choices=sorted([*vf.SUITES, "all"]), required=True)
+    p.add_argument("--nmax", type=int, help="size of every sized suite")
     p.add_argument("--json", action="store_true", help="one JSON record per check")
     p.add_argument("--verbose", action="store_true", help="print every check")
 
@@ -115,9 +113,7 @@ def _cmd_poly(args) -> int:
     method = args.method or _DEFAULT_METHOD[args.family]
     fn = _POLY_METHODS.get((args.family, method))
     if fn is None:
-        print(f"method {method!r} does not generate family {args.family!r}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"method {method!r} does not generate family {args.family!r}")
     value = fn(args.n, args.k)
     if args.json:
         import json
@@ -146,8 +142,7 @@ def _cmd_table(args) -> int:
             print(f"k={k}: " + " | ".join(row))
         return 0
     if args.maximum < 2:
-        print("lambda tables need --max at least 2", file=sys.stderr)
-        return 2
+        raise ValueError("lambda tables need --max at least 2")
     _refuse_huge(args.maximum)
     tabs = {n: vf.lambda_table(n) for n in range(2, args.maximum + 1)}
     for i in range(1, args.maximum):
@@ -223,21 +218,26 @@ def _cmd_bij(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    fn, default_nmax = _SUITES[args.suite]
-    if default_nmax is None:
-        rep = fn()
-    else:
-        nmax = args.nmax if args.nmax is not None else default_nmax
-        if args.suite in _ENUMERATING_SUITES:
+    names = list(vf.SUITES) if args.suite == "all" else [args.suite]
+    runs = []
+    for name in names:  # size and refuse every suite before any of them runs
+        fn, nmax = vf.SUITES[name]
+        if nmax is not None and args.nmax is not None:
+            nmax = args.nmax
+        if name in _ENUMERATING_SUITES:
             _refuse_huge(nmax)
-        rep = fn(nmax)
-    if args.json:
-        for line in rep.json_lines():
-            print(line)
-    else:
-        for line in rep.lines(only_failures=not args.verbose):
-            print(line)
-    return 0 if rep.ok else 1
+        runs.append((fn, nmax))
+    ok = True
+    for fn, nmax in runs:
+        rep = fn() if nmax is None else fn(nmax)
+        if args.json:
+            for line in rep.json_lines():
+                print(line)
+        else:
+            for line in rep.lines(only_failures=not args.verbose):
+                print(line)
+        ok &= rep.ok
+    return 0 if ok else 1
 
 
 def _cmd_genfun(args) -> int:

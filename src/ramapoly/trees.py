@@ -366,13 +366,6 @@ class PlaneTree:
         for c in self.children:
             yield from c.iter_nodes()
 
-    def label_set(self) -> frozenset[int]:
-        return frozenset(node.label for node in self.iter_nodes())
-
-    @property
-    def size(self) -> int:
-        return sum(1 for _ in self.iter_nodes())
-
     def check_labels(self) -> None:
         seen = set()
         for node in self.iter_nodes():

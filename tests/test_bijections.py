@@ -378,7 +378,7 @@ def test_plane_bijection_exhaustive():
         for t in enumerate_rooted(n, ClassFilter(k=n - 1)):
             p = plane_fwd(t)
             assert p.is_increasing()
-            assert p.label_set() == set(t.labels)
+            assert {node.label for node in p.iter_nodes()} == set(t.labels)
             back = plane_inv(p)
             assert back == t
             assert back.improper_count() == back.size - 1

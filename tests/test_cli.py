@@ -173,12 +173,38 @@ def test_verify_suite_json(capsys):
 
 
 def test_verify_failure_exit_status(capsys, monkeypatch):
-    import ramapoly.cli as cli
     broken = VerificationReport("tables")
     broken.check("forced", 1, 2)
-    monkeypatch.setitem(cli._SUITES, "tables", (lambda: broken, None))
+    monkeypatch.setitem(verify.SUITES, "tables", (lambda: broken, None))
     code, out, _ = run(capsys, ["verify", "--suite", "tables"])
     assert code == 1 and "FAIL" in out
+
+
+def test_verify_conjecture_fails_on_a_recurrence_mismatch(capsys, monkeypatch):
+    code, out, _ = run(capsys, ["verify", "--suite", "conjecture", "--nmax", "5"])
+    assert code == 0 and "suite conjecture: PASS" in out
+    monkeypatch.setattr(verify, "lambda_recurrence_mismatches",
+                        lambda prev, cur, n: [(2, 1, 29, 30)] if n == 5 else [])
+    code, out, _ = run(capsys, ["verify", "--suite", "conjecture", "--nmax", "5"])
+    assert code == 1 and "suite conjecture: FAIL" in out
+    assert "lambda recurrence n=5" in out and "lambda recurrence n=4" not in out
+
+
+def test_verify_all_runs_every_suite_in_table_order(capsys):
+    code, out, _ = run(capsys, ["verify", "--suite", "all", "--nmax", "4"])
+    summaries = [ln for ln in out.splitlines() if ln.startswith("suite ")]
+    assert code == 0 and all(": PASS (" in ln for ln in summaries)
+    assert [ln.split(":")[0] for ln in summaries] == [f"suite {name}" for name in verify.SUITES]
+
+
+def test_verify_all_fails_when_one_suite_fails(capsys, monkeypatch):
+    broken = VerificationReport("identities")
+    broken.check("forced", 1, 2)
+    monkeypatch.setitem(verify.SUITES, "identities", (lambda nmax: broken, 7))
+    code, out, _ = run(capsys, ["verify", "--suite", "all", "--nmax", "3"])
+    summaries = [ln for ln in out.splitlines() if ln.startswith("suite ")]
+    assert code == 1 and len(summaries) == len(verify.SUITES)
+    assert [ln for ln in summaries if "FAIL" in ln] == [broken.summary()]
 
 
 def test_genfun_command(capsys):
@@ -197,6 +223,8 @@ def test_genfun_command(capsys):
     ["verify", "--suite", "recurrences", "--nmax", "-3"],
     ["verify", "--suite", "genfun", "--nmax", "-1"],
     ["verify", "--suite", "identities", "--nmax", "1"],
+    ["poly", "--family", "psi", "--method", "shor", "--n", "3", "--k", "1"],
+    ["table", "--which", "lambda", "--max", "1"],
 ])
 def test_library_value_error_exit_code(capsys, argv):
     code, _, err = run(capsys, argv)
@@ -240,6 +268,7 @@ def test_enumerate_refuses_ten_labels_without_force(capsys, monkeypatch, mode):
     ["verify", "--suite", "conjecture", "--nmax", "{n}"],
     ["verify", "--suite", "bijections", "--nmax", "{n}"],
     ["verify", "--suite", "identities", "--nmax", "{n}"],
+    ["verify", "--suite", "all", "--nmax", "{n}"],
 ])
 def test_enumerating_commands_refuse_ten_labels(capsys, monkeypatch, argv):
     calls = []

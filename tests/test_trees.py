@@ -366,7 +366,7 @@ def test_plane_text_round_trip():
     p = plane_from_text(s)
     assert plane_to_text(p) == s
     assert p.is_increasing()
-    assert p.size == 9
+    assert sum(1 for _ in p.iter_nodes()) == 9
 
 
 def test_plane_child_order_significant():

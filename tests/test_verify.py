@@ -1,7 +1,4 @@
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -69,20 +66,6 @@ def test_lambda_recurrence_mismatches():
     assert lambda_recurrence_mismatches(prev, cur, 5) == []
     cur[(2, 1)] += 1
     assert lambda_recurrence_mismatches(prev, cur, 5) == [(2, 1, 29, 30)]
-
-
-def test_scan_script_exit_status(monkeypatch, capsys):
-    path = Path(__file__).resolve().parents[1] / "scripts" / "scan_lambda_recurrence.py"
-    spec = importlib.util.spec_from_file_location("scan_lambda_recurrence", path)
-    scan = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(scan)
-    monkeypatch.setattr(sys, "argv", ["scan_lambda_recurrence.py", "--nmax", "5"])
-    assert scan.main() == 0
-    assert "MISMATCH" not in capsys.readouterr().out
-    monkeypatch.setattr(scan, "lambda_recurrence_mismatches",
-                        lambda prev, cur, n: [(2, 1, 29, 30)] if n == 5 else [])
-    assert scan.main() == 1
-    assert "n=5:" in capsys.readouterr().out.split("MISMATCH")[0]
 
 
 def test_golden_tables_complete():
