@@ -487,25 +487,27 @@ def extract_root(t: RootedTree) -> RootedTree:
 def plane_fwd(t: RootedTree) -> PlaneTree:
     """Map an all-improper rooted tree to an increasing plane tree: the min
     becomes the root and the pieces of its path to the old root become the
-    ordered children, recursively."""
+    ordered children, and so on inside each piece."""
     if t.improper_count() != t.size - 1:
         raise DomainError("every edge must be improper")
-    return _plane_piece(t, t.root, set())
-
-
-def _plane_piece(t: RootedTree, r: int, done: set[int]) -> PlaneTree:
-    # The subtree of r less the subtrees of r's children in `done`, the nodes
-    # already placed (only r can lose children: every other node of a piece
-    # keeps its whole subtree).  Its min becomes the plane root, and the
-    # pieces hanging from the nodes on its path up to r become the ordered
-    # children.
-    v = mn = min([r] + [t.beta(c) for c in t.children(r) if c not in done])
-    kids = []
-    while v != r:
-        done.add(v)
-        v = t.parent(v)
-        kids.append(_plane_piece(t, v, done))
-    return PlaneTree(mn, tuple(kids))
+    _, kids, low = t._arrays()
+    # The successive pieces at u take its children in increasing beta: once
+    # the branch of c is placed, the piece left at u is labelled by the next
+    # child's beta, or by u after the last child.
+    nxt: dict[int, int] = {}
+    order = kids[0][:]
+    for u in order:  # breadth-first: the list grows while it is walked
+        by_beta = sorted(kids[u], key=low.__getitem__)
+        nxt.update(zip(by_beta, [low[c] for c in by_beta[1:]] + [u]))
+        order.extend(kids[u])
+    # The plane children of m are the pieces left along the path up from m
+    # through the nodes whose beta is m, the nearest first.
+    plane: list = [[] for _ in kids]
+    for c in reversed(order[1:]):  # deeper nodes first
+        plane[low[c]].append(nxt[c])
+    for m in range(t.size, 0, -1):  # each list becomes its node after its children
+        plane[m] = PlaneTree(t.labels[m - 1], tuple([plane[c] for c in plane[m]]))
+    return plane[1]
 
 
 def plane_inv(p: PlaneTree) -> RootedTree:
@@ -514,20 +516,13 @@ def plane_inv(p: PlaneTree) -> RootedTree:
     p.check_labels()
     if not p.is_increasing():
         raise DomainError("plane tree must be increasing")
-    pm, _ = _plane_inv_rec(p)
-    return _from_pmap(pm)
-
-
-def _plane_inv_rec(p: PlaneTree) -> tuple[dict[int, int], int]:
-    if not p.children:
-        return {p.label: 0}, p.label
+    # Children before parents: the head of a subtree, the end of its
+    # rightmost path, is the root of the tree rebuilt from it.
+    head: dict[int, int] = {}
     pm: dict[int, int] = {}
-    heads = []
-    for c in p.children:
-        sub_pm, head = _plane_inv_rec(c)
-        pm.update(sub_pm)
-        heads.append(head)
-    for lower_head, upper_head in zip(heads, heads[1:]):
-        pm[lower_head] = upper_head
-    pm[p.label] = heads[0]
-    return pm, heads[-1]
+    for node in reversed(list(p.iter_nodes())):
+        heads = [head[c.label] for c in node.children]
+        pm.update(zip([node.label] + heads, heads))  # node -> h_1 -> ... -> h_m
+        head[node.label] = heads[-1] if heads else node.label
+    pm[head[p.label]] = 0
+    return _from_pmap(pm)

@@ -221,9 +221,11 @@ def _cmd_verify(args) -> int:
     names = list(vf.SUITES) if args.suite == "all" else [args.suite]
     runs = []
     for name in names:  # size and refuse every suite before any of them runs
-        fn, nmax = vf.SUITES[name]
+        fn, nmax, least = vf.SUITES[name]
         if nmax is not None and args.nmax is not None:
             nmax = args.nmax
+        if nmax is not None:
+            vf._require_size(nmax, least)
         if name in _ENUMERATING_SUITES:
             _refuse_huge(nmax)
         runs.append((fn, nmax))
@@ -251,16 +253,17 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {"poly": _cmd_poly, "table": _cmd_table, "enumerate": _cmd_enumerate,
                 "bij": _cmd_bij, "verify": _cmd_verify, "genfun": _cmd_genfun}
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # exact values print in full, however long
     try:
         return handlers[args.command](args)
     except ValueError as exc:  # TreeError, DomainError and ReconstructionError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:  # the polynomial routes recurse once per row
-        print("error: size too large for the recursive route", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         return 0
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -20,14 +20,18 @@ f_{n,k} = (n-1) f_{n-1,k} + (n+k-2) f_{n-1,k-1} and count rooted labeled
 trees on [n] with k improper edges.  Row sums: sum_k psi_k(r, x) = x^r,
 sum_k Q_{n,k}(x) = (x+n)^(n-1), sum_k f_{n,k} = n^(n-1).
 
-All coefficients are exact Python integers; zeng-b is solved coefficient by
-coefficient from the top degree down, with the constant term pinned by
-f_{n,k}.
+All coefficients are exact Python integers, and no route recurses: each
+but from-psi is a memoised table that `_table` fills on an explicit work
+stack with just the cells a request depends on.  shor, bew and f cost O(d)
+per cell of degree d; ramanujan, shor-alt, zeng-a and from-psi make an
+O(d^2) Taylor shift per cell (the Pascal scheme, `IntPoly.shift`).  zeng-b
+is solved top-down, each coefficient from the ones above it, with the
+constant term pinned by f_{n,k}.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from math import comb
 from typing import Iterable
 
 __all__ = [
@@ -121,14 +125,15 @@ class IntPoly:
         return out
 
     def shift(self, c: int) -> "IntPoly":
-        """Compose x -> x + c."""
-        if c == 0 or self.is_zero():
+        """Compose x -> x + c by the Pascal scheme: d rounds of synthetic
+        division by x - c, in place on one coefficient list."""
+        a = list(self.coeffs)
+        if c == 0 or len(a) < 2:
             return self
-        out = IntPoly()
-        xc = IntPoly((c, 1))
-        for a in reversed(self.coeffs):
-            out = out * xc + IntPoly.constant(a)
-        return out
+        for i in range(len(a) - 1):
+            for j in range(len(a) - 2, i - 1, -1):
+                a[j] += c * a[j + 1]
+        return IntPoly(a)
 
     def __call__(self, x: int) -> int:
         acc = 0
@@ -165,121 +170,121 @@ class IntPoly:
         return "".join(parts)
 
 
-_ZERO = IntPoly()
 _ONE = IntPoly.constant(1)
 
 
-def _psi_range(r: int, k: int) -> bool:
-    return r >= 0 and 1 <= k <= r + 1
+# the cells a rule reads, as (row, column) offsets back from its own
+_ABOVE, _DIAG, _LEFT = (1, 0), (1, 1), (0, 1)
 
 
-@lru_cache(maxsize=None)
-def psi_bew(r: int, k: int) -> IntPoly:
-    """psi_k(r, x) by the two-term recurrence in r."""
-    if not _psi_range(r, k):
-        return _ZERO
-    if r == 0:
-        return _ONE
-    return (IntPoly((-(r + k - 1), 1)) * psi_bew(r - 1, k)
-            + (r + k - 2) * psi_bew(r - 1, k - 1))
+def _table(first: int, lo: int, one, reads: tuple, rule):
+    """One route's table as a memoised cell lookup (a, k) -> value.
 
-
-@lru_cache(maxsize=None)
-def psi_ramanujan(r: int, k: int) -> IntPoly:
-    """psi_k(r, x) by the original shift recurrence; rows fill in increasing k."""
-    if not _psi_range(r, k):
-        return _ZERO
-    if r == 0:
-        return _ONE
-    prev = psi_ramanujan(r - 1, k)
-    same_row = psi_ramanujan(r, k - 1)
-    return (IntPoly((-1, 1)) * prev.shift(-1)) + same_row - same_row.shift(-1)
-
-
-def _q_range(n: int, k: int) -> bool:
-    return n >= 1 and 0 <= k <= n - 1
-
-
-@lru_cache(maxsize=None)
-def q_shor(n: int, k: int) -> IntPoly:
-    """Q_{n,k}(x) by the plain two-term recurrence in n."""
-    if not _q_range(n, k):
-        return _ZERO
-    if n == 1:
-        return _ONE
-    return (IntPoly((n - 1, 1)) * q_shor(n - 1, k)
-            + (n + k - 2) * q_shor(n - 1, k - 1))
-
-
-@lru_cache(maxsize=None)
-def q_shor_alt(n: int, k: int) -> IntPoly:
-    """Q_{n,k}(x) by the shifted-argument recurrence."""
-    if not _q_range(n, k):
-        return _ZERO
-    if n == 1:
-        return _ONE
-    return (IntPoly((1 - k, 1)) * q_shor_alt(n - 1, k).shift(1)
-            + (n + k - 2) * q_shor_alt(n - 1, k - 1).shift(1))
-
-
-@lru_cache(maxsize=None)
-def q_zeng_a(n: int, k: int) -> IntPoly:
-    """Q_{n,k}(x) by the mixed recurrence descending in n and k."""
-    if not _q_range(n, k):
-        return _ZERO
-    if n == 1:
-        return _ONE
-    lower = q_zeng_a(n, k - 1)
-    return (IntPoly((n - 1, 1)) * q_zeng_a(n - 1, k)
-            + lower - lower.shift(-1))
-
-
-@lru_cache(maxsize=None)
-def q_zeng_b(n: int, k: int) -> IntPoly:
-    """Q_{n,k}(x) from Q_{n,k}(x) - Q_{n,k}(x-1) = (n+k-1) Q_{n-1,k}(x).
-
-    The difference determines the coefficients above the constant term from
-    the top degree down (the shift makes each one depend only on higher
-    ones); the constant term is f(n, k).
+    Row a >= first holds k in [lo, lo + a - first], and every other cell is
+    zero.  Row `first` is the cell `one`; each later cell is
+    `rule(a, k, *cells)`, the cells at (a - da, k - dk) for (da, dk) in
+    `reads`.  A request computes, on an explicit work stack, only the
+    cells it depends on that no earlier request computed.
     """
-    if not _q_range(n, k):
-        return _ZERO
-    if n == 1:
-        return _ONE
-    g = (n + k - 1) * q_zeng_b(n - 1, k)
+    zero = one * 0
+    memo = {(first, lo): one}
+
+    def inside(a: int, k: int) -> bool:
+        return 0 <= k - lo <= a - first
+
+    def cell(a: int, k: int):
+        stack = [(a, k)]
+        while stack:
+            b, j = stack[-1]
+            if (b, j) in memo or not inside(b, j):
+                stack.pop()
+                continue
+            deps = [(b - da, j - dk) for da, dk in reads]
+            todo = [d for d in deps if d not in memo and inside(*d)]
+            if todo:
+                stack += todo
+            else:
+                stack.pop()
+                memo[b, j] = rule(b, j, *(memo.get(d, zero) for d in deps))
+        return memo.get((a, k), zero)
+
+    return cell
+
+
+def _zeng_b_cell(n: int, k: int, above: IntPoly) -> IntPoly:
+    # Q(x) - Q(x-1) = g(x), g = (n+k-1) Q_{n-1,k}, on one int list from the
+    # top: the x^(j-1) coefficient of g fixes a_j, and a_j (x^j - (x-1)^j) =
+    # a_j sum_{i<j} (-1)^(j-i+1) C(j, i) x^i comes off the lower ones.
     d = n - 1 - k
+    rem = [(n + k - 1) * c for c in above.coeffs]
+    rem += [0] * (d - len(rem))
     coeffs = [0] * (d + 1)
-    rem = g
-    x = IntPoly.x()
     for j in range(d, 0, -1):
-        c = rem.coeff(j - 1)
-        a, r = divmod(c, j)
+        a, r = divmod(rem[j - 1], j)
         if r:
             raise ArithmeticError(f"non-integer coefficient solving Q({n},{k})")
         coeffs[j] = a
-        step = x ** j
-        rem = rem - (step - step.shift(-1)) * a
-    if not rem.is_zero():
+        for i in range(j):
+            rem[i] += (-1) ** (j - i) * a * comb(j, i)
+    if any(rem):
         raise ArithmeticError(f"inconsistent difference equation for Q({n},{k})")
     coeffs[0] = f(n, k)
     return IntPoly(coeffs)
 
 
+_PSI_BEW = _table(0, 1, _ONE, (_ABOVE, _DIAG), lambda r, k, above, diag:
+                  IntPoly((1 - r - k, 1)) * above + (r + k - 2) * diag)
+_PSI_RAMANUJAN = _table(0, 1, _ONE, (_ABOVE, _LEFT), lambda r, k, above, left:
+                        IntPoly((-1, 1)) * above.shift(-1) + left - left.shift(-1))
+_Q_SHOR = _table(1, 0, _ONE, (_ABOVE, _DIAG), lambda n, k, above, diag:
+                 IntPoly((n - 1, 1)) * above + (n + k - 2) * diag)
+_Q_SHOR_ALT = _table(1, 0, _ONE, (_ABOVE, _DIAG), lambda n, k, above, diag:
+                     IntPoly((1 - k, 1)) * above.shift(1) + (n + k - 2) * diag.shift(1))
+_Q_ZENG_A = _table(1, 0, _ONE, (_ABOVE, _LEFT), lambda n, k, above, left:
+                   IntPoly((n - 1, 1)) * above + left - left.shift(-1))
+_Q_ZENG_B = _table(1, 0, _ONE, (_ABOVE,), _zeng_b_cell)
+_F = _table(1, 0, 1, (_ABOVE, _DIAG), lambda n, k, above, diag:
+            (n - 1) * above + (n + k - 2) * diag)
+
+
+def psi_bew(r: int, k: int) -> IntPoly:
+    """psi_k(r, x) by the two-term recurrence in r."""
+    return _PSI_BEW(r, k)
+
+
+def psi_ramanujan(r: int, k: int) -> IntPoly:
+    """psi_k(r, x) by the original shift recurrence; rows fill in increasing k."""
+    return _PSI_RAMANUJAN(r, k)
+
+
+def q_shor(n: int, k: int) -> IntPoly:
+    """Q_{n,k}(x) by the plain two-term recurrence in n."""
+    return _Q_SHOR(n, k)
+
+
+def q_shor_alt(n: int, k: int) -> IntPoly:
+    """Q_{n,k}(x) by the shifted-argument recurrence."""
+    return _Q_SHOR_ALT(n, k)
+
+
+def q_zeng_a(n: int, k: int) -> IntPoly:
+    """Q_{n,k}(x) by the mixed recurrence descending in n and k."""
+    return _Q_ZENG_A(n, k)
+
+
+def q_zeng_b(n: int, k: int) -> IntPoly:
+    """Q_{n,k}(x) from Q_{n,k}(x) - Q_{n,k}(x-1) = (n+k-1) Q_{n-1,k}(x)."""
+    return _Q_ZENG_B(n, k)
+
+
 def q_from_psi(n: int, k: int) -> IntPoly:
-    """Q_{n,k}(x) = psi_{k+1}(n-1, x+n)."""
-    if not _q_range(n, k):
-        return _ZERO
+    """Q_{n,k}(x) = psi_{k+1}(n-1, x+n); both sides are zero on the same cells."""
     return psi_bew(n - 1, k + 1).shift(n)
 
 
-@lru_cache(maxsize=None)
 def f(n: int, k: int) -> int:
     """Number of rooted labeled trees on [n] with k improper edges."""
-    if not _q_range(n, k):
-        return 0
-    if n == 1:
-        return 1
-    return (n - 1) * f(n - 1, k) + (n + k - 2) * f(n - 1, k - 1)
+    return _F(n, k)
 
 
 def poly_table(family: str, maximum: int) -> dict[tuple[int, int], IntPoly]:

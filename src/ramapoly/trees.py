@@ -354,17 +354,31 @@ def _moved(t: RootedTree, moves: Mapping[int, int]) -> RootedTree:
 # -- plane trees -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlaneTree:
-    """Rooted tree with ordered children; labels are distinct positive ints."""
+    """Rooted tree with ordered children; labels are distinct positive ints.
+    Equality compares the preorder (label, child count) sequences."""
 
     label: int
     children: tuple["PlaneTree", ...] = ()
 
     def iter_nodes(self) -> Iterator["PlaneTree"]:
-        yield self
-        for c in self.children:
-            yield from c.iter_nodes()
+        """Every node, in preorder."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            if node.children:
+                stack += node.children[::-1]
+
+    def _preorder(self) -> list[tuple[int, int]]:
+        return [(node.label, len(node.children)) for node in self.iter_nodes()]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PlaneTree) and self._preorder() == other._preorder()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._preorder()))
 
     def check_labels(self) -> None:
         seen = set()
@@ -624,39 +638,52 @@ def tree_from_text(text: str) -> RootedTree:
 
 
 def plane_to_text(p: PlaneTree) -> str:
-    if not p.children:
-        return str(p.label)
-    return f"{p.label}({' '.join(plane_to_text(c) for c in p.children)})"
+    out, left = [], []  # left: the children still to write in each open "("
+    for node in p.iter_nodes():
+        out.append(str(node.label))
+        if node.children:
+            out.append("(")
+            left.append(len(node.children))
+            continue
+        while left:  # a leaf ends a child of the innermost open node, maybe its last
+            left[-1] -= 1
+            if left[-1]:
+                out.append(" ")
+                break
+            left.pop()
+            out.append(")")
+    return "".join(out)
 
 
 def plane_from_text(text: str) -> PlaneTree:
     s = text.strip()
-    pos = 0
-
-    def parse() -> PlaneTree:
-        nonlocal pos
+    pos, end = 0, len(s)
+    stack: list = [(None, [])]  # (label, children read so far) of each open node
+    while True:
         start = pos
-        while pos < len(s) and s[pos].isdigit():
+        while pos < end and s[pos].isdigit():
             pos += 1
         if start == pos:
             raise TreeError(f"expected a label at position {start}")
-        label = int(s[start:pos])
-        kids = []
-        if pos < len(s) and s[pos] == "(":
+        if pos < end and s[pos] == "(":
+            stack.append((int(s[start:pos]), []))
             pos += 1
-            while True:
-                while pos < len(s) and s[pos] == " ":
-                    pos += 1
-                if pos < len(s) and s[pos] == ")":
-                    pos += 1
-                    break
-                if pos >= len(s):
-                    raise TreeError("unbalanced parentheses")
-                kids.append(parse())
-        return PlaneTree(label, tuple(kids))
-
-    node = parse()
-    if pos != len(s):
+        else:
+            stack[-1][1].append(PlaneTree(int(s[start:pos])))
+        while len(stack) > 1:  # close nodes until another child starts
+            while pos < end and s[pos] == " ":
+                pos += 1
+            if pos == end:
+                raise TreeError("unbalanced parentheses")
+            if s[pos] != ")":
+                break
+            pos += 1
+            label, kids = stack.pop()
+            stack[-1][1].append(PlaneTree(label, tuple(kids)))
+        if len(stack) == 1:
+            break
+    if pos != end:
         raise TreeError(f"trailing input at position {pos}")
+    node = stack[0][1][0]
     node.check_labels()
     return node

@@ -226,7 +226,7 @@ def reproduce_tables() -> VerificationReport:
 def check_recurrences(nmax: int) -> VerificationReport:
     """All generation routes agree exactly, degrees and leading signs are
     right, and the three row-sum identities hold."""
-    _require_size(nmax, 1)
+    _require_size(nmax, SUITES["recurrences"][2])
     rep = VerificationReport("recurrences")
     for r in range(nmax + 1):
         same = all(psi_bew(r, k) == psi_ramanujan(r, k) for k in range(0, r + 3))
@@ -292,7 +292,7 @@ def check_identities(nmax: int) -> VerificationReport:
     """Enumeration interpretations of the Q family and the counting
     identities that tie consecutive sizes together; nmax bounds the largest
     enumerated tree."""
-    _require_size(nmax, 2)
+    _require_size(nmax, SUITES["identities"][2])
     rep = VerificationReport("identities")
     x = IntPoly.x()
 
@@ -564,7 +564,7 @@ def certify_plane(rep: VerificationReport, n: int) -> None:
 def check_bijections(nmax: int) -> VerificationReport:
     """Certify every map: domain -> codomain onto-ness, injectivity, inverse
     round-trips, and statistic deltas, over full enumerations."""
-    _require_size(nmax, 2)
+    _require_size(nmax, SUITES["bijections"][2])
     rep = VerificationReport("bijections")
     for n in range(2, nmax + 1):
         _certify_rooted(rep, n)
@@ -584,7 +584,7 @@ def check_bijections(nmax: int) -> VerificationReport:
 def check_conjecture(nmax: int) -> VerificationReport:
     """The refined recurrence for |R_{n,k}[lambda=i]|, its special cases, and
     the all-improper double-factorial count."""
-    _require_size(nmax, 3)
+    _require_size(nmax, SUITES["conjecture"][2])
     rep = VerificationReport("conjecture")
     tabs: dict[int, Counter] = {}
     totals: dict[int, Counter] = {}
@@ -620,7 +620,7 @@ def check_genfun(rmax: int, x_values: tuple[int, ...] = tuple(range(-2, 6)),
                  order: int = 10) -> VerificationReport:
     """The generating-function identity at integer x, plus a perturbed
     negative control that must fail."""
-    _require_size(rmax, 0, "rmax")
+    _require_size(rmax, SUITES["genfun"][2], "rmax")
     _require_size(order, 1, "order")  # the negative control needs a u^1 coefficient
     rep = VerificationReport("genfun")
     for r in range(rmax + 1):
@@ -638,13 +638,13 @@ def check_genfun(rmax: int, x_values: tuple[int, ...] = tuple(range(-2, 6)),
     return rep
 
 
-# suite name -> (suite, size bound it runs at by default, None for the fixed
-# tables); the defaults are the acceptance sizes
-SUITES: dict[str, tuple[Callable[..., VerificationReport], int | None]] = {
-    "tables": (reproduce_tables, None),
-    "recurrences": (check_recurrences, 12),
-    "identities": (check_identities, 7),
-    "bijections": (check_bijections, 7),
-    "conjecture": (check_conjecture, 8),
-    "genfun": (check_genfun, 4),
+# suite name -> (suite, default size bound = its acceptance size, smallest
+# size that checks anything), both sizes None for the fixed tables
+SUITES: dict[str, tuple[Callable[..., VerificationReport], int | None, int | None]] = {
+    "tables": (reproduce_tables, None, None),
+    "recurrences": (check_recurrences, 12, 1),
+    "identities": (check_identities, 7, 2),
+    "bijections": (check_bijections, 7, 2),
+    "conjecture": (check_conjecture, 8, 3),
+    "genfun": (check_genfun, 4, 0),
 }

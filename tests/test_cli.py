@@ -1,8 +1,12 @@
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from math import factorial
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -175,7 +179,7 @@ def test_verify_suite_json(capsys):
 def test_verify_failure_exit_status(capsys, monkeypatch):
     broken = VerificationReport("tables")
     broken.check("forced", 1, 2)
-    monkeypatch.setitem(verify.SUITES, "tables", (lambda: broken, None))
+    monkeypatch.setitem(verify.SUITES, "tables", (lambda: broken, None, None))
     code, out, _ = run(capsys, ["verify", "--suite", "tables"])
     assert code == 1 and "FAIL" in out
 
@@ -200,7 +204,7 @@ def test_verify_all_runs_every_suite_in_table_order(capsys):
 def test_verify_all_fails_when_one_suite_fails(capsys, monkeypatch):
     broken = VerificationReport("identities")
     broken.check("forced", 1, 2)
-    monkeypatch.setitem(verify.SUITES, "identities", (lambda nmax: broken, 7))
+    monkeypatch.setitem(verify.SUITES, "identities", (lambda nmax: broken, 7, 2))
     code, out, _ = run(capsys, ["verify", "--suite", "all", "--nmax", "3"])
     summaries = [ln for ln in out.splitlines() if ln.startswith("suite ")]
     assert code == 1 and len(summaries) == len(verify.SUITES)
@@ -225,20 +229,46 @@ def test_genfun_command(capsys):
     ["verify", "--suite", "identities", "--nmax", "1"],
     ["poly", "--family", "psi", "--method", "shor", "--n", "3", "--k", "1"],
     ["table", "--which", "lambda", "--max", "1"],
+    # refused before the first suite prints its report
+    ["verify", "--suite", "all", "--nmax", "2"],
 ])
 def test_library_value_error_exit_code(capsys, argv):
-    code, _, err = run(capsys, argv)
-    assert code == 2 and err.startswith("error: ")
-
-
-@pytest.mark.parametrize("argv", [
-    ["poly", "--family", "q", "--n", "1500", "--k", "3"],
-    ["poly", "--family", "psi", "--method", "ramanujan", "--n", "600", "--k", "300"],
-])
-def test_recursion_depth_exit_code(capsys, argv):
     code, out, err = run(capsys, argv)
-    assert code == 2 and out == ""
-    assert err == "error: size too large for the recursive route\n"
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_deep_polynomials_answer(capsys):
+    # q_shor keeps every row of its table, so the deep request runs in its
+    # own interpreter; its value at 0 is f(1200, 0) = 1199!
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-m", "ramapoly.cli", "poly", "--family", "q",
+                           "--n", "1200", "--k", "0", "--json"], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0 and proc.stderr == ""
+    coeffs = json.loads(proc.stdout)["coefficients"]
+    assert len(coeffs) == 1200 and coeffs[0] == str(factorial(1199)) and coeffs[-1] == "1"
+    # f(3000, 2) has more decimal digits than int-to-str conversion allows
+    # by default; the limit is lifted for the command and restored after it
+    digits = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, ["poly", "--family", "f", "--n", "3000", "--k", "2"])
+    assert code == 0 and err == "" and out.strip().isdigit() and len(out.strip()) > 4300
+    assert sys.get_int_max_str_digits() == digits
+
+
+def test_bij_plane_round_trips_a_deep_path(capsys, monkeypatch):
+    n = 5000
+    path = "(".join(map(str, range(1, n + 1))) + ")" * (n - 1)
+    code, tree, err = run(capsys, ["bij", "--map", "plane", "--dir", "inv"], path, monkeypatch)
+    assert code == 0 and err == "" and tree.split() == [str(n)] * (n - 1) + ["0"]
+    code, back, err = run(capsys, ["bij", "--map", "plane", "--dir", "fwd"], tree, monkeypatch)
+    assert code == 0 and err == "" and back.strip() == path
+    # the all-improper chain 2 -> 3 -> ... -> n -> 1 is as deep as a tree on [n] gets
+    chain = " ".join(map(str, [n, 0, *range(2, n)]))
+    code, plane, err = run(capsys, ["bij", "--map", "plane", "--dir", "fwd"], chain, monkeypatch)
+    assert code == 0 and err == ""
+    assert plane.strip() == "1(" + " ".join(map(str, range(n, 1, -1))) + ")"
+    code, back, err = run(capsys, ["bij", "--map", "plane", "--dir", "inv"], plane, monkeypatch)
+    assert code == 0 and err == "" and back.strip() == chain
 
 
 @pytest.mark.parametrize("mode", [["--count"], ["--list"], ["--list", "--unrooted"]])

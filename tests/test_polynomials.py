@@ -1,13 +1,20 @@
+import json
+import os
+import subprocess
+import sys
+import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import ramapoly
 from ramapoly.polynomials import (IntPoly, f, psi_bew, psi_ramanujan, q_from_psi,
                                   q_shor, q_shor_alt, q_zeng_a, q_zeng_b, poly_table)
 from ramapoly.trees import enumerate_rooted
-from ramapoly.verify import PSI_TABLE, Q_TABLE
+from ramapoly.verify import PSI_TABLE, Q_TABLE, double_factorial
 
 small_polys = st.builds(IntPoly, st.lists(st.integers(-50, 50), max_size=6))
 
@@ -134,3 +141,53 @@ def test_poly_table():
     assert set(poly_table("psi", 2)) == {(0, 1), (1, 1), (1, 2), (2, 1), (2, 2), (2, 3)}
     with pytest.raises(ValueError):
         poly_table("nope", 3)
+
+
+_ROUTES = ("psi_bew", "psi_ramanujan", "q_shor", "q_shor_alt", "q_zeng_a", "q_zeng_b",
+           "q_from_psi", "f")
+_ASKED = ((40, 1), (40, 30), (20, 19), (60, 59))
+
+# prints every route's cells in _ASKED, after asking for them in `order`
+_PROBE = """
+import json, sys
+from ramapoly import polynomials as P
+routes, asked, order = json.loads(sys.argv[1])
+out = {}
+for name in routes:
+    fn = getattr(P, name)
+    for a, k in order:
+        fn(a, k)
+    out[name] = [str(fn(a, k)) for a, k in asked]
+print(json.dumps(out))
+"""
+
+
+def _probe(order):
+    src = Path(ramapoly.__file__).resolve().parent.parent
+    arg = json.dumps([_ROUTES, _ASKED, order])
+    proc = subprocess.run([sys.executable, "-c", _PROBE, arg], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_tables_do_not_depend_on_request_order():
+    # the memo holds only the cells earlier requests needed: narrow cells
+    # first, then wider ones above and below them, against every cell asked
+    # row by row, each in a fresh interpreter
+    narrow_first = _probe(list(_ASKED))
+    row_by_row = _probe([(a, k) for a in range(61) for k in range(-1, a + 3)])
+    assert narrow_first == row_by_row
+    assert narrow_first["q_shor"][2] == str(q_shor(20, 19))
+
+
+def test_near_diagonal_cells_compute_only_what_they_read():
+    # shor, shor-alt, bew and f read (a-1, k) and (a-1, k-1), zeng-b only
+    # (a-1, k): a cell beside the diagonal needs about one cell per row, not
+    # the whole triangle; Q_{n,n-1} = f(n, n-1) = (2n-3)!!
+    t0 = time.perf_counter()
+    expected = double_factorial(797)
+    for fn in (q_shor, q_shor_alt, q_zeng_b):
+        assert fn(400, 399) == IntPoly.constant(expected)
+    assert f(400, 399) == expected and f(800, 799) == double_factorial(1597)
+    assert psi_bew(400, 400) == q_shor(401, 399).shift(-401)
+    assert time.perf_counter() - t0 < 5

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from ramapoly.trees import (ClassFilter, CycleError, DisconnectedError, LabelError,
+from ramapoly.trees import (ClassFilter, CycleError, DisconnectedError, LabelError, PlaneTree,
                             TreeError, _k_lambda_counts, build, enumerate_rooted,
                             enumerate_unrooted, plane_from_text, plane_to_text,
                             tree_from_text, tree_to_text)
@@ -373,6 +373,21 @@ def test_plane_child_order_significant():
     a = plane_from_text("1(2 3)")
     b = plane_from_text("1(3 2)")
     assert a != b
+
+
+def test_deep_plane_trees_compare_and_hash():
+    n = 50_000
+    path = "(".join(map(str, range(1, n + 1))) + ")" * (n - 1)
+    a, b = plane_from_text(path), plane_from_text(path)
+    assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert plane_to_text(a) == path
+    assert [node.label for node in a.iter_nodes()] == list(range(1, n + 1))
+    # another deepest label; the same preorder labels in another shape
+    assert a != plane_from_text(path.replace(f"({n})", f"({n + 1})"))
+    flat = PlaneTree(1, tuple(PlaneTree(v) for v in range(2, n + 1)))
+    assert a != flat and [x.label for x in flat.iter_nodes()] == list(range(1, n + 1))
+    assert PlaneTree(1, (PlaneTree(2),)) == PlaneTree(1, (PlaneTree(2),))
+    assert PlaneTree(1, (PlaneTree(2),)) != PlaneTree(1) and PlaneTree(1) != 1
 
 
 def test_plane_errors():
