@@ -141,8 +141,8 @@ def lift(t: RootedTree, trace: list | None = None) -> RootedTree:
     if t.degree(mx) == 0:
         raise DomainError("max label is a leaf")
     lam = t.lower_critical()
-    down = t.max_to_beta_path()
-    seg = down[: down.index(lam) + 1]
+    up = t.path_to_root(lam)
+    seg = up[up.index(mx)::-1]
     _note(trace, f"lift: reverse {seg} at critical node {lam}")
     return _moved(t, {**dict(zip(seg, seg[1:])), lam: t.parent(mx) or 0})
 
@@ -184,20 +184,11 @@ def _fold_with_info(t: RootedTree, trace: list | None) -> tuple[RootedTree, int,
 
 
 def _descend_to_attach(t: RootedTree, r: int, bound: int) -> int:
-    # First node z on the downward path from r toward beta(r) such that z is
-    # below `bound` and below everything in subtree(r) outside subtree(z)
-    # (the root r passes the second test vacuously).
-    target = t.beta(r)
-    out = t.max_label + 1  # above every label
-    u = r
-    while True:
-        if u < bound and u < out:
-            return u
-        if u == target:
-            raise ReconstructionError("no attachment node found on a segment")
-        nxt = next(c for c in t.children(u) if t.beta(c) == target)
-        out = min([out, u] + [t.beta(c) for c in t.children(u) if c != nxt])
-        u = nxt
+    # RootedTree._attach on labels; a segment with no such node is corrupt.
+    z = t._attach(t._pos(r), t._pos(bound))
+    if not z:
+        raise ReconstructionError("no attachment node found on a segment")
+    return t.labels[z - 1]
 
 
 def unfold_stem(t: RootedTree, trace: list | None = None) -> RootedTree:

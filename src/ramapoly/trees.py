@@ -6,7 +6,9 @@ child, the edge is *proper* when p is smaller than every label in the subtree
 of c, and *improper* otherwise.  The count of improper edges is the central
 statistic here; the classes R_{n,k} (rooted trees on [n] with k improper
 edges) and T_{n,k} (trees rooted at their minimum label, the "unrooted"
-convention) are carved out of the enumeration with `ClassFilter`.
+convention) are carved out of the enumeration with `ClassFilter`.  There is
+one enumeration, of the rooted trees by parent array; the trees rooted at 1
+are its head, the arrays with p_1 = 0.
 
 The remaining statistics are the critical-node data used by the bijection
 module: beta(v) is the minimum label in the subtree of v, the upper critical
@@ -22,8 +24,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
+from itertools import takewhile
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "TreeError",
@@ -202,41 +205,39 @@ class RootedTree:
                 return self.labels[up[i] - 1]
         raise TreeError("no proper edge on the path from the max label")
 
-    def max_to_beta_path(self) -> tuple[int, ...]:
-        """The downward path (max, ..., beta(max)); max must have a child."""
-        _, kids, low = self._arrays()
-        u = len(self.labels)
-        if not kids[u]:
-            raise TreeError("max label is a leaf")
-        target = low[u]
-        path = [u]
-        while u != target:
-            u = next(c for c in kids[u] if low[c] == target)
-            path.append(u)
-        return self._names(path)
-
     def lower_critical(self) -> int:
         """First node u past the max label on the path toward beta(max) that
         is smaller than everything in the max subtree outside u's own
         subtree.  Defined whenever the max label has a child."""
-        _, kids, low = self._arrays()
-        prev = len(self.labels)
-        if not kids[prev]:
+        n = len(self.labels)
+        i = self._attach(n, n)
+        if not i:
             raise TreeError("max label is a leaf")
-        target = low[prev]
-        # `out` is the minimum of the max subtree outside the subtree of the
-        # next node; beta(max) is below it, so the loop always returns.
-        out = prev
-        while True:
-            for c in kids[prev]:
+        return self.labels[i - 1]
+
+    def _attach(self, i: int, bound: int) -> int:
+        # The first position z on the downward path from position i toward
+        # beta(i) that is below `bound` and below every position in the
+        # subtree of i outside the subtree of z (i itself passes the second
+        # test vacuously); 0 when there is none.  Every z on the path is at
+        # least beta(i), which passes the second test, so there is one iff
+        # beta(i) is below `bound`.
+        _, kids, low = self._arrays()
+        target = low[i]
+        if target >= bound:
+            return 0
+        out = len(kids)  # above every position
+        while i >= bound or i >= out:
+            if i < out:
+                out = i
+            for c in kids[i]:
                 b = low[c]
                 if b == target:
                     nxt = c
                 elif b < out:
                     out = b
-            if nxt < out:
-                return self.labels[nxt - 1]
-            prev = nxt
+            i = nxt
+        return i
 
     def mu(self) -> int:
         """First node past the min label on the min-to-root path that is
@@ -275,13 +276,10 @@ class RootedTree:
     def relabel(self, new_labels: Sequence[int]) -> RootedTree:
         """Order-isomorphic relabeling: the i-th smallest label becomes the
         i-th smallest element of `new_labels`."""
+        _check_labels(new_labels)
         target = tuple(sorted(new_labels))
-        if len(target) != len(set(target)):
-            raise LabelError("duplicate labels in relabel target")
         if len(target) != self.size:
             raise LabelError("relabel target has wrong size")
-        if target and target[0] < 1:
-            raise LabelError("labels must be positive")
         return RootedTree(target, tuple(target[self._pos(p) - 1] if p else 0 for p in self.parents))
 
     # -- value semantics ----------------------------------------------------
@@ -304,19 +302,9 @@ def build(root: int, parent: Mapping[int, int]) -> RootedTree:
     The label set is `{root} | parent.keys()`.  Raises LabelError for bad or
     duplicate labels, CycleError when parent links loop.
     """
-    items = [(root, 0)] + sorted(parent.items())
-    labels = []
-    for v, _ in items:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise LabelError(f"invalid label {v!r}")
-        labels.append(v)
-    if root in parent:
-        raise LabelError("the root cannot have a parent")
-    label_set = set(labels)
-    if len(label_set) != len(labels):
-        raise LabelError("duplicate labels")
+    _check_labels([root, *parent])  # the keys are distinct: a duplicate is the root
     for v, p in parent.items():
-        if p not in label_set:
+        if p != root and p not in parent:
             raise LabelError(f"parent {p!r} of {v} is not a label")
     # Every node must reach the root; with one parent per non-root node the
     # only failure mode is a cycle.
@@ -333,6 +321,17 @@ def build(root: int, parent: Mapping[int, int]) -> RootedTree:
         for w in path:
             state[w] = True
     return _from_pmap({**parent, root: 0})
+
+
+def _check_labels(labels: Iterable) -> None:
+    # Labels are distinct positive integers.
+    seen = set()
+    for v in labels:
+        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            raise LabelError(f"invalid label {v!r}")
+        if v in seen:
+            raise LabelError(f"duplicate label {v}")
+        seen.add(v)
 
 
 def _from_pmap(pmap: Mapping[int, int]) -> RootedTree:
@@ -371,6 +370,9 @@ class PlaneTree:
             if node.children:
                 stack += node.children[::-1]
 
+    def __repr__(self) -> str:
+        return f"plane_from_text({plane_to_text(self)!r})"
+
     def _preorder(self) -> list[tuple[int, int]]:
         return [(node.label, len(node.children)) for node in self.iter_nodes()]
 
@@ -381,14 +383,7 @@ class PlaneTree:
         return hash(tuple(self._preorder()))
 
     def check_labels(self) -> None:
-        seen = set()
-        for node in self.iter_nodes():
-            v = node.label
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise LabelError(f"invalid label {v!r}")
-            if v in seen:
-                raise LabelError(f"duplicate label {v}")
-            seen.add(v)
+        _check_labels(node.label for node in self.iter_nodes())
 
     def is_increasing(self) -> bool:
         """True iff every child label exceeds its parent label."""
@@ -463,15 +458,13 @@ class ClassFilter:
 # -- enumeration ---------------------------------------------------------------
 
 
-def _prefixes(n: int, fixed_root: int | None = None
-              ) -> Iterator[tuple[tuple[int, ...], int, list[int]]]:
+def _prefixes(n: int) -> Iterator[tuple[tuple[int, ...], int, list[int]]]:
     # Every parent assignment (p_1..p_{n-1}) that the max label n completes
-    # into a rooted tree on [n] (rooted at `fixed_root` when given), in
-    # lexicographic order, as (prefix, r, free): r is the root among 1..n-1
-    # (0 when there is none, so n must be the root) and `free` lists, in
-    # increasing order, the labels outside the subtree of n, under which n
-    # may hang.  An explicit stack walks the levels 1..n-2 depth first; the
-    # last level n-1 is expanded in place.
+    # into a rooted tree on [n], in lexicographic order, as (prefix, r,
+    # free): r is the root among 1..n-1 (0 when there is none, so n must be
+    # the root) and `free` lists, in increasing order, the labels outside the
+    # subtree of n, under which n may hang.  An explicit stack walks the
+    # levels 1..n-2 depth first; the last level n-1 is expanded in place.
     if n == 1:
         yield (), 0, []
         return
@@ -484,9 +477,7 @@ def _prefixes(n: int, fixed_root: int | None = None
 
     def options(i: int) -> list[tuple[int, int]]:
         # (parent, head) for each parent of i that closes no cycle
-        if i == fixed_root:
-            return [(0, 0)]
-        out = [] if roots[i - 1] or fixed_root else [(0, 0)]
+        out = [] if roots[i - 1] else [(0, 0)]
         for q in range(1, n + 1):
             h = q
             while 0 < h < i:
@@ -524,15 +515,6 @@ def _prefixes(n: int, fixed_root: int | None = None
         roots[i] = roots[i - 1] or (0 if p[i] else i)
 
 
-def _parent_arrays(n: int, fixed_root: int | None = None) -> Iterator[tuple[int, ...]]:
-    # All parent arrays (p_1..p_n) of rooted trees on [n], in lexicographic
-    # order with 0 marking the root: each prefix, completed by every parent
-    # the max label may take.
-    for prefix, _, free in _prefixes(n, fixed_root):
-        for q in free or (0,):
-            yield prefix + (q,)
-
-
 def _k_lambda_counts(n: int) -> Counter:
     # (k, lambda) -> count over all rooted trees on [n], lambda None where the
     # max label is a leaf.  The trees completing one prefix differ only in
@@ -552,7 +534,7 @@ def _k_lambda_counts(n: int) -> Counter:
         if not kids[n]:  # b = n: no parent of n moves k (n = 1 is its own root)
             rows[0][k] += len(free) or 1
             continue
-        row = rows[t.lower_critical()]
+        row = rows[t._attach(n, n)]
         if not r:  # n is the root
             row[k] += 1
             continue
@@ -567,25 +549,24 @@ def _k_lambda_counts(n: int) -> Counter:
                     for lam, row in enumerate(rows) for k, c in enumerate(row) if c})
 
 
-def _trees(n: int, filt: ClassFilter | None, fixed_root: int | None) -> Iterator[RootedTree]:
-    if n < 1:
-        raise ValueError("n must be positive")
-    labels = tuple(range(1, n + 1))
-    for parents in _parent_arrays(n, fixed_root):
-        t = RootedTree(labels, parents)
-        if filt is None or filt.matches(t):
-            yield t
-
-
 def enumerate_rooted(n: int, filt: ClassFilter | None = None) -> Iterator[RootedTree]:
     """All n^(n-1) rooted labeled trees on [n] passing `filt`, each exactly
     once, ordered lexicographically by parent array (root encoded 0)."""
-    return _trees(n, filt, None)
+    if n < 1:
+        raise ValueError("n must be positive")
+    labels = tuple(range(1, n + 1))
+    for prefix, _, free in _prefixes(n):
+        for q in free or (0,):
+            t = RootedTree(labels, prefix + (q,))
+            if filt is None or filt.matches(t):
+                yield t
 
 
 def enumerate_unrooted(n: int, filt: ClassFilter | None = None) -> Iterator[RootedTree]:
-    """All n^(n-2) trees on [n] in the unrooted convention: rooted at 1."""
-    return _trees(n, filt, 1)
+    """All n^(n-2) trees on [n] in the unrooted convention: rooted at 1.
+    Parent arrays with p_1 = 0 sort first, so these head the rooted ones."""
+    trees = takewhile(lambda t: t.parents[0] == 0, enumerate_rooted(n))
+    return trees if filt is None else filter(filt.matches, trees)
 
 
 # -- text formats ----------------------------------------------------------------

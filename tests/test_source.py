@@ -9,11 +9,7 @@ SRC = Path(ramapoly.__file__).resolve().parent
 
 # A function that calls itself recurses once per level of its input, and
 # Python's recursion limit then bounds the input instead of its cost.
-RECURSION_ALLOWED = {
-    # depth n; it builds all (2n-3)!! increasing plane trees on [n], so every
-    # run that finishes has n <= 9
-    "verify._insert_leaf",
-}
+RECURSION_ALLOWED: set[str] = set()
 
 
 def _self_calls(path: Path) -> set[str]:

@@ -381,6 +381,7 @@ def test_deep_plane_trees_compare_and_hash():
     a, b = plane_from_text(path), plane_from_text(path)
     assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert plane_to_text(a) == path
+    assert repr(a) == f"plane_from_text({path!r})"
     assert [node.label for node in a.iter_nodes()] == list(range(1, n + 1))
     # another deepest label; the same preorder labels in another shape
     assert a != plane_from_text(path.replace(f"({n})", f"({n + 1})"))

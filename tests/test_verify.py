@@ -1,7 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
+from ramapoly import bijections as bj
 from ramapoly.trees import ClassFilter
 from ramapoly.verify import (LAMBDA_TABLES, PSI_TABLE, Q_TABLE, CheckResult,
                              VerificationReport, check_bijections,
@@ -120,3 +122,27 @@ def test_check_result_is_frozen():
     r = CheckResult("x", "1", "1", True)
     with pytest.raises(AttributeError):
         r.ok = False
+
+
+def test_certifier_fails_injected_faults(monkeypatch):
+    # each fault fails records of its own maps instead of raising
+    clean = check_bijections(5)
+    flatten = bj.flatten_min
+
+    def miscased(t, trace=None):  # reports case A where it ran case C
+        u = flatten(t, trace)
+        if trace and trace[-1].case is bj.Case.C:
+            trace[-1] = replace(trace[-1], case=bj.Case.A)
+        return u
+
+    monkeypatch.setattr(bj, "flatten_min", miscased)
+    assert [r.name for r in check_bijections(5).failures] == [
+        "flatten classes n=4 k=2 m=1", "flatten classes n=5 k=2 m=1",
+        "flatten classes n=5 k=2 m=2", "flatten classes n=5 k=3 m=1"]
+    monkeypatch.undo()
+    # an identity lift breaks every map built on it, and only those
+    monkeypatch.setattr(bj, "lift", lambda t, trace=None: t)
+    on_lift = ("rooted bijection", "rooted inverse round-trip", "lowering class",
+               "restricted lowering", "min-rooted bijection", "min-rooted inverse round-trip")
+    assert [r.name for r in check_bijections(5).failures] == [
+        r.name for r in clean.results if r.name.startswith(on_lift)]
