@@ -40,7 +40,8 @@ over arbitrary label sets, with min/max taking those roles):
 
 Each function checks its preconditions eagerly and raises DomainError
 outside its stated domain.  An optional `trace` list collects dispatch
-records (strings and CaseTag entries) for audits.
+records (strings and CaseTag entries) for audits.  The rooted maps work on
+label positions; only `_moved` and the trace records turn them into labels.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .trees import PlaneTree, RootedTree, TreeError, _from_pmap, _moved
+from .trees import PlaneTree, RootedTree, _from_pmap, _moved
 
 __all__ = [
     "DomainError",
@@ -111,9 +112,10 @@ class ColoredRootedTree:
             raise DomainError("black nodes must be children of the min label")
 
 
-def _note(trace, msg) -> None:
+def _note(trace, record) -> None:
+    # a record passed as a function is built only when a trace is kept
     if trace is not None:
-        trace.append(msg)
+        trace.append(record() if callable(record) else record)
 
 
 # -- lowering and lifting ------------------------------------------------------
@@ -123,28 +125,29 @@ def lower(t: RootedTree, trace: list | None = None) -> RootedTree:
     """Reverse the path from the max label up to the upper critical node, so
     the max label takes the critical node's place.  Adds one improper edge
     and removes one proper edge from the max-to-root path."""
-    mx = t.max_label
-    try:
-        w = t.upper_critical()
-    except TreeError:
-        raise DomainError("no proper edge on the path from the max label to the root") from None
-    path = t.path_to_root(mx)
-    seg = path[: path.index(w) + 1]
-    _note(trace, f"lower: reverse {seg} at critical node {w}")
-    return _moved(t, {mx: t.parent(w) or 0, **dict(zip(seg[1:], seg))})
+    up = t._arrays()[0]
+    proper = t._proper_path()
+    if not proper:
+        raise DomainError("no proper edge on the path from the max label to the root")
+    w = up[proper[0]]
+    path = t._up_path(len(up) - 1)
+    seg = path[:path.index(w) + 1]
+    _note(trace, lambda: f"lower: reverse {t._names(seg)} at critical node {t.labels[w - 1]}")
+    return _moved(t, {seg[0]: up[w], **dict(zip(seg[1:], seg))})
 
 
 def lift(t: RootedTree, trace: list | None = None) -> RootedTree:
     """Inverse of `lower`: reverse the path from the max label down to the
     lower critical node, which takes the max label's place."""
-    mx = t.max_label
-    if t.degree(mx) == 0:
+    up, kids, _ = t._arrays()
+    n = len(up) - 1
+    if not kids[n]:
         raise DomainError("max label is a leaf")
-    lam = t.lower_critical()
-    up = t.path_to_root(lam)
-    seg = up[up.index(mx)::-1]
-    _note(trace, f"lift: reverse {seg} at critical node {lam}")
-    return _moved(t, {**dict(zip(seg, seg[1:])), lam: t.parent(mx) or 0})
+    lam = t._attach(n, n)
+    path = t._up_path(lam)
+    seg = path[path.index(n)::-1]
+    _note(trace, lambda: f"lift: reverse {t._names(seg)} at critical node {t.labels[lam - 1]}")
+    return _moved(t, {**dict(zip(seg, seg[1:])), lam: up[n]})
 
 
 # -- stem folding (deg(min)=1 <-> deg(min)=0) ----------------------------------
@@ -157,70 +160,64 @@ def fold_stem(t: RootedTree, trace: list | None = None) -> RootedTree:
     Requires deg(min) = 1.  The result has deg(min) = 0, one more improper
     edge, and mu equal to the old beta*.
     """
-    out, _, _ = _fold_with_info(t, trace)
-    return out
-
-
-def _fold_with_info(t: RootedTree, trace: list | None) -> tuple[RootedTree, int, tuple[int, ...]]:
-    mn = t.min_label
-    if t.degree(mn) != 1:
+    _, kids, _ = t._arrays()
+    if len(kids[1]) != 1:
         raise DomainError("min label must have exactly one child")
-    v = t.children(mn)[0]
-    w = t.beta(v)
-    stem = t.path_to_root(mn)[::-1]
-    tt = len(stem)
-    outs = []
-    cur = t.max_label + 1  # above every label
-    for j, u in enumerate(stem):
-        outs.append(cur)
-        nxt = stem[j + 1] if j + 1 < tt else v
-        cur = min([cur, u] + [t.beta(c) for c in t.children(u) if c != nxt])
-    j1 = next(j for j in range(tt) if stem[j] < min(outs[j], w))
-    bounds = [j1] + [j for j in range(j1 + 1, tt) if stem[j] < outs[j]]
-    assert bounds[-1] == tt - 1, "the min label always ends the last segment"
-    heads = tuple(stem[b] for b in [0] + [b + 1 for b in bounds[:-1]])
-    _note(trace, f"fold: w={w} segment heads at {heads}")
-    return _moved(t, {v: 0, **dict.fromkeys(heads, w)}), w, heads
+    w, heads = _fold_heads(t, kids[0][0], kids[1][0], trace)
+    return _moved(t, {kids[1][0]: 0, **dict.fromkeys(heads, w)})
 
 
-def _descend_to_attach(t: RootedTree, r: int, bound: int) -> int:
-    # RootedTree._attach on labels; a segment with no such node is corrupt.
-    z = t._attach(t._pos(r), t._pos(bound))
-    if not z:
-        raise ReconstructionError("no attachment node found on a segment")
-    return t.labels[z - 1]
+def _fold_heads(t: RootedTree, top: int, v: int, trace: list | None) -> tuple[int, list[int]]:
+    # Fold the stem from position `top` down to the min, whose child v stays
+    # apart: w = beta(v) and the heads of the segments that go under w.  A
+    # segment ends at a stem node below every position passed off the stem
+    # (the first one also below w); the min always ends the last segment.
+    _, kids, low = t._arrays()
+    w = low[v]
+    path = t._up_path(1)
+    stem = path[path.index(top)::-1]
+    heads = [top]
+    out, limit = len(kids), w  # len(kids) is above every position
+    for u, nxt in zip(stem, stem[1:]):
+        if u < min(out, limit):
+            heads.append(nxt)
+            limit = len(kids)
+        out = min(out, u, *[low[c] for c in kids[u] if c != nxt])
+    _note(trace, lambda: f"fold: w={t.labels[w - 1]} segment heads at {t._names(heads)}")
+    return w, heads
 
 
 def unfold_stem(t: RootedTree, trace: list | None = None) -> RootedTree:
     """Inverse of `fold_stem`: split off the subtrees of w = mu whose minimum
     is below w, order them by decreasing minimum, chain them back into a
     root path, and hang the remainder under the min label."""
-    mn = t.min_label
-    if t.root == mn:
+    up, kids, _ = t._arrays()
+    if not up[1]:
         raise DomainError("min label must not be the root")
-    if t.degree(mn) != 0:
+    if kids[1]:
         raise DomainError("min label must be a leaf")
-    w = t.mu()
-    heads = sorted((c for c in t.children(w) if t.beta(c) < w),
-                   key=t.beta, reverse=True)
-    if not heads or t.beta(heads[-1]) != mn:
+    return _moved(t, _unfold(t, kids[0][0], 0, trace)[1])
+
+
+def _unfold(t: RootedTree, top: int, parent: int, trace: list | None) -> tuple[int, dict]:
+    # unfold_stem inside the subtree of position `top`, which holds the min
+    # as a leaf below it: the new top and the moves, with the new top hung
+    # under `parent`.  Each head's attachment node exists, since its beta is
+    # below the bound (RootedTree._attach).
+    _, kids, low = t._arrays()
+    path = t._up_path(1)
+    w = t._mu(path[:path.index(top) + 1])
+    heads = sorted([c for c in kids[w] if low[c] < w], key=low.__getitem__, reverse=True)
+    if not heads or low[heads[-1]] != 1:
         raise ReconstructionError("the min label must lie under the fold node")
-    attach = []
-    bound = w
-    for r in heads:
-        attach.append(_descend_to_attach(t, r, bound))
-        bound = t.beta(r)
-    _note(trace, f"unfold: w={w} segment heads {tuple(heads)} attach at {tuple(attach)}")
-    return _moved(t, {heads[0]: 0, **dict(zip(heads[1:], attach)), t.root: mn})
+    bounds = [w] + [low[r] for r in heads[:-1]]
+    attach = [t._attach(r, b) for r, b in zip(heads, bounds)]
+    _note(trace, lambda: f"unfold: w={t.labels[w - 1]} segment heads {t._names(heads)} "
+                         f"attach at {t._names(attach)}")
+    return heads[0], {heads[0]: parent, **dict(zip(heads[1:], attach)), top: 1}
 
 
 # -- the four-case surgery on R(0) classes ------------------------------------
-
-
-def _graft(sub: RootedTree, parent: int) -> dict[int, int]:
-    # Moves that put sub's labels back as they sit in sub, with sub's root
-    # hung under `parent`.
-    return {u: p or parent for u, p in zip(sub.labels, sub.parents)}
 
 
 def flatten_min(t: RootedTree, trace: list | None = None) -> RootedTree:
@@ -233,96 +230,89 @@ def flatten_min(t: RootedTree, trace: list | None = None) -> RootedTree:
     subtree at alpha; (C) min under max with deg(max) >= 2; (D) min under
     max with deg(max) = 1, which folds the subtree holding the min.
     """
-    mn, mx = t.min_label, t.max_label
-    m = t.degree(mn)
-    if m == 0:
+    up, kids, low = t._arrays()
+    n = len(up) - 1
+    if not kids[1]:
         raise DomainError("min label must have a child")
-    if t.proper_on_max_path() != 0:
+    if t._proper_path():
         raise DomainError("the max-to-root path must have no proper edge")
-    assert t.degree(mx) > 0, "a max leaf off the root would start with a proper edge"
-    al = t.alpha()
-    bs = t.beta_star()
-    under = t.is_descendant(mn, mx)
+    assert kids[n], "a max leaf off the root would start with a proper edge"
+    al = max([low[b] for b in kids[n]])
+    bs = min([low[a] for a in kids[1]])
 
-    to_max = dict.fromkeys(t.children(mn), mx)  # in every case
+    moves = dict.fromkeys(kids[1], n)  # in every case
+    located, heads = None, []
     if al > bs:
         # alpha takes the max's place and children; it may itself be a child
         # of the max, so its own entry must come after theirs
-        q = t.parent(al)
-        _note(trace, CaseTag(Case.B, located=al))
-        return _moved(t, {**dict.fromkeys(t.children(mx), al), al: t.parent(mx) or 0,
-                          mx: q if q != mx else al, **to_max})
-
-    if not under:
-        _note(trace, CaseTag(Case.A))
-        return _moved(t, to_max)
-
-    if t.degree(mx) >= 2:
-        kids = sorted(t.children(mx), key=t.beta)
-        b1, b2 = kids[0], kids[1]
-        limit = bs if len(kids) < 3 else min(bs, t.beta(kids[2]))
-        ci = _descend_to_attach(t, b2, limit)
-        _note(trace, CaseTag(Case.C, located=ci))
-        return _moved(t, {b1: ci, **to_max})
-
-    # case D: all but the min's lowest child subtree go under the max first,
-    # then what stays under the max's only child is folded
-    b = t.children(mx)[0]
-    a_kids = sorted(t.children(mn), key=t.beta)
-    t1 = _moved(t, dict.fromkeys(a_kids[1:], mx))
-    folded, w, heads = _fold_with_info(t1.subtree(b), trace)
-    _note(trace, CaseTag(Case.D, located=w, boundaries=heads))
-    return _moved(t1, _graft(folded, mx))
+        case, located, q = Case.B, al, up[al]
+        moves = {**dict.fromkeys(kids[n], al), al: up[n], n: q if q != n else al, **moves}
+    elif low[n] != 1:  # the min is not under the max
+        case = Case.A
+    elif len(kids[n]) >= 2:
+        b1, b2, *rest = sorted(kids[n], key=low.__getitem__)
+        # beta(b2) <= alpha < beta*, so the attachment node exists
+        case, located = Case.C, t._attach(b2, min(bs, low[rest[0]]) if rest else bs)
+        moves[b1] = located
+    else:
+        # the stem from the max's only child down to the min folds under w,
+        # the beta of the min's lowest child
+        case = Case.D
+        located, heads = _fold_heads(t, kids[n][0], min(kids[1], key=low.__getitem__), trace)
+        moves.update(dict.fromkeys(heads, located))
+    _note(trace, lambda: CaseTag(case, located and t.labels[located - 1], t._names(heads)))
+    return _moved(t, moves)
 
 
 def unflatten_min(t: RootedTree, m: int, trace: list | None = None) -> RootedTree:
     """Inverse of `flatten_min` for a known original min degree m."""
-    mn, mx = t.min_label, t.max_label
+    up, kids, low = t._arrays()
+    n = len(up) - 1
     if m < 1:
         raise DomainError("m must be >= 1")
-    if t.degree(mn) != 0:
+    if kids[1]:
         raise DomainError("min label must be a leaf")
-    if t.proper_on_max_path() != 0:
+    if t._proper_path():
         raise DomainError("the max-to-root path must have no proper edge")
-    if t.degree(mx) < m:
+    if len(kids[n]) < m:
         raise DomainError("max label needs at least m children")
-    if t.lower_critical() == mn:
+    lam = t._attach(n, n)
+    if lam == 1:
         raise DomainError("the lower critical node must exceed the min label")
-    under = t.is_descendant(mn, mx)
 
-    if not under and t.degree(mx) > m:
-        kids = sorted(t.children(mx), key=t.beta, reverse=True)
-        _note(trace, CaseTag(Case.A))
-        return _moved(t, dict.fromkeys(kids[:m], mn))
-
-    if not under:
-        t2 = _moved(t, dict.fromkeys(t.children(mx), mn))
-        path = t2.path_to_root(mx)[::-1]
-        pair = next(((y, c) for y, c in zip(path, path[1:]) if t2.is_proper(c)), None)
+    to_min = dict.fromkeys(kids[n], 1)
+    if len(kids[n]) > m:
+        # cases A and C: the m children of highest beta go back to the min
+        moves = dict.fromkeys(sorted(kids[n], key=low.__getitem__, reverse=True)[:m], 1)
+        if low[n] != 1:  # the min is not under the max
+            case, located = Case.A, None
+        else:
+            case, located = Case.C, lam
+            moves[next(c for c in kids[lam] if low[c] == 1)] = n
+    elif low[n] != 1:
+        # case B: y heads the first proper edge down from the root to the max in
+        # t2, where the max's children hang under the min.
+        t2 = _moved(t, to_min)
+        up, kids, low = t2._arrays()
+        path = t2._up_path(n)[::-1]
+        pair = next(((y, c) for y, c in zip(path, path[1:]) if y < low[c]), None)
         if pair is None:
             raise ReconstructionError("no proper edge on the root-to-max path")
         y, on_path = pair
-        high = [c for c in t2.children(y) if c != on_path and t2.beta(c) > y]
-        _note(trace, CaseTag(Case.B, located=y))
-        # y and the max trade places: the max takes y's parent and y's other
+        high = [c for c in kids[y] if c != on_path and low[c] > y]
+        # y and the max trade places: the max takes y's parent and other
         # children; y takes the max's place, a leaf in t2, and adopts the high
-        # children.  When the max is a child of y, the later entries hang y
-        # under it.
-        q = t2.parent(mx)
-        return _moved(t2, {**dict.fromkeys(t2.children(y), mx), **dict.fromkeys(high, y),
-                           mx: t2.parent(y) or 0, y: mx if q == y else q})
-
-    if t.degree(mx) > m:
-        x = t.lower_critical()
-        kids = sorted(t.children(mx), key=t.beta, reverse=True)
-        holder = next(c for c in t.children(x) if t.beta(c) == mn)
-        _note(trace, CaseTag(Case.C, located=x))
-        return _moved(t, {**dict.fromkeys(kids[:m], mn), holder: mx})
-
-    holder = next(c for c in t.children(mx) if t.beta(c) == mn)
-    sub = unfold_stem(t.subtree(holder), trace)
-    _note(trace, CaseTag(Case.D, located=sub.root))
-    return _moved(t, {**dict.fromkeys(t.children(mx), mn), **_graft(sub, mx)})
+        # children.  When the max is a child of y, the last entry hangs y under it.
+        q = up[n]
+        case, located = Case.B, y
+        moves = {**to_min, **dict.fromkeys(kids[y], n), **dict.fromkeys(high, y),
+                 n: up[y], y: n if q == y else q}
+    else:
+        holder = next(c for c in kids[n] if low[c] == 1)
+        located, moves = _unfold(t, holder, n, trace)
+        case, moves = Case.D, {**to_min, **moves}
+    _note(trace, lambda: CaseTag(case, located and t.labels[located - 1]))
+    return _moved(t, moves)
 
 
 # -- the rooted-tree bijection --------------------------------------------------
@@ -332,15 +322,15 @@ def rooted_fwd(t: RootedTree, trace: list | None = None) -> RootedTree:
     """R_{n,k}[deg(min)>0] -> R_{n,k+1}[deg(max)>0]: one lowering step when
     the max-to-root path has a proper edge, otherwise flatten_min followed
     by deg(min)-1 lifts."""
-    mn = t.min_label
-    if t.degree(mn) == 0:
+    kids = t._arrays()[1]
+    if not kids[1]:
         raise DomainError("min label must have a child")
-    i = t.proper_on_max_path()
-    if i >= 1:
-        _note(trace, f"route: {i} proper edges on the max path -> lower")
+    proper = t._proper_path()
+    if proper:
+        _note(trace, lambda: f"route: {len(proper)} proper edges on the max path -> lower")
         return lower(t, trace)
-    m = t.degree(mn)
-    _note(trace, f"route: flatten (m={m}) then {m - 1} lifts")
+    m = len(kids[1])
+    _note(trace, lambda: f"route: flatten (m={m}) then {m - 1} lifts")
     out = flatten_min(t, trace)
     for _ in range(m - 1):
         out = lift(out, trace)
@@ -350,14 +340,15 @@ def rooted_fwd(t: RootedTree, trace: list | None = None) -> RootedTree:
 def rooted_inv(t: RootedTree, trace: list | None = None) -> RootedTree:
     """Inverse of `rooted_fwd`: lift when deg(min)>0 or lambda is the min
     label; otherwise lower down to the zero-proper-path class and unflatten."""
-    mx = t.max_label
-    if t.degree(mx) == 0:
+    kids = t._arrays()[1]
+    n = len(kids) - 1
+    if not kids[n]:
         raise DomainError("max label must have a child")
-    if t.degree(t.min_label) > 0 or t.lower_critical() == t.min_label:
+    if kids[1] or t._attach(n, n) == 1:
         _note(trace, "route: lift")
         return lift(t, trace)
     i = t.proper_on_max_path()
-    _note(trace, f"route: {i} lowers then unflatten (m={i + 1})")
+    _note(trace, lambda: f"route: {i} lowers then unflatten (m={i + 1})")
     out = t
     for _ in range(i):
         out = lower(out, trace)
@@ -367,12 +358,10 @@ def rooted_inv(t: RootedTree, trace: list | None = None) -> RootedTree:
 # -- the min-rooted ("unrooted") bijection --------------------------------------
 
 
-def _branch_of(t: RootedTree, target: int) -> int:
-    # The child of the root whose subtree contains `target`.
-    path = t.path_to_root(target)
-    if len(path) < 2:
-        raise DomainError("target is the root")
-    return path[-2]
+def _graft(t: RootedTree, sub: RootedTree) -> dict[int, int]:
+    # position moves that put sub's labels into t as in sub, its root under t's min
+    pos = {0: 1, **{u: t._pos(u) for u in sub.labels}}
+    return {pos[u]: pos[p] for u, p in zip(sub.labels, sub.parents)}
 
 
 def unrooted_fwd(t: RootedTree, trace: list | None = None) -> RootedTree:
@@ -386,18 +375,18 @@ def unrooted_fwd(t: RootedTree, trace: list | None = None) -> RootedTree:
     second = t.labels[1]
     if t.degree(second) == 0:
         raise DomainError("second-smallest label must have a child")
-    x = _branch_of(t, second)
-    y = _branch_of(t, mx)
+    # the children of the root whose subtrees hold `second` and the max
+    x, y = t.path_to_root(second)[-2], t.path_to_root(mx)[-2]
     if x == y or t.degree(mx) > 0:
         which = "shared branch" if x == y else "max already internal"
-        _note(trace, f"case: {which}; recurse into branch {x}")
-        return _moved(t, _graft(rooted_fwd(t.subtree(x), trace), mn))
-    _note(trace, f"case: leaf max in branch {y}; swap roles across {x}/{y}")
+        _note(trace, lambda: f"case: {which}; recurse into branch {x}")
+        return _moved(t, _graft(t, rooted_fwd(t.subtree(x), trace)))
+    _note(trace, lambda: f"case: leaf max in branch {y}; swap roles across {x}/{y}")
     sub_x, sub_y = t.subtree(x), t.subtree(y)
     lifted = sub_x.relabel([u for u in sub_x.labels if u != second] + [mx])
     lowered = sub_y.relabel([second] + [u for u in sub_y.labels if u != mx])
     # the two branches trade `second` and the max, so the grafts cover them
-    return _moved(t, {**_graft(rooted_fwd(lifted, trace), mn), **_graft(lowered, mn)})
+    return _moved(t, {**_graft(t, rooted_fwd(lifted, trace)), **_graft(t, lowered)})
 
 
 def unrooted_inv(t: RootedTree, trace: list | None = None) -> RootedTree:
@@ -408,20 +397,20 @@ def unrooted_inv(t: RootedTree, trace: list | None = None) -> RootedTree:
     if t.size < 2 or t.degree(mx) == 0:
         raise DomainError("max label must have a child")
     second = t.labels[1]
-    u = _branch_of(t, mx)
-    v = _branch_of(t, second)
+    # the children of the root whose subtrees hold the max and `second`
+    u, v = t.path_to_root(mx)[-2], t.path_to_root(second)[-2]
     if u == v:
-        _note(trace, f"case: shared branch; recurse into branch {u}")
-        return _moved(t, _graft(rooted_inv(t.subtree(u), trace), mn))
+        _note(trace, lambda: f"case: shared branch; recurse into branch {u}")
+        return _moved(t, _graft(t, rooted_inv(t.subtree(u), trace)))
     sub_v = t.subtree(v)
     if sub_v.degree(sub_v.max_label) > 0:
-        _note(trace, f"case: branch {v} max internal; recurse into it")
-        return _moved(t, _graft(rooted_inv(sub_v, trace), mn))
-    _note(trace, f"case: swapped roles; recurse into branch {u} and relabel")
+        _note(trace, lambda: f"case: branch {v} max internal; recurse into it")
+        return _moved(t, _graft(t, rooted_inv(sub_v, trace)))
+    _note(trace, lambda: f"case: swapped roles; recurse into branch {u} and relabel")
     back = rooted_inv(t.subtree(u), trace)
     restored_x = back.relabel([second] + [w for w in back.labels if w != mx])
     restored_y = sub_v.relabel([w for w in sub_v.labels if w != second] + [mx])
-    return _moved(t, {**_graft(restored_x, mn), **_graft(restored_y, mn)})
+    return _moved(t, {**_graft(t, restored_x), **_graft(t, restored_y)})
 
 
 # -- coloring equivalence and the fresh-root map ---------------------------------

@@ -194,16 +194,26 @@ class RootedTree:
     def proper_on_max_path(self) -> int:
         """Number of proper edges on the path from the max label to the root
         (0 when the max label is the root)."""
-        up, _, low = self._arrays()
-        return sum(up[i] < low[i] for i in self._up_path(len(self.labels))[:-1])
+        return len(self._proper_path())
 
     def upper_critical(self) -> int:
         """Head of the first proper edge on the max-to-root path."""
+        proper = self._proper_path()
+        if not proper:
+            raise TreeError("no proper edge on the path from the max label")
+        return self.labels[self._arrays()[0][proper[0]] - 1]
+
+    def _proper_path(self) -> list[int]:
+        # the positions on the max-to-root path whose entering edge is
+        # proper, nearest the max first
         up, _, low = self._arrays()
-        for i in self._up_path(len(self.labels))[:-1]:
+        out = []
+        i = len(up) - 1
+        while up[i]:
             if up[i] < low[i]:
-                return self.labels[up[i] - 1]
-        raise TreeError("no proper edge on the path from the max label")
+                out.append(i)
+            i = up[i]
+        return out
 
     def lower_critical(self) -> int:
         """First node u past the max label on the path toward beta(max) that
@@ -243,19 +253,22 @@ class RootedTree:
         """First node past the min label on the min-to-root path that is
         smaller than everything outside its subtree; the root qualifies
         vacuously.  Defined whenever the min label is not the root."""
-        _, kids, low = self._arrays()
-        path = self._up_path(1)
+        return self.labels[self._mu(self._up_path(1)) - 1]
+
+    def _mu(self, path: list[int]) -> int:
+        # mu by position in the subtree of path[-1], given the path up to it
+        # from the min.  Walk down keeping the minimum outside the current
+        # subtree; the last node that qualifies is the first seen from the min.
         if len(path) == 1:
             raise TreeError("min label is the root")
-        # Walk root-down keeping the minimum outside the current subtree; the
-        # last node that qualifies is the first one seen from the min.
+        _, kids, low = self._arrays()
         out = len(kids)  # above every position
         for j in range(len(path) - 1, 0, -1):
             u = path[j]
             if u < out:
                 found = u
             out = min(out, u, *[low[c] for c in kids[u] if c != path[j - 1]])
-        return self.labels[found - 1]
+        return found
 
     def alpha(self) -> int:
         """max{beta(b) : b child of the max label}."""
@@ -341,12 +354,11 @@ def _from_pmap(pmap: Mapping[int, int]) -> RootedTree:
 
 
 def _moved(t: RootedTree, moves: Mapping[int, int]) -> RootedTree:
-    # Trusted internal constructor for surgery results: t with each label of
-    # `moves` re-hung under its new parent label (0 for the root), on the
-    # same labels.
+    # Trusted constructor for surgery results: t, on the same labels, with each
+    # position of `moves` re-hung under its new parent position (0: the root).
     parents = list(t.parents)
-    for v, p in moves.items():
-        parents[t._pos(v) - 1] = p
+    for i, p in moves.items():
+        parents[i - 1] = t.labels[p - 1] if p else 0
     return RootedTree(t.labels, tuple(parents))
 
 

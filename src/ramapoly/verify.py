@@ -248,14 +248,6 @@ def check_recurrences(nmax: int) -> VerificationReport:
 # -- enumeration identities ------------------------------------------------------
 
 
-def _poly_from_counts(counts: Counter) -> IntPoly:
-    # counts maps exponent -> multiplicity
-    if not counts:
-        return IntPoly()
-    top = max(counts)
-    return IntPoly(counts.get(j, 0) for j in range(top + 1))
-
-
 def _k_deg1(t: RootedTree) -> tuple[int, int]:
     return t.improper_count(), t.degree(1)
 
@@ -279,12 +271,12 @@ def _unrooted_summary(size: int):
 
 
 def _deg1_poly(counter: Counter, k: int) -> IntPoly:
-    # sum of x^(deg(1)-1) over the class with k improper edges
-    exps = Counter()
+    # sum of x^(deg(1)-1) over the class with k improper edges; the root 1 has deg(1) >= 1
+    coeffs = [0] * max([d for _, d in counter], default=0)
     for (kk, d), c in counter.items():
         if kk == k:
-            exps[d - 1] += c
-    return _poly_from_counts(exps)
+            coeffs[d - 1] += c
+    return IntPoly(coeffs)
 
 
 @_timed
@@ -361,10 +353,6 @@ def check_identities(nmax: int) -> VerificationReport:
 # -- bijection certification ------------------------------------------------------
 
 
-def _labels(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n + 1))
-
-
 def _bijects(labels: tuple[int, ...], items: list, cod: set,
              fwd: Callable[[RootedTree], RootedTree],
              inv: Callable[[RootedTree], RootedTree]) -> bool:
@@ -385,7 +373,7 @@ def _bijects(labels: tuple[int, ...], items: list, cod: set,
 
 
 def _certify_rooted(rep: VerificationReport, n: int) -> None:
-    labels = _labels(n)
+    labels = tuple(range(1, n + 1))
     dom: dict = defaultdict(list)
     cod: dict = defaultdict(set)
     dom_path: dict = defaultdict(list)
@@ -438,6 +426,7 @@ def _certify_rooted(rep: VerificationReport, n: int) -> None:
         ok = _bijects(labels, items, cod_restricted.get((k + 1, i - 1, m + 1), set()),
                       bj.lower, bj.lift)
         rep.note(f"restricted lowering n={n} k={k} i={i} deg(max)={m}", ok)
+    cases: Counter = Counter()  # flatten dispatches by reported case
     for (k, m), items in sorted(dom_flat.items()):
         miscased = []
 
@@ -447,6 +436,7 @@ def _certify_rooted(rep: VerificationReport, n: int) -> None:
             trace: list = []
             u = bj.flatten_min(t, trace)
             tag = next(e for e in reversed(trace) if isinstance(e, bj.CaseTag))
+            cases[tag.case.value] += 1
             tight = u.degree(n) == m
             case = ("D" if tight else "C") if u.is_descendant(1, n) else ("B" if tight else "A")
             if tag.case.value != case:
@@ -456,6 +446,9 @@ def _certify_rooted(rep: VerificationReport, n: int) -> None:
         ok = _bijects(labels, items, cod_flat.get((k + m, m), set()), flatten,
                       lambda u: bj.unflatten_min(u, m))
         rep.note(f"flatten classes n={n} k={k} m={m}", ok and not miscased)
+    # every case fires from n = 5 on (case A needs five labels)
+    rep.note(f"flatten cases n={n}", n < 5 or all(cases[c] for c in "ABCD"),
+             " ".join(f"{c}={cases[c]}" for c in "ABCD"))
     for (k, w), items in sorted(dom_fold.items()):
         ok = _bijects(labels, items, cod_fold.get((k + 1, w), set()), bj.fold_stem,
                       bj.unfold_stem)
@@ -463,7 +456,7 @@ def _certify_rooted(rep: VerificationReport, n: int) -> None:
 
 
 def _certify_unrooted(rep: VerificationReport, size: int) -> None:
-    labels = _labels(size)
+    labels = tuple(range(1, size + 1))
     dom: dict = defaultdict(list)
     cod: dict = defaultdict(set)
     for t in enumerate_unrooted(size):
@@ -511,20 +504,23 @@ def _certify_small_maps(rep: VerificationReport, n: int) -> None:
     pairs = 0
     root_images: dict = defaultdict(set)
     ok_color = ok_root = True
-    for t in enumerate_rooted(n):
-        k = t.improper_count()
-        kids = t.children(1)
-        for size in range(len(kids) + 1):
-            for black in combinations(kids, size):
-                u = bj.color_split(bj.ColoredRootedTree(t, frozenset(black)))
-                back = bj.color_merge(u)
-                ok_color &= u.improper_count() == k
-                ok_color &= back.tree == t and back.black == frozenset(black)
-                split_images.add(u.parents)
-                pairs += 1
-        u = bj.insert_root(t)
-        ok_root &= bj.extract_root(u) == t
-        root_images[(k, t.degree(1) + 1)].add(u.parents)
+    try:
+        for t in enumerate_rooted(n):
+            k = t.improper_count()
+            kids = t.children(1)
+            for size in range(len(kids) + 1):
+                for black in combinations(kids, size):
+                    u = bj.color_split(bj.ColoredRootedTree(t, frozenset(black)))
+                    back = bj.color_merge(u)
+                    ok_color &= u.improper_count() == k
+                    ok_color &= back.tree == t and back.black == frozenset(black)
+                    split_images.add(u.parents)
+                    pairs += 1
+            u = bj.insert_root(t)
+            ok_root &= bj.extract_root(u) == t
+            root_images[(k, t.degree(1) + 1)].add(u.parents)
+    except ValueError:  # a map rejected a tree of its class: both image sets fall short
+        ok_color = ok_root = False
     ok_color &= pairs == len(split_images) == (n + 1) ** (n - 1)
     rep.note(f"color split/merge n={n} ({pairs} colored trees)", ok_color)
     cod: dict = defaultdict(set)
@@ -542,11 +538,14 @@ def certify_plane(rep: VerificationReport, n: int) -> None:
     img = set()
     ok = True
     cnt = 0
-    for t in enumerate_rooted(n, ClassFilter(k=n - 1)):
-        p = bj.plane_fwd(t)
-        ok &= bj.plane_inv(p) == t
-        img.add(p)
-        cnt += 1
+    try:
+        for t in enumerate_rooted(n, ClassFilter(k=n - 1)):
+            p = bj.plane_fwd(t)
+            ok &= bj.plane_inv(p) == t
+            img.add(p)
+            cnt += 1
+    except ValueError:  # a map rejected a tree of its class
+        ok = False
     target = double_factorial(2 * n - 3)
     ok &= cnt == len(img) == target == len(expected)
     ok &= img == expected

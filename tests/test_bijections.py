@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import hypothesis.strategies as st
@@ -10,7 +11,7 @@ from ramapoly.bijections import (Case, CaseTag, ColoredRootedTree, DomainError,
                                  lower, plane_fwd, plane_inv, rooted_fwd,
                                  rooted_inv, unflatten_min, unfold_stem,
                                  unrooted_fwd, unrooted_inv)
-from ramapoly.trees import (ClassFilter, build, enumerate_rooted,
+from ramapoly.trees import (ClassFilter, RootedTree, build, enumerate_rooted,
                             enumerate_unrooted, plane_from_text, plane_to_text,
                             tree_from_text, tree_to_text)
 from ramapoly.verify import double_factorial
@@ -423,3 +424,63 @@ def test_unrooted_round_trip_random_labels(t):
         assert v.improper_count() == t.improper_count() - 1
         assert v.degree(v.root) == t.degree(t.root)
         assert unrooted_fwd(v) == t
+
+
+# -- label equivariance -------------------------------------------------------------
+
+SPARSE = (2, 5, 7, 11, 13, 17)
+
+# the maps that work on any label set, with unflatten_min at m = 1, 2, 3
+ANY_LABELS = {
+    "lower": lower, "lift": lift, "fold_stem": fold_stem, "unfold_stem": unfold_stem,
+    "flatten_min": flatten_min,
+    **{f"unflatten_min m={m}": (lambda t, trace, m=m: unflatten_min(t, m, trace))
+       for m in (1, 2, 3)},
+    "rooted_fwd": rooted_fwd, "rooted_inv": rooted_inv,
+    "unrooted_fwd": unrooted_fwd, "unrooted_inv": unrooted_inv,
+}
+
+
+def _outcome(fn, t):
+    # (result, trace) or (exception type, message); the trace keeps only the
+    # CaseTag records
+    trace = []
+    try:
+        out = fn(t, trace)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return out, [e for e in trace if isinstance(e, CaseTag)]
+
+
+def _plane_relabel(p, labels):
+    return plane_from_text(re.sub(r"\d+", lambda m: str(labels[int(m.group()) - 1]),
+                                  plane_to_text(p)))
+
+
+def test_maps_commute_with_relabeling():
+    # Every map sees only the order of the labels: on a tree moved onto a
+    # sparse label set it gives the moved result, the same error, or the
+    # CaseTags with their labels moved.  The four maps defined on [n] only
+    # reject the moved tree.
+    for n in range(1, 7):
+        s = SPARSE[:n]
+        for t in enumerate_rooted(n):
+            ts = t.relabel(s)
+            for name, fn in ANY_LABELS.items():
+                want, got = _outcome(fn, t), _outcome(fn, ts)
+                if isinstance(want[0], RootedTree):
+                    want = (want[0].relabel(s), [
+                        CaseTag(e.case, None if e.located is None else s[e.located - 1],
+                                tuple(s[b - 1] for b in e.boundaries)) for e in want[1]])
+                assert got == want, (name, t)
+            if t.improper_count() == n - 1:
+                p = plane_fwd(t)
+                assert plane_fwd(ts) == _plane_relabel(p, s)
+                assert plane_inv(_plane_relabel(p, s)) == ts
+            else:
+                with pytest.raises(DomainError, match="every edge must be improper"):
+                    plane_fwd(ts)
+            for fn in (color_merge, insert_root, extract_root,
+                       lambda u: color_split(ColoredRootedTree(u))):
+                with pytest.raises(DomainError):
+                    fn(ts)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 import ramapoly.cli as cli
-from ramapoly import trees, verify
+from ramapoly import bijections as bj, trees, verify
 from ramapoly.cli import main
 from ramapoly.trees import (ClassFilter, enumerate_rooted, enumerate_unrooted,
                             plane_from_text, tree_from_text, tree_to_text)
@@ -192,6 +192,20 @@ def test_verify_conjecture_fails_on_a_recurrence_mismatch(capsys, monkeypatch):
     code, out, _ = run(capsys, ["verify", "--suite", "conjecture", "--nmax", "5"])
     assert code == 1 and "suite conjecture: FAIL" in out
     assert "lambda recurrence n=5" in out and "lambda recurrence n=4" not in out
+
+
+@pytest.mark.parametrize("name", ["plane_inv", "extract_root"])
+def test_verify_map_rejecting_its_class_fails_the_record(capsys, monkeypatch, name):
+    # a map that raises on a tree of its own class is a verification
+    # failure (exit 1), not a usage error (exit 2)
+    def reject(*args, **kwargs):
+        raise bj.DomainError("injected")
+
+    monkeypatch.setattr(bj, name, reject)
+    code, out, err = run(capsys, ["verify", "--suite", "bijections", "--nmax", "3"])
+    assert code == 1 and err == ""
+    assert any(ln.startswith("[FAIL] ") for ln in out.splitlines())
+    assert "suite bijections: FAIL" in out
 
 
 def test_verify_all_runs_every_suite_in_table_order(capsys):

@@ -138,7 +138,8 @@ def test_certifier_fails_injected_faults(monkeypatch):
     monkeypatch.setattr(bj, "flatten_min", miscased)
     assert [r.name for r in check_bijections(5).failures] == [
         "flatten classes n=4 k=2 m=1", "flatten classes n=5 k=2 m=1",
-        "flatten classes n=5 k=2 m=2", "flatten classes n=5 k=3 m=1"]
+        "flatten classes n=5 k=2 m=2", "flatten classes n=5 k=3 m=1",
+        "flatten cases n=5"]  # no case C is reported at n = 5
     monkeypatch.undo()
     # an identity lift breaks every map built on it, and only those
     monkeypatch.setattr(bj, "lift", lambda t, trace=None: t)
@@ -146,3 +147,12 @@ def test_certifier_fails_injected_faults(monkeypatch):
                "restricted lowering", "min-rooted bijection", "min-rooted inverse round-trip")
     assert [r.name for r in check_bijections(5).failures] == [
         r.name for r in clean.results if r.name.startswith(on_lift)]
+
+
+def test_flatten_case_counts():
+    # one record per n counts the flatten dispatches; from n = 5 on it
+    # fails unless all four cases fire (case A first fires at n = 5)
+    cases = {r.name: r for r in check_bijections(5).results if r.name.startswith("flatten cases")}
+    assert list(cases) == [f"flatten cases n={n}" for n in range(2, 6)]
+    assert cases["flatten cases n=4"].actual == "A=0 B=1 C=1 D=7" and cases["flatten cases n=4"].ok
+    assert cases["flatten cases n=5"].actual == "A=2 B=17 C=14 D=64" and cases["flatten cases n=5"].ok
