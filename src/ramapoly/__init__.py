@@ -3,12 +3,10 @@ improper-edge statistics of labeled trees behind them, the constructive
 bijections connecting the tree classes, and exhaustive-enumeration
 verification of all of it at desk scale."""
 
-from .bijections import (Case, CaseTag, ColoredRootedTree, DomainError,
-                         ReconstructionError, color_merge, color_split,
-                         extract_root, flatten_min, fold_stem, insert_root,
-                         lift, lower, plane_fwd, plane_inv, rooted_fwd,
-                         rooted_inv, unflatten_min, unfold_stem, unrooted_fwd,
-                         unrooted_inv)
+from .bijections import (Case, CaseTag, ColoredRootedTree, DomainError, color_merge,
+                         color_split, extract_root, flatten_min, fold_stem, insert_root,
+                         lift, lower, plane_fwd, plane_inv, rooted_fwd, rooted_inv,
+                         unflatten_min, unfold_stem, unrooted_fwd, unrooted_inv)
 from .polynomials import (IntPoly, f, psi_bew, psi_ramanujan, q_from_psi, q_shor,
                           q_shor_alt, q_zeng_a, q_zeng_b)
 from .series import genfun_mismatch

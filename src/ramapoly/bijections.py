@@ -53,7 +53,6 @@ from .trees import PlaneTree, RootedTree, _from_pmap, _moved
 
 __all__ = [
     "DomainError",
-    "ReconstructionError",
     "Case",
     "CaseTag",
     "ColoredRootedTree",
@@ -77,10 +76,6 @@ __all__ = [
 
 class DomainError(ValueError):
     """Input outside a map's stated domain."""
-
-
-class ReconstructionError(ValueError):
-    """An inverse map's structural invariants failed: corrupt input."""
 
 
 class Case(Enum):
@@ -207,9 +202,8 @@ def _unfold(t: RootedTree, top: int, parent: int, trace: list | None) -> tuple[i
     _, kids, low = t._arrays()
     path = t._up_path(1)
     w = t._mu(path[:path.index(top) + 1])
+    # heads[-1] holds the min: the domain checks (min not root, lambda > min) put it below top
     heads = sorted([c for c in kids[w] if low[c] < w], key=low.__getitem__, reverse=True)
-    if not heads or low[heads[-1]] != 1:
-        raise ReconstructionError("the min label must lie under the fold node")
     bounds = [w] + [low[r] for r in heads[:-1]]
     attach = [t._attach(r, b) for r, b in zip(heads, bounds)]
     _note(trace, lambda: f"unfold: w={t.labels[w - 1]} segment heads {t._names(heads)} "
@@ -295,10 +289,8 @@ def unflatten_min(t: RootedTree, m: int, trace: list | None = None) -> RootedTre
         t2 = _moved(t, to_min)
         up, kids, low = t2._arrays()
         path = t2._up_path(n)[::-1]
-        pair = next(((y, c) for y, c in zip(path, path[1:]) if y < low[c]), None)
-        if pair is None:
-            raise ReconstructionError("no proper edge on the root-to-max path")
-        y, on_path = pair
+        # found: deg(max) = m and low[n] != 1 make the max a non-root leaf of t2, its edge proper
+        y, on_path = next((y, c) for y, c in zip(path, path[1:]) if y < low[c])
         high = [c for c in kids[y] if c != on_path and low[c] > y]
         # y and the max trade places: the max takes y's parent and other
         # children; y takes the max's place, a leaf in t2, and adopts the high

@@ -257,7 +257,7 @@ def main(argv: list[str] | None = None) -> int:
     sys.set_int_max_str_digits(0)  # exact values print in full, however long
     try:
         return handlers[args.command](args)
-    except ValueError as exc:  # TreeError, DomainError and ReconstructionError too
+    except ValueError as exc:  # TreeError and DomainError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -61,6 +61,30 @@ class DisconnectedError(TreeError):
     """Not a single tree: no root, several roots, or unreachable nodes."""
 
 
+def _descend(kids: Sequence, low: Sequence[int], i: int, bound: int) -> int:
+    # The first position z on the downward path from position i toward
+    # beta(i) that is below `bound` and below every position in the subtree
+    # of i outside the subtree of z (i itself passes the second test
+    # vacuously); 0 when there is none.  Every z on the path is at least
+    # beta(i), which passes the second test, so there is one iff beta(i) is
+    # below `bound`.  `kids` and `low` come from a tree's core or `_prefixes`.
+    target = low[i]
+    if target >= bound:
+        return 0
+    out = len(kids)  # above every position
+    while i >= bound or i >= out:
+        if i < out:
+            out = i
+        for c in kids[i]:
+            b = low[c]
+            if b == target:
+                nxt = c
+            elif b < out:
+                out = b
+        i = nxt
+    return i
+
+
 class RootedTree:
     """Immutable rooted tree over a sorted tuple of distinct positive labels.
 
@@ -178,14 +202,6 @@ class RootedTree:
         """Minimum label in the subtree rooted at v."""
         return self.labels[self._arrays()[2][self._pos(v)] - 1]
 
-    def is_proper(self, c: int) -> bool:
-        """True iff the edge entering c from its parent is proper."""
-        i = self._pos(c)
-        up, _, low = self._arrays()
-        if not up[i]:
-            raise TreeError("the root has no entering edge")
-        return up[i] < low[i]
-
     def improper_count(self) -> int:
         up, _, low = self._arrays()
         # the root's parent slot 0 never exceeds a position
@@ -195,13 +211,6 @@ class RootedTree:
         """Number of proper edges on the path from the max label to the root
         (0 when the max label is the root)."""
         return len(self._proper_path())
-
-    def upper_critical(self) -> int:
-        """Head of the first proper edge on the max-to-root path."""
-        proper = self._proper_path()
-        if not proper:
-            raise TreeError("no proper edge on the path from the max label")
-        return self.labels[self._arrays()[0][proper[0]] - 1]
 
     def _proper_path(self) -> list[int]:
         # the positions on the max-to-root path whose entering edge is
@@ -226,28 +235,7 @@ class RootedTree:
         return self.labels[i - 1]
 
     def _attach(self, i: int, bound: int) -> int:
-        # The first position z on the downward path from position i toward
-        # beta(i) that is below `bound` and below every position in the
-        # subtree of i outside the subtree of z (i itself passes the second
-        # test vacuously); 0 when there is none.  Every z on the path is at
-        # least beta(i), which passes the second test, so there is one iff
-        # beta(i) is below `bound`.
-        _, kids, low = self._arrays()
-        target = low[i]
-        if target >= bound:
-            return 0
-        out = len(kids)  # above every position
-        while i >= bound or i >= out:
-            if i < out:
-                out = i
-            for c in kids[i]:
-                b = low[c]
-                if b == target:
-                    nxt = c
-                elif b < out:
-                    out = b
-            i = nxt
-        return i
+        return _descend(*self._arrays()[1:], i, bound)
 
     def mu(self) -> int:
         """First node past the min label on the min-to-root path that is
@@ -269,13 +257,6 @@ class RootedTree:
                 found = u
             out = min(out, u, *[low[c] for c in kids[u] if c != path[j - 1]])
         return found
-
-    def alpha(self) -> int:
-        """max{beta(b) : b child of the max label}."""
-        _, kids, low = self._arrays()
-        if not kids[-1]:
-            raise TreeError("max label is a leaf")
-        return self.labels[max([low[b] for b in kids[-1]]) - 1]
 
     def beta_star(self) -> int:
         """min{beta(a) : a child of the min label}."""
@@ -470,26 +451,37 @@ class ClassFilter:
 # -- enumeration ---------------------------------------------------------------
 
 
-def _prefixes(n: int) -> Iterator[tuple[tuple[int, ...], int, list[int]]]:
-    # Every parent assignment (p_1..p_{n-1}) that the max label n completes
-    # into a rooted tree on [n], in lexicographic order, as (prefix, r,
-    # free): r is the root among 1..n-1 (0 when there is none, so n must be
-    # the root) and `free` lists, in increasing order, the labels outside the
-    # subtree of n, under which n may hang.  An explicit stack walks the
+def _prefixes(n: int) -> Iterator[tuple[list[int], tuple[int, ...], list, list[int], int]]:
+    # Every parent assignment p_1..p_{n-1} that the max label n completes
+    # into a rooted tree on [n], in lexicographic order, with the live forest
+    # it makes on [n] (changed when the next one is asked for), as (p, free,
+    # kids, low, k): p[i] is the parent of i, `free` the labels outside the
+    # subtree of n, under which n may hang, kids[v] the children of v
+    # (kids[0] holds the root among 1..n-1, if any; n, a root, is in none),
+    # low[v] the least label in the subtree of v, and k the number of
+    # improper edges; all lists are increasing.  An explicit stack walks the
     # levels 1..n-2 depth first; the last level n-1 is expanded in place.
+    kids, low = [[] for _ in range(n + 1)], list(range(n + 1))
     if n == 1:
-        yield (), 0, []
+        yield [0], (), kids, low, 0
         return
     last = n - 1
     p = [0] * n
     # head[i]: where the parent walk from i first left 1..i-1 when i was
     # assigned (0 at the root).  It exceeds i, so walks over heads climb.
     head = [0] * n
-    roots = [0] * n  # roots[i]: the root among 1..i (0 while there is none)
+    # side[h]: the labels, as a bit mask, of the tree whose root is h, with
+    # h = 0 for the root among 1..i; sets[m]: the labels of mask m
+    side = [0] + [1 << v for v in range(1, n + 1)]
+    sets = [tuple([v for v in range(1, n) if m >> v & 1]) for m in range(1 << n)]
+    # Level i's undo record: ks[i], k once i hangs, and the pairs (a, old
+    # low[a]) that hanging i pushed onto the trail after marks[i].
+    ks, marks = [0] * n, [0] * n
+    trail: list[int] = []
 
     def options(i: int) -> list[tuple[int, int]]:
         # (parent, head) for each parent of i that closes no cycle
-        out = [] if roots[i - 1] else [(0, 0)]
+        out = [] if kids[0] else [(0, 0)]
         for q in range(1, n + 1):
             h = q
             while 0 < h < i:
@@ -498,65 +490,81 @@ def _prefixes(n: int) -> Iterator[tuple[tuple[int, ...], int, list[int]]]:
                 out.append((q, h))
         return out
 
+    def hang(i: int, q: int) -> None:
+        # Hang the root i under q.  The subtrees of q and its ancestors gain
+        # low[i], and an edge (u, a) above them turns improper when low[a]
+        # falls below u; low[0] = 0 stops the walk above a root.
+        kids[q].append(i)
+        b = low[i]
+        marks[i] = len(trail)
+        k = ks[i - 1] + (q > b)
+        a = q
+        while low[a] > b:
+            u = p[a] if a < i else 0  # a > i is a root still
+            if b < u < low[a]:
+                k += 1
+            trail.append(a)
+            trail.append(low[a])
+            low[a] = b
+            a = u
+        ks[i] = k
+
+    def unhang(i: int) -> None:
+        kids[p[i]].pop()
+        mark = marks[i]
+        while len(trail) > mark:
+            old = trail.pop()
+            low[trail.pop()] = old
+
     stack: list = []  # stack[i - 1]: the untried options of level i < last
     while True:
         if len(stack) < last - 1:
-            stack.append(iter(options(len(stack) + 1)))
+            i = len(stack) + 1
+            stack.append(iter(options(i)))
+            nxt = next(stack[-1])  # n is always an option
         else:
-            # Levels 1..last-1 are set, so each walk ends at 0, last or n.
-            # The labels ending at last join the root's side unless p_last
-            # sends last itself into the subtree of n.
-            fin = head[:]
-            for j in range(last - 1, 0, -1):
-                if 0 < head[j] < last:
-                    fin[j] = fin[head[j]]
-            rooted = [j for j in range(1, last) if not fin[j]]
-            joined = [j for j in range(1, last) if fin[j] in (0, last)] + [last]
-            r = roots[last - 1]
+            # last joins the root's side unless it hangs in the tree of n
+            rooted, joined = sets[side[0]], sets[side[0] | side[last]]
             for p[last], h in options(last):
-                yield tuple(p[1:]), r or (0 if p[last] else last), rooted if h else joined
-        while stack:  # advance the deepest level that has an option left
-            nxt = next(stack[-1], None)
-            if nxt is not None:
-                break
-            stack.pop()
-        else:
-            return
-        i = len(stack)
+                hang(last, p[last])
+                yield p, rooted if h else joined, kids, low, ks[last]
+                unhang(last)
+            while stack:  # advance the deepest level that has an option left
+                i = len(stack)
+                side[head[i]] ^= side[i]
+                unhang(i)
+                nxt = next(stack[-1], None)
+                if nxt is not None:
+                    break
+                stack.pop()
+            else:
+                return
         p[i], head[i] = nxt
-        roots[i] = roots[i - 1] or (0 if p[i] else i)
+        side[head[i]] |= side[i]
+        hang(i, p[i])
 
 
 def _k_lambda_counts(n: int) -> Counter:
     # (k, lambda) -> count over all rooted trees on [n], lambda None where the
     # max label is a leaf.  The trees completing one prefix differ only in
     # the parent q of n, so they share the subtree M of n, lambda = lambda(M)
-    # and every edge off the path from q to the root.  One representative
-    # per prefix, n under the prefix's root r, is read through the core.
-    # Hanging n under q instead changes the edge into n (improper iff
-    # q > b = beta(n)) and the edges (up[c], c) on the path from q to r,
-    # whose subtrees gain b: such an edge turns improper iff
-    # b < up[c] < low[c].  The walk from r adds those up top-down.
-    labels = tuple(range(1, n + 1))
+    # and every edge off the path from q to the root, all read from the
+    # prefix forest with b = beta(n).  Hanging n under q adds the edge into
+    # n (improper iff q > b), and the edge (u, c) on the path turns improper
+    # iff b < u < low[c]; the walk from the root adds those up top-down.
     rows = [[0] * n for _ in range(n + 1)]  # rows[lambda or 0][k]
-    for prefix, r, free in _prefixes(n):
-        t = RootedTree(labels, prefix + (r,))
-        _, kids, low = t._arrays()
-        k = t.improper_count()
+    for _, _, kids, low, k in _prefixes(n):
         if not kids[n]:  # b = n: no parent of n moves k (n = 1 is its own root)
-            rows[0][k] += len(free) or 1
+            rows[0][k] += n - 1 or 1
             continue
-        row = rows[t._attach(n, n)]
-        if not r:  # n is the root
-            row[k] += 1
-            continue
+        row = rows[_descend(kids, low, n, n)]
         b = low[n]
-        todo = [(r, k - (r > b))]
+        # from the root, or from slot 0 when n must be the root: one tree
+        todo = [(kids[0][0] if kids[0] else 0, k)]
         for u, d in todo:  # the list grows while it is walked
             row[d + (u > b)] += 1
             for c in kids[u]:
-                if c != n:
-                    todo.append((c, d + (b < u < low[c])))
+                todo.append((c, d + (b < u < low[c])))
     return Counter({(k, lam or None): c
                     for lam, row in enumerate(rows) for k, c in enumerate(row) if c})
 
@@ -567,7 +575,8 @@ def enumerate_rooted(n: int, filt: ClassFilter | None = None) -> Iterator[Rooted
     if n < 1:
         raise ValueError("n must be positive")
     labels = tuple(range(1, n + 1))
-    for prefix, _, free in _prefixes(n):
+    for p, free, _, _, _ in _prefixes(n):
+        prefix = tuple(p[1:])
         for q in free or (0,):
             t = RootedTree(labels, prefix + (q,))
             if filt is None or filt.matches(t):

@@ -16,7 +16,7 @@ from ramapoly.trees import (ClassFilter, RootedTree, build, enumerate_rooted,
                             tree_from_text, tree_to_text)
 from ramapoly.verify import double_factorial
 
-from conftest import rooted_trees
+from conftest import o_upper_critical, rooted_trees
 import golden
 
 tt = tree_from_text
@@ -50,7 +50,7 @@ def test_lower_statistic_deltas():
         for t in enumerate_rooted(n):
             if t.proper_on_max_path() < 1:
                 continue
-            w = t.upper_critical()
+            w = o_upper_critical(t)
             u = lower(t)
             assert u.improper_count() == t.improper_count() + 1
             assert u.proper_on_max_path() == t.proper_on_max_path() - 1

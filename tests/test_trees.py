@@ -6,13 +6,13 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from ramapoly.trees import (ClassFilter, CycleError, DisconnectedError, LabelError, PlaneTree,
-                            TreeError, _k_lambda_counts, build, enumerate_rooted,
-                            enumerate_unrooted, plane_from_text, plane_to_text,
-                            tree_from_text, tree_to_text)
+                            RootedTree, TreeError, _k_lambda_counts, _prefixes, build,
+                            enumerate_rooted, enumerate_unrooted, plane_from_text,
+                            plane_to_text, tree_from_text, tree_to_text)
 
 import conftest as oc
 from conftest import rooted_trees
-from golden import SIXTEEN_DEG1, SIXTEEN_DEG4
+from golden import CENSUS_8, SIXTEEN_DEG1, SIXTEEN_DEG4
 
 tt = tree_from_text
 
@@ -63,11 +63,9 @@ def chain_4132():
 
 def test_is_proper():
     t = chain_4132()
-    assert t.is_proper(3) is True
-    assert t.is_proper(1) is False
-    assert build(1, {2: 1}).is_proper(2) is True
-    with pytest.raises(TreeError):
-        t.is_proper(4)
+    assert oc.o_is_proper(t, 3) is True
+    assert oc.o_is_proper(t, 1) is False
+    assert oc.o_is_proper(build(1, {2: 1}), 2) is True
 
 
 def test_improper_count():
@@ -98,10 +96,8 @@ def test_proper_on_max_path():
 
 
 def test_upper_critical():
-    assert tt("2 0 4 2 9 4 2 9 6").upper_critical() == 4
-    assert tt("2 0 1").upper_critical() == 1
-    with pytest.raises(TreeError):
-        build(3, {2: 3, 1: 2}).upper_critical()
+    assert oc.o_upper_critical(tt("2 0 4 2 9 4 2 9 6")) == 4
+    assert oc.o_upper_critical(tt("2 0 1")) == 1
 
 
 def test_lower_critical():
@@ -121,10 +117,8 @@ def test_mu():
 
 def test_alpha_beta_star():
     fig = tt("2 0 4 6 9 9 2 9 2")
-    assert fig.alpha() == 8
+    assert oc.o_alpha(fig) == 8
     assert build(1, {2: 1, 3: 1}).beta_star() == 2
-    with pytest.raises(TreeError):
-        build(1, {2: 1}).alpha()
     with pytest.raises(TreeError):
         build(2, {1: 2}).beta_star()
 
@@ -199,6 +193,30 @@ def test_k_lambda_counts_match_oracles_and_per_tree_methods():
     assert _k_lambda_counts(7) == Counter(map(_k_lambda_by_methods, enumerate_rooted(7)))
 
 
+def test_k_lambda_counts_match_golden_census_at_eight():
+    assert _k_lambda_counts(8) == CENSUS_8
+
+
+def test_prefix_forest_matches_its_parent_tuple():
+    # The live forest of each prefix against one rebuilt from the prefix
+    # alone.  A virtual root n + 1 above the forest's roots (n, and the root
+    # among 1..n-1 if any) makes it one tree whose subtrees are the forest's;
+    # each edge out of n + 1 is improper.  Once the walk is exhausted, every
+    # hang must be undone.
+    for n in range(1, 7):
+        live = None
+        for p, free, kids, low, k in _prefixes(n):
+            live = live or (kids, low)
+            top = n + 1
+            t = RootedTree(tuple(range(1, top + 1)),
+                           tuple([q or top for q in p[1:]]) + (top, 0))
+            assert free == tuple(v for v in range(1, n) if n not in oc.o_path_to_root(t, v))
+            assert kids == [[u for u in range(1, n) if p[u] == v] for v in range(top)]
+            assert low == [0] + [oc.o_beta(t, v) for v in range(1, top)]
+            assert k == oc.o_improper_count(t) - 1 - (0 in p[1:])
+        assert live == ([[] for _ in range(n + 1)], list(range(n + 1)))
+
+
 def test_enumerate_filtered_sixteen_tree_classes():
     got1 = {t.parents for t in enumerate_rooted(4, ClassFilter(k=1, deg_min=">0"))}
     assert got1 == SIXTEEN_DEG1
@@ -227,12 +245,7 @@ def test_stats_match_definitional_oracles_exhaustively():
             m = oc.o_mu(t)
             if m is not None:
                 assert t.mu() == m
-            uc = oc.o_upper_critical(t)
-            if uc is not None:
-                assert t.upper_critical() == uc
-            a, bs = oc.o_alpha(t), oc.o_beta_star(t)
-            if a is not None:
-                assert t.alpha() == a
+            bs = oc.o_beta_star(t)
             if bs is not None:
                 assert t.beta_star() == bs
 
@@ -269,10 +282,8 @@ def test_position_core_matches_oracles_on_both_label_sets():
                         assert t.is_descendant(v, y) == (y in path)
                 assert t.improper_count() == oc.o_improper_count(t)
                 assert t.proper_on_max_path() == oc.o_proper_on_max_path(t)
-                for stat, oracle in ((t.upper_critical, oc.o_upper_critical),
-                                     (t.lower_critical, oc.o_lower_critical),
-                                     (t.mu, oc.o_mu), (t.alpha, oc.o_alpha),
-                                     (t.beta_star, oc.o_beta_star)):
+                for stat, oracle in ((t.lower_critical, oc.o_lower_critical),
+                                     (t.mu, oc.o_mu), (t.beta_star, oc.o_beta_star)):
                     want = oracle(t)
                     if want is None:
                         with pytest.raises(TreeError):
@@ -282,8 +293,7 @@ def test_position_core_matches_oracles_on_both_label_sets():
                 gap = [v for v in range(1, labels[-1]) if v not in labels][-1:]
                 for bad in [0, labels[-1] + 1, *gap]:
                     assert all(_rejects(accessor, bad) for accessor in (
-                        t.parent, t.children, t.degree, t.path_to_root, t.subtree,
-                        t.beta, t.is_proper,
+                        t.parent, t.children, t.degree, t.path_to_root, t.subtree, t.beta,
                         lambda v: t.is_descendant(v, t.root),
                         lambda v: t.is_descendant(t.root, v)))
 
