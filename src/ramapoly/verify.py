@@ -13,10 +13,11 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter, defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import factorial, prod
-from typing import Callable, Hashable
+from typing import Callable, Collection, Hashable, Iterator
 
 from . import bijections as bj
 from .polynomials import IntPoly, f, psi_bew, psi_ramanujan, q_from_psi, q_shor, q_shor_alt, q_zeng_a, q_zeng_b
@@ -58,6 +59,10 @@ class VerificationReport:
     suite: str
     results: list[CheckResult] = field(default_factory=list)
     wall_ns: int = 0
+    # where a suite's time went (ns per phase) and how much work it did;
+    # the suites that fill them: check_bijections
+    phases: dict[str, int] = field(default_factory=Counter)
+    counts: dict[str, int] = field(default_factory=Counter)
 
     @property
     def ok(self) -> bool:
@@ -75,11 +80,22 @@ class VerificationReport:
     def note(self, name: str, ok: bool, detail: str = "") -> None:
         self.results.append(CheckResult(name, "pass", detail or ("pass" if ok else "fail"), ok))
 
+    @contextmanager
+    def phase(self, name: str) -> Iterator[None]:
+        """Add the time the block takes to phases[name]."""
+        t0 = time.perf_counter_ns()
+        try:
+            yield
+        finally:
+            self.phases[name] += time.perf_counter_ns() - t0
+
     def summary(self) -> str:
         state = "PASS" if self.ok else "FAIL"
+        work = [f"{name} {ns / 10**9:.2f}s" for name, ns in self.phases.items()]
+        work += [f"{name} {c}" for name, c in self.counts.items()]
         return (f"suite {self.suite}: {state} "
                 f"({len(self.results) - len(self.failures)}/{len(self.results)} checks, "
-                f"{self.wall_ns / 10**9:.2f}s)")
+                f"{self.wall_ns / 10**9:.2f}s{''.join('; ' + w for w in work)})")
 
     def lines(self, only_failures: bool = False) -> list[str]:
         out = []
@@ -97,7 +113,8 @@ class VerificationReport:
                for r in self.results]
         out.append(json.dumps({"suite": self.suite, "ok": self.ok,
                                "checks": len(self.results),
-                               "wall_time": round(self.wall_ns / 10**9, 3)},
+                               "wall_time": round(self.wall_ns / 10**9, 3),
+                               "phases_ns": self.phases, "counts": self.counts},
                               sort_keys=True))
         return out
 
@@ -353,12 +370,14 @@ def check_identities(nmax: int) -> VerificationReport:
 # -- bijection certification ------------------------------------------------------
 
 
-def _bijects(labels: tuple[int, ...], items: list, cod: set,
+def _bijects(rep: VerificationReport, n: int, items: list, cod: set,
              fwd: Callable[[RootedTree], RootedTree],
              inv: Callable[[RootedTree], RootedTree]) -> bool:
-    """fwd maps the trees with parent tuples `items` injectively onto the
-    parent tuples `cod` and inv undoes it on every image.  `cod` holds one
-    class, so the images keep every statistic that names it."""
+    """fwd maps the trees on [n] with parent tuples `items` injectively onto
+    the parent tuples `cod` and inv undoes it on every image.  `cod` holds
+    one class, so the images keep every statistic that names it."""
+    rep.counts["maps applied"] += 2 * len(items)
+    labels = tuple(range(1, n + 1))
     img = set()
     ok = True
     try:
@@ -372,8 +391,7 @@ def _bijects(labels: tuple[int, ...], items: list, cod: set,
     return ok and len(img) == len(items) and img == cod
 
 
-def _certify_rooted(rep: VerificationReport, n: int) -> None:
-    labels = tuple(range(1, n + 1))
+def _certify_rooted(rep: VerificationReport, n: int) -> set:
     dom: dict = defaultdict(list)
     cod: dict = defaultdict(set)
     dom_path: dict = defaultdict(list)
@@ -384,96 +402,108 @@ def _certify_rooted(rep: VerificationReport, n: int) -> None:
     cod_flat: dict = defaultdict(set)
     dom_fold: dict = defaultdict(list)
     cod_fold: dict = defaultdict(set)
-    for t in enumerate_rooted(n):
-        k = t.improper_count()
-        i = t.proper_on_max_path()
-        dmin, dmax = t.degree(1), t.degree(n)
-        lam = t.lower_critical() if dmax else None
-        ps = t.parents
-        if dmin > 0:
-            dom[k].append(ps)
-            if i >= 1:
-                dom_path[(k, i)].append(ps)
-        if dmax > 0:
-            cod[k].add(ps)
-            if dmin > 0 or lam == 1:
-                cod_path[(k, i)].add(ps)
-        if dmin == 0 and dmax >= 1 and lam is not None and lam > 1:
-            if i >= 1:
-                dom_restricted[(k, i, dmax)].append(ps)
-            cod_restricted[(k, i, dmax)].add(ps)
-            if i == 0:
-                for m in range(1, dmax + 1):
-                    cod_flat[(k, m)].add(ps)
-        if i == 0 and dmin >= 1:
-            dom_flat[(k, dmin)].append(ps)
-        if dmin == 1:
-            dom_fold[(k, t.beta_star())].append(ps)
-        if dmin == 0 and t.root != 1:
-            cod_fold[(k, t.mu())].add(ps)
+    seen = 0
+    with rep.phase("classify"):
+        for seen, t in enumerate(enumerate_rooted(n), 1):
+            k = t.improper_count()
+            i = t.proper_on_max_path()
+            dmin, dmax = t.degree(1), t.degree(n)
+            lam = t.lower_critical() if dmax else None
+            ps = t.parents
+            if dmin > 0:
+                dom[k].append(ps)
+                if i >= 1:
+                    dom_path[(k, i)].append(ps)
+            if dmax > 0:
+                cod[k].add(ps)
+                if dmin > 0 or lam == 1:
+                    cod_path[(k, i)].add(ps)
+            if dmin == 0 and dmax >= 1 and lam is not None and lam > 1:
+                if i >= 1:
+                    dom_restricted[(k, i, dmax)].append(ps)
+                cod_restricted[(k, i, dmax)].add(ps)
+                if i == 0:
+                    for m in range(1, dmax + 1):
+                        cod_flat[(k, m)].add(ps)
+            if i == 0 and dmin >= 1:
+                dom_flat[(k, dmin)].append(ps)
+            if dmin == 1:
+                dom_fold[(k, t.beta_star())].append(ps)
+            if dmin == 0 and t.root != 1:
+                cod_fold[(k, t.mu())].add(ps)
+        rep.counts["trees visited"] += seen
 
-    for k, items in sorted(dom.items()):
-        ok = _bijects(labels, items, cod.get(k + 1, set()), bj.rooted_fwd, bj.rooted_inv)
-        rep.note(f"rooted bijection n={n} k={k} ({len(items)} trees)", ok)
-    for k, items in sorted(cod.items()):
-        ok = _bijects(labels, items, set(dom.get(k - 1, ())), bj.rooted_inv, bj.rooted_fwd)
-        rep.note(f"rooted inverse round-trip n={n} k={k}", ok)
+    with rep.phase("map"):
+        fwd_ok = {}
+        for k, items in sorted(dom.items()):
+            fwd_ok[k] = _bijects(rep, n, items, cod.get(k + 1, set()), bj.rooted_fwd, bj.rooted_inv)
+            rep.note(f"rooted bijection n={n} k={k} ({len(items)} trees)", fwd_ok[k])
+        for k in sorted(cod):  # derived: see check_bijections
+            rep.note(f"rooted inverse round-trip n={n} k={k}", fwd_ok.get(k - 1, False))
 
-    for (k, i), items in sorted(dom_path.items()):
-        ok = _bijects(labels, items, cod_path.get((k + 1, i - 1), set()), bj.lower, bj.lift)
-        rep.note(f"lowering class n={n} k={k} i={i}", ok)
-    for (k, i, m), items in sorted(dom_restricted.items()):
-        ok = _bijects(labels, items, cod_restricted.get((k + 1, i - 1, m + 1), set()),
-                      bj.lower, bj.lift)
-        rep.note(f"restricted lowering n={n} k={k} i={i} deg(max)={m}", ok)
-    cases: Counter = Counter()  # flatten dispatches by reported case
-    for (k, m), items in sorted(dom_flat.items()):
-        miscased = []
+        for (k, i), items in sorted(dom_path.items()):
+            ok = _bijects(rep, n, items, cod_path.get((k + 1, i - 1), set()), bj.lower, bj.lift)
+            rep.note(f"lowering class n={n} k={k} i={i}", ok)
+        for (k, i, m), items in sorted(dom_restricted.items()):
+            ok = _bijects(rep, n, items, cod_restricted.get((k + 1, i - 1, m + 1), set()),
+                          bj.lower, bj.lift)
+            rep.note(f"restricted lowering n={n} k={k} i={i} deg(max)={m}", ok)
+        cases: Counter = Counter()  # flatten dispatches by reported case
+        for (k, m), items in sorted(dom_flat.items()):
+            miscased = []
 
-        def flatten(t):
-            # the case must be the one read off the image: is the min under
-            # the max, and does the max keep just the m moved children
-            trace: list = []
-            u = bj.flatten_min(t, trace)
-            tag = next(e for e in reversed(trace) if isinstance(e, bj.CaseTag))
-            cases[tag.case.value] += 1
-            tight = u.degree(n) == m
-            case = ("D" if tight else "C") if u.is_descendant(1, n) else ("B" if tight else "A")
-            if tag.case.value != case:
-                miscased.append(t)
-            return u
+            def flatten(t):
+                # the case must be the one read off the image: is the min under
+                # the max, and does the max keep just the m moved children
+                trace: list = []
+                u = bj.flatten_min(t, trace)
+                tag = next(e for e in reversed(trace) if isinstance(e, bj.CaseTag))
+                cases[tag.case.value] += 1
+                tight = u.degree(n) == m
+                case = ("D" if tight else "C") if u.is_descendant(1, n) else ("B" if tight else "A")
+                if tag.case.value != case:
+                    miscased.append(t)
+                return u
 
-        ok = _bijects(labels, items, cod_flat.get((k + m, m), set()), flatten,
-                      lambda u: bj.unflatten_min(u, m))
-        rep.note(f"flatten classes n={n} k={k} m={m}", ok and not miscased)
-    # every case fires from n = 5 on (case A needs five labels)
-    rep.note(f"flatten cases n={n}", n < 5 or all(cases[c] for c in "ABCD"),
-             " ".join(f"{c}={cases[c]}" for c in "ABCD"))
-    for (k, w), items in sorted(dom_fold.items()):
-        ok = _bijects(labels, items, cod_fold.get((k + 1, w), set()), bj.fold_stem,
-                      bj.unfold_stem)
-        rep.note(f"fold classes n={n} k={k} w={w}", ok)
+            ok = _bijects(rep, n, items, cod_flat.get((k + m, m), set()), flatten,
+                          lambda u: bj.unflatten_min(u, m))
+            rep.note(f"flatten classes n={n} k={k} m={m}", ok and not miscased)
+        # every case fires from n = 5 on (case A needs five labels)
+        rep.note(f"flatten cases n={n}", n < 5 or all(cases[c] for c in "ABCD"),
+                 " ".join(f"{c}={cases[c]}" for c in "ABCD"))
+        for (k, w), items in sorted(dom_fold.items()):
+            ok = _bijects(rep, n, items, cod_fold.get((k + 1, w), set()), bj.fold_stem,
+                          bj.unfold_stem)
+            rep.note(f"fold classes n={n} k={k} w={w}", ok)
+    return cod.get(n - 1, set())  # all-improper: a leaf n would hang by a proper edge
 
 
-def _certify_unrooted(rep: VerificationReport, size: int) -> None:
-    labels = tuple(range(1, size + 1))
+def _certify_unrooted(rep: VerificationReport, size: int) -> dict:
     dom: dict = defaultdict(list)
     cod: dict = defaultdict(set)
-    for t in enumerate_unrooted(size):
-        k = t.improper_count()
-        r = t.degree(1)
-        if t.degree(t.labels[1]) > 0:
-            dom[(k, r)].append(t.parents)
-        if t.degree(size) > 0:
-            cod[(k, r)].add(t.parents)
-    for (k, r), items in sorted(dom.items()):
-        ok = _bijects(labels, items, cod.get((k + 1, r), set()), bj.unrooted_fwd,
-                      bj.unrooted_inv)
-        rep.note(f"min-rooted bijection size={size} k={k} r={r} ({len(items)} trees)", ok)
-    for (k, r), items in sorted(cod.items()):
-        ok = _bijects(labels, items, set(dom.get((k - 1, r), ())), bj.unrooted_inv,
-                      bj.unrooted_fwd)
-        rep.note(f"min-rooted inverse round-trip size={size} k={k} r={r}", ok)
+    fresh: dict = defaultdict(set)  # 2 a leaf: the fresh-root codomain on [size - 1]
+    seen = 0
+    with rep.phase("classify"):
+        for seen, t in enumerate(enumerate_unrooted(size), 1):
+            k = t.improper_count()
+            r = t.degree(1)
+            if t.degree(2) > 0:
+                dom[(k, r)].append(t.parents)
+            else:
+                fresh[(k, r)].add(t.parents)
+            if t.degree(size) > 0:
+                cod[(k, r)].add(t.parents)
+        rep.counts["trees visited"] += seen
+    with rep.phase("map"):
+        fwd_ok = {}
+        for (k, r), items in sorted(dom.items()):
+            ok = fwd_ok[(k, r)] = _bijects(rep, size, items, cod.get((k + 1, r), set()),
+                                           bj.unrooted_fwd, bj.unrooted_inv)
+            rep.note(f"min-rooted bijection size={size} k={k} r={r} ({len(items)} trees)", ok)
+        for k, r in sorted(cod):  # derived: see check_bijections
+            rep.note(f"min-rooted inverse round-trip size={size} k={k} r={r}",
+                     fwd_ok.get((k - 1, r), False))
+    return fresh
 
 
 def _all_increasing_plane_trees(n: int) -> list[PlaneTree]:
@@ -498,14 +528,14 @@ def _all_increasing_plane_trees(n: int) -> list[PlaneTree]:
     return trees
 
 
-def _certify_small_maps(rep: VerificationReport, n: int) -> None:
+def _certify_small_maps(rep: VerificationReport, n: int, fresh: dict) -> None:
     # color equivalence and the fresh-root map both grow [n] into [n+1]
     split_images = set()
-    pairs = 0
+    pairs = seen = 0
     root_images: dict = defaultdict(set)
     ok_color = ok_root = True
     try:
-        for t in enumerate_rooted(n):
+        for seen, t in enumerate(enumerate_rooted(n), 1):
             k = t.improper_count()
             kids = t.children(1)
             for size in range(len(kids) + 1):
@@ -521,33 +551,33 @@ def _certify_small_maps(rep: VerificationReport, n: int) -> None:
             root_images[(k, t.degree(1) + 1)].add(u.parents)
     except ValueError:  # a map rejected a tree of its class: both image sets fall short
         ok_color = ok_root = False
+    rep.counts["trees visited"] += seen
+    rep.counts["maps applied"] += 2 * (pairs + seen)
     ok_color &= pairs == len(split_images) == (n + 1) ** (n - 1)
     rep.note(f"color split/merge n={n} ({pairs} colored trees)", ok_color)
-    cod: dict = defaultdict(set)
-    for t in enumerate_unrooted(n + 1):
-        if t.degree(2) == 0:
-            cod[(t.improper_count(), t.degree(1))].add(t.parents)
-    ok_root &= root_images == cod
-    rep.note(f"fresh-root bijection n={n}", ok_root)
+    rep.note(f"fresh-root bijection n={n}", ok_root and root_images == fresh)
 
 
-def certify_plane(rep: VerificationReport, n: int) -> None:
-    """plane_fwd is a bijection from all-improper trees on [n] onto the
-    independently generated increasing plane trees on [n]."""
-    expected = set(_all_increasing_plane_trees(n))
+def certify_plane(rep: VerificationReport, n: int, all_improper: Collection[tuple]) -> None:
+    """plane_fwd is a bijection from the all-improper trees on [n], given as
+    parent tuples, onto the independently generated increasing plane trees."""
+    labels = tuple(range(1, n + 1))
+    with rep.phase("plane generation"):
+        expected = set(_all_increasing_plane_trees(n))
+    rep.counts["maps applied"] += 2 * len(all_improper)
     img = set()
     ok = True
-    cnt = 0
-    try:
-        for t in enumerate_rooted(n, ClassFilter(k=n - 1)):
-            p = bj.plane_fwd(t)
-            ok &= bj.plane_inv(p) == t
-            img.add(p)
-            cnt += 1
-    except ValueError:  # a map rejected a tree of its class
-        ok = False
+    with rep.phase("map"):
+        try:
+            for ps in all_improper:
+                t = RootedTree(labels, ps)
+                p = bj.plane_fwd(t)
+                ok &= bj.plane_inv(p) == t
+                img.add(p)
+        except ValueError:  # a map rejected a tree of its class
+            ok = False
     target = double_factorial(2 * n - 3)
-    ok &= cnt == len(img) == target == len(expected)
+    ok &= len(all_improper) == len(img) == target == len(expected)
     ok &= img == expected
     rep.note(f"plane bijection n={n} (both sides {target})", ok)
 
@@ -555,17 +585,22 @@ def certify_plane(rep: VerificationReport, n: int) -> None:
 @_timed
 def check_bijections(nmax: int) -> VerificationReport:
     """Certify every map: domain -> codomain onto-ness, injectivity, inverse
-    round-trips, and statistic deltas, over full enumerations."""
+    round-trips, and statistic deltas, over full enumerations.  The rooted
+    and min-rooted inverse round-trip record of class k takes the verdict of
+    the forward record of class k - 1 (False if that class is empty): it
+    shows fwd injective on D with fwd(D) = C and inv(fwd(t)) = t, so inv
+    ran on all of C and fwd(inv(u)) = u, as the maps keep no state."""
     _require_size(nmax, SUITES["bijections"][2])
     rep = VerificationReport("bijections")
-    for n in range(2, nmax + 1):
-        _certify_rooted(rep, n)
-    for size in range(3, nmax + 1):
-        _certify_unrooted(rep, size)
-    for n in range(1, nmax):
-        _certify_small_maps(rep, n)
+    # [1] has the one tree (0,); size 2 has no min-rooted records, but it
+    # gives the fresh-root codomain of n = 1
+    all_improper = [[(0,)]] + [_certify_rooted(rep, n) for n in range(2, nmax + 1)]
+    fresh = [_certify_unrooted(rep, size) for size in range(2, nmax + 1)]
+    with rep.phase("map"):
+        for n in range(1, nmax):
+            _certify_small_maps(rep, n, fresh[n - 1])
     for n in range(1, nmax + 1):
-        certify_plane(rep, n)
+        certify_plane(rep, n, all_improper[n - 1])
     return rep
 
 

@@ -104,5 +104,5 @@ def test_criterion_9_plane_tree_bijection():
     t0 = time.perf_counter()
     rep = VerificationReport("plane")
     for n in range(1, 9):
-        certify_plane(rep, n)
+        certify_plane(rep, n, [t.parents for t in enumerate_rooted(n, ClassFilter(k=n - 1))])
     _finish(9, "plane-tree bijection n<=8", rep.ok, time.perf_counter() - t0, 300.0)

@@ -4,9 +4,9 @@ from dataclasses import replace
 import pytest
 
 from ramapoly import bijections as bj
-from ramapoly.trees import ClassFilter
+from ramapoly.trees import ClassFilter, enumerate_rooted
 from ramapoly.verify import (LAMBDA_TABLES, PSI_TABLE, Q_TABLE, CheckResult,
-                             VerificationReport, check_bijections,
+                             VerificationReport, certify_plane, check_bijections,
                              check_conjecture, check_genfun, check_identities,
                              check_recurrences, count_class, double_factorial,
                              lambda_recurrence_mismatches, lambda_table,
@@ -156,3 +156,72 @@ def test_flatten_case_counts():
     assert list(cases) == [f"flatten cases n={n}" for n in range(2, 6)]
     assert cases["flatten cases n=4"].actual == "A=0 B=1 C=1 D=7" and cases["flatten cases n=4"].ok
     assert cases["flatten cases n=5"].actual == "A=2 B=17 C=14 D=64" and cases["flatten cases n=5"].ok
+
+
+@pytest.mark.parametrize("name, ps, fault, failed", [
+    ("rooted_inv", (0, 4, 1, 1), "wrong",
+     ["rooted bijection n=4 k=0 (6 trees)", "rooted inverse round-trip n=4 k=1"]),
+    ("rooted_inv", (0, 1, 5, 2, 2), "raise",
+     ["rooted bijection n=5 k=0 (24 trees)", "rooted inverse round-trip n=5 k=1"]),
+    ("rooted_fwd", (3, 1, 0, 1, 4), "wrong",
+     ["rooted bijection n=5 k=1 (90 trees)", "rooted inverse round-trip n=5 k=2"]),
+    ("unrooted_inv", (0, 1, 5, 2, 1), "wrong",
+     ["min-rooted bijection size=5 k=0 r=2 (9 trees)",
+      "min-rooted inverse round-trip size=5 k=1 r=2"]),
+    ("unrooted_inv", (0, 4, 2, 1), "raise",
+     ["min-rooted bijection size=4 k=0 r=1 (2 trees)",
+      "min-rooted inverse round-trip size=4 k=1 r=1"]),
+])
+def test_one_tree_fault_fails_forward_and_derived_inverse_record(monkeypatch, name, ps, fault,
+                                                                 failed):
+    # The inverse round-trip records repeat the forward verdict, which is
+    # sound only for maps that answer the same on every call.  So the fault
+    # is keyed on the tree, never on a call count: a map that misbehaves on
+    # its Nth call keeps state, and the derivation does not cover it.  The
+    # key includes the labels, so the subtrees that the min-rooted maps hand
+    # to the rooted ones (labels without 1) never match.
+    real = getattr(bj, name)
+    target = (tuple(range(1, len(ps) + 1)), ps)
+
+    def faulty(t, trace=None):
+        if (t.labels, t.parents) != target:
+            return real(t, trace)
+        if fault == "raise":
+            raise bj.DomainError("injected")
+        return t  # the identity on one tree: a wrong image
+
+    monkeypatch.setattr(bj, name, faulty)
+    assert [r.name for r in check_bijections(5).failures] == failed
+
+
+def test_certify_plane_fails_a_wrong_domain_list():
+    # certify_plane maps the list it is given; its count checks fail a list
+    # that misses an all-improper tree or holds one more tree
+    n = 5
+    trees = list(enumerate_rooted(n))
+    all_improper = [t.parents for t in trees if t.improper_count() == n - 1]
+    proper = next(t.parents for t in trees if t.improper_count() < n - 1)
+    for given, ok in ((all_improper, True), (all_improper[1:], False),
+                      (all_improper + [proper], False)):
+        rep = VerificationReport("plane")
+        certify_plane(rep, n, given)
+        assert rep.ok is ok and len(rep.results) == 1
+
+
+def test_bijection_report_phases_and_counts():
+    rep = check_bijections(6)
+    assert set(rep.phases) == {"classify", "map", "plane generation"}
+    assert all(isinstance(ns, int) and ns > 0 for ns in rep.phases.values())
+    # the phases cover the run: within 5% of its wall time
+    assert 19 * rep.wall_ns <= 20 * sum(rep.phases.values()) <= 20 * rep.wall_ns
+    # rooted trees on [2..6], min-rooted ones on [2..6] and the rooted
+    # trees on [1..5] that the colour and fresh-root maps grow
+    visited = (sum(n ** (n - 1) for n in range(2, 7)) + sum(n ** (n - 2) for n in range(2, 7))
+               + sum(n ** (n - 1) for n in range(1, 6)))
+    assert rep.counts == {"trees visited": visited, "maps applied": 35522}
+    last = json.loads(rep.json_lines()[-1])
+    assert last["phases_ns"] == rep.phases and last["counts"] == rep.counts
+    assert "; classify " in rep.summary() and "; maps applied 35522)" in rep.summary()
+    other = check_conjecture(4)
+    assert other.phases == {} and other.counts == {}
+    assert json.loads(other.json_lines()[-1])["phases_ns"] == {}
