@@ -391,12 +391,10 @@ def unrooted_inv(t: RootedTree, trace: list | None = None) -> RootedTree:
     second = t.labels[1]
     # the children of the root whose subtrees hold the max and `second`
     u, v = t.path_to_root(mx)[-2], t.path_to_root(second)[-2]
-    if u == v:
-        _note(trace, lambda: f"case: shared branch; recurse into branch {u}")
-        return _moved(t, _graft(t, rooted_inv(t.subtree(u), trace)))
     sub_v = t.subtree(v)
-    if sub_v.degree(sub_v.max_label) > 0:
-        _note(trace, lambda: f"case: branch {v} max internal; recurse into it")
+    if sub_v.degree(sub_v.max_label) > 0:  # always when u == v: mx is in the branch
+        _note(trace, lambda: f"case: shared branch; recurse into branch {u}" if u == v
+              else f"case: branch {v} max internal; recurse into it")
         return _moved(t, _graft(t, rooted_inv(sub_v, trace)))
     _note(trace, lambda: f"case: swapped roles; recurse into branch {u} and relabel")
     back = rooted_inv(t.subtree(u), trace)

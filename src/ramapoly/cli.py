@@ -15,24 +15,10 @@ import sys
 
 from . import bijections as bj
 from . import verify as vf
-from .polynomials import (IntPoly, f, poly_table, psi_bew, psi_ramanujan,
-                          q_from_psi, q_shor, q_shor_alt, q_zeng_a, q_zeng_b)
+from .polynomials import ROUTES, IntPoly, poly_table
 from .series import genfun_mismatch
 from .trees import (ClassFilter, enumerate_rooted, enumerate_unrooted, plane_from_text,
                     plane_to_text, tree_from_text, tree_to_text)
-
-_POLY_METHODS = {
-    ("psi", "bew"): psi_bew,
-    ("psi", "ramanujan"): psi_ramanujan,
-    ("q", "shor"): q_shor,
-    ("q", "shor-alt"): q_shor_alt,
-    ("q", "zeng-a"): q_zeng_a,
-    ("q", "zeng-b"): q_zeng_b,
-    ("q", "from-psi"): q_from_psi,
-    ("f", "shor"): f,
-}
-
-_DEFAULT_METHOD = {"psi": "bew", "q": "shor", "f": "shor"}
 
 # [10] has 10^9 rooted trees, hours of enumeration
 _ENUMERATE_LIMIT = 10
@@ -46,9 +32,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("poly", help="print one polynomial or number")
-    p.add_argument("--family", choices=["psi", "q", "f"], required=True)
-    p.add_argument("--method", choices=["bew", "ramanujan", "shor", "shor-alt",
-                                        "zeng-a", "zeng-b", "from-psi"])
+    p.add_argument("--family", choices=list(ROUTES), required=True)
+    p.add_argument("--method", choices=list(dict.fromkeys(
+        method for methods in ROUTES.values() for method in methods)))
     p.add_argument("--n", type=int, required=True,
                    help="n for q/f; the first index r for psi")
     p.add_argument("--k", type=int, required=True)
@@ -110,11 +96,11 @@ def _refuse_huge(n: int, force: bool | None = None) -> None:
 
 
 def _cmd_poly(args) -> int:
-    method = args.method or _DEFAULT_METHOD[args.family]
-    fn = _POLY_METHODS.get((args.family, method))
-    if fn is None:
+    methods = ROUTES[args.family]
+    method = args.method or next(iter(methods))
+    if method not in methods:
         raise ValueError(f"method {method!r} does not generate family {args.family!r}")
-    value = fn(args.n, args.k)
+    value = methods[method](args.n, args.k)
     if args.json:
         import json
         if isinstance(value, IntPoly):

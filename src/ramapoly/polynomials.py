@@ -26,7 +26,8 @@ stack with just the cells a request depends on.  shor, bew and f cost O(d)
 per cell of degree d; ramanujan, shor-alt, zeng-a and from-psi make an
 O(d^2) Taylor shift per cell (the Pascal scheme, `IntPoly.shift`).  zeng-b
 is solved top-down, each coefficient from the ones above it, with the
-constant term pinned by f_{n,k}.
+constant term pinned by f_{n,k}.  `ROUTES` lists every route by family and
+method; the first method of each family is its default.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from typing import Iterable
 
 __all__ = [
     "IntPoly",
+    "ROUTES",
     "psi_bew",
     "psi_ramanujan",
     "q_shor",
@@ -177,8 +179,9 @@ _ONE = IntPoly.constant(1)
 _ABOVE, _DIAG, _LEFT = (1, 0), (1, 1), (0, 1)
 
 
-def _table(first: int, lo: int, one, reads: tuple, rule):
-    """One route's table as a memoised cell lookup (a, k) -> value.
+def _table(name: str, doc: str, first: int, lo: int, one, reads: tuple, rule):
+    """One route's table as a memoised cell lookup (a, k) -> value, named
+    `name` and documented by `doc`.
 
     Row a >= first holds k in [lo, lo + a - first], and every other cell is
     zero.  Row `first` is the cell `one`; each later cell is
@@ -208,6 +211,8 @@ def _table(first: int, lo: int, one, reads: tuple, rule):
                 memo[b, j] = rule(b, j, *(memo.get(d, zero) for d in deps))
         return memo.get((a, k), zero)
 
+    cell.__name__ = cell.__qualname__ = name
+    cell.__doc__ = doc
     return cell
 
 
@@ -232,49 +237,28 @@ def _zeng_b_cell(n: int, k: int, above: IntPoly) -> IntPoly:
     return IntPoly(coeffs)
 
 
-_PSI_BEW = _table(0, 1, _ONE, (_ABOVE, _DIAG), lambda r, k, above, diag:
-                  IntPoly((1 - r - k, 1)) * above + (r + k - 2) * diag)
-_PSI_RAMANUJAN = _table(0, 1, _ONE, (_ABOVE, _LEFT), lambda r, k, above, left:
-                        IntPoly((-1, 1)) * above.shift(-1) + left - left.shift(-1))
-_Q_SHOR = _table(1, 0, _ONE, (_ABOVE, _DIAG), lambda n, k, above, diag:
-                 IntPoly((n - 1, 1)) * above + (n + k - 2) * diag)
-_Q_SHOR_ALT = _table(1, 0, _ONE, (_ABOVE, _DIAG), lambda n, k, above, diag:
-                     IntPoly((1 - k, 1)) * above.shift(1) + (n + k - 2) * diag.shift(1))
-_Q_ZENG_A = _table(1, 0, _ONE, (_ABOVE, _LEFT), lambda n, k, above, left:
-                   IntPoly((n - 1, 1)) * above + left - left.shift(-1))
-_Q_ZENG_B = _table(1, 0, _ONE, (_ABOVE,), _zeng_b_cell)
-_F = _table(1, 0, 1, (_ABOVE, _DIAG), lambda n, k, above, diag:
-            (n - 1) * above + (n + k - 2) * diag)
-
-
-def psi_bew(r: int, k: int) -> IntPoly:
-    """psi_k(r, x) by the two-term recurrence in r."""
-    return _PSI_BEW(r, k)
-
-
-def psi_ramanujan(r: int, k: int) -> IntPoly:
-    """psi_k(r, x) by the original shift recurrence; rows fill in increasing k."""
-    return _PSI_RAMANUJAN(r, k)
-
-
-def q_shor(n: int, k: int) -> IntPoly:
-    """Q_{n,k}(x) by the plain two-term recurrence in n."""
-    return _Q_SHOR(n, k)
-
-
-def q_shor_alt(n: int, k: int) -> IntPoly:
-    """Q_{n,k}(x) by the shifted-argument recurrence."""
-    return _Q_SHOR_ALT(n, k)
-
-
-def q_zeng_a(n: int, k: int) -> IntPoly:
-    """Q_{n,k}(x) by the mixed recurrence descending in n and k."""
-    return _Q_ZENG_A(n, k)
-
-
-def q_zeng_b(n: int, k: int) -> IntPoly:
-    """Q_{n,k}(x) from Q_{n,k}(x) - Q_{n,k}(x-1) = (n+k-1) Q_{n-1,k}(x)."""
-    return _Q_ZENG_B(n, k)
+psi_bew = _table("psi_bew", "psi_k(r, x) by the two-term recurrence in r.",
+                 0, 1, _ONE, (_ABOVE, _DIAG), lambda r, k, above, diag:
+                 IntPoly((1 - r - k, 1)) * above + (r + k - 2) * diag)
+psi_ramanujan = _table("psi_ramanujan",
+                       "psi_k(r, x) by the original shift recurrence; rows fill in increasing k.",
+                       0, 1, _ONE, (_ABOVE, _LEFT), lambda r, k, above, left:
+                       IntPoly((-1, 1)) * above.shift(-1) + left - left.shift(-1))
+q_shor = _table("q_shor", "Q_{n,k}(x) by the plain two-term recurrence in n.",
+                1, 0, _ONE, (_ABOVE, _DIAG), lambda n, k, above, diag:
+                IntPoly((n - 1, 1)) * above + (n + k - 2) * diag)
+q_shor_alt = _table("q_shor_alt", "Q_{n,k}(x) by the shifted-argument recurrence.",
+                    1, 0, _ONE, (_ABOVE, _DIAG), lambda n, k, above, diag:
+                    IntPoly((1 - k, 1)) * above.shift(1) + (n + k - 2) * diag.shift(1))
+q_zeng_a = _table("q_zeng_a", "Q_{n,k}(x) by the mixed recurrence descending in n and k.",
+                  1, 0, _ONE, (_ABOVE, _LEFT), lambda n, k, above, left:
+                  IntPoly((n - 1, 1)) * above + left - left.shift(-1))
+q_zeng_b = _table("q_zeng_b",
+                  "Q_{n,k}(x) from Q_{n,k}(x) - Q_{n,k}(x-1) = (n+k-1) Q_{n-1,k}(x).",
+                  1, 0, _ONE, (_ABOVE,), _zeng_b_cell)
+f = _table("f", "Number of rooted labeled trees on [n] with k improper edges.",
+           1, 0, 1, (_ABOVE, _DIAG), lambda n, k, above, diag:
+           (n - 1) * above + (n + k - 2) * diag)
 
 
 def q_from_psi(n: int, k: int) -> IntPoly:
@@ -282,9 +266,14 @@ def q_from_psi(n: int, k: int) -> IntPoly:
     return psi_bew(n - 1, k + 1).shift(n)
 
 
-def f(n: int, k: int) -> int:
-    """Number of rooted labeled trees on [n] with k improper edges."""
-    return _F(n, k)
+# family -> method -> route, as `ramapoly poly --family F --method M` names
+# them; the first method of each family is its default
+ROUTES = {
+    "psi": {"bew": psi_bew, "ramanujan": psi_ramanujan},
+    "q": {"shor": q_shor, "shor-alt": q_shor_alt, "zeng-a": q_zeng_a, "zeng-b": q_zeng_b,
+          "from-psi": q_from_psi},
+    "f": {"shor": f},
+}
 
 
 def poly_table(family: str, maximum: int) -> dict[tuple[int, int], IntPoly]:

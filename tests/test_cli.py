@@ -15,6 +15,7 @@ from hypothesis import given, settings
 import ramapoly.cli as cli
 from ramapoly import bijections as bj, trees, verify
 from ramapoly.cli import main
+from ramapoly.polynomials import ROUTES
 from ramapoly.trees import (ClassFilter, enumerate_rooted, enumerate_unrooted,
                             plane_from_text, tree_from_text, tree_to_text)
 from ramapoly.verify import VerificationReport
@@ -54,6 +55,20 @@ def test_poly_method_family_mismatch(capsys):
     code, _, err = run(capsys, ["poly", "--family", "psi", "--method", "shor",
                                 "--n", "3", "--k", "1"])
     assert code == 2 and "does not generate" in err
+
+
+def test_poly_walks_every_route(capsys):
+    # each family answers for its listed methods and refuses every other one
+    all_methods = dict.fromkeys(m for methods in ROUTES.values() for m in methods)
+    for family, methods in ROUTES.items():
+        for method in all_methods:
+            code, out, err = run(capsys, ["poly", "--family", family, "--method", method,
+                                          "--n", "6", "--k", "2"])
+            if method in methods:
+                assert (code, out, err) == (0, f"{methods[method](6, 2)}\n", "")
+            else:
+                assert (code, out) == (2, "")
+                assert err == f"error: method {method!r} does not generate family {family!r}\n"
 
 
 def test_table_q(capsys):

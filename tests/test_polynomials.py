@@ -11,7 +11,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import ramapoly
-from ramapoly.polynomials import (IntPoly, f, psi_bew, psi_ramanujan, q_from_psi,
+from ramapoly import polynomials
+from ramapoly.polynomials import (ROUTES, IntPoly, f, psi_bew, psi_ramanujan, q_from_psi,
                                   q_shor, q_shor_alt, q_zeng_a, q_zeng_b, poly_table)
 from ramapoly.trees import enumerate_rooted
 from ramapoly.verify import PSI_TABLE, Q_TABLE, double_factorial
@@ -143,8 +144,15 @@ def test_poly_table():
         poly_table("nope", 3)
 
 
-_ROUTES = ("psi_bew", "psi_ramanujan", "q_shor", "q_shor_alt", "q_zeng_a", "q_zeng_b",
-           "q_from_psi", "f")
+def test_routes_are_the_public_functions_they_name():
+    for methods in ROUTES.values():
+        for route in methods.values():
+            assert getattr(polynomials, route.__name__) is route
+            assert route.__name__ in polynomials.__all__
+            assert route.__doc__
+
+
+_ROUTES = tuple(route.__name__ for methods in ROUTES.values() for route in methods.values())
 _ASKED = ((40, 1), (40, 30), (20, 19), (60, 59))
 
 # prints every route's cells in _ASKED, after asking for them in `order`

@@ -101,7 +101,7 @@ def test_check_conjecture_passes_small():
 
 
 def test_check_genfun_includes_negative_control():
-    rep = check_genfun(rmax=2, x_values=(0, 1), order=6)
+    rep = check_genfun(rmax=2, order=6)
     assert rep.ok
     control = [r for r in rep.results if "negative control" in r.name]
     assert len(control) == 1 and control[0].ok
