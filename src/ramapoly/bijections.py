@@ -49,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .trees import PlaneTree, RootedTree, _from_pmap, _moved
+from .trees import PlaneTree, RootedTree, _check_labels, _moved
 
 __all__ = [
     "DomainError",
@@ -483,16 +483,23 @@ def plane_fwd(t: RootedTree) -> PlaneTree:
 def plane_inv(p: PlaneTree) -> RootedTree:
     """Inverse of `plane_fwd`: rebuild the root path from the ordered
     children, right to left."""
-    p.check_labels()
-    if not p.is_increasing():
-        raise DomainError("plane tree must be increasing")
     # Children before parents: the head of a subtree, the end of its
     # rightmost path, is the root of the tree rebuilt from it.
     head: dict[int, int] = {}
     pm: dict[int, int] = {}
+    order, falls = [], False  # the labels met, and whether a child fell below its parent
     for node in reversed(list(p.iter_nodes())):
-        heads = [head[c.label] for c in node.children]
-        pm.update(zip([node.label] + heads, heads))  # node -> h_1 -> ... -> h_m
-        head[node.label] = heads[-1] if heads else node.label
+        v = head[v] = node.label  # a leaf heads its own subtree
+        order.append(v)
+        if node.children:
+            kids = [c.label for c in node.children]
+            falls = falls or min(kids) <= v
+            heads = [*map(head.__getitem__, kids)]
+            pm.update(zip([v] + heads, heads))  # v -> h_1 -> ... -> h_m
+            head[v] = heads[-1]
+    _check_labels(reversed(order))  # a bad label is reported before a fall
+    if falls:
+        raise DomainError("plane tree must be increasing")
     pm[head[p.label]] = 0
-    return _from_pmap(pm)
+    labels = tuple(sorted(pm))
+    return RootedTree(labels, tuple(map(pm.__getitem__, labels)))

@@ -11,6 +11,7 @@ parent entries with 0 at the root; arbitrary label sets add a leading
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from . import bijections as bj
@@ -86,6 +87,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+_PARSER = _build_parser()  # built once: ROUTES and the SUITES keys never change
+
+
 def _refuse_huge(n: int, force: bool | None = None) -> None:
     # Refuse before any enumeration; `force` is the override of `enumerate`,
     # None for the commands that have none.
@@ -102,7 +106,6 @@ def _cmd_poly(args) -> int:
         raise ValueError(f"method {method!r} does not generate family {args.family!r}")
     value = methods[method](args.n, args.k)
     if args.json:
-        import json
         if isinstance(value, IntPoly):
             print(json.dumps({"coefficients": [str(c) for c in value.coeffs]}))
         else:
@@ -113,7 +116,6 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    import json
     if args.which in ("psi", "q"):
         cells = poly_table(args.which, args.maximum)
         first = "r" if args.which == "psi" else "n"
@@ -236,7 +238,7 @@ def _cmd_genfun(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     handlers = {"poly": _cmd_poly, "table": _cmd_table, "enumerate": _cmd_enumerate,
                 "bij": _cmd_bij, "verify": _cmd_verify, "genfun": _cmd_genfun}
     digits = sys.get_int_max_str_digits()

@@ -278,11 +278,10 @@ ROUTES = {
 
 def poly_table(family: str, maximum: int) -> dict[tuple[int, int], IntPoly]:
     """Cells of the psi table (keys (r, k), r <= maximum) or the Q table
-    (keys (n, k), n <= maximum)."""
+    (keys (n, k), n <= maximum), by the family's first route in `ROUTES`."""
+    if family not in ("psi", "q"):
+        raise ValueError(f"unknown family {family!r}")
+    route = next(iter(ROUTES[family].values()))
     if family == "psi":
-        return {(r, k): psi_bew(r, k)
-                for r in range(maximum + 1) for k in range(1, r + 2)}
-    if family == "q":
-        return {(n, k): q_shor(n, k)
-                for n in range(1, maximum + 1) for k in range(n)}
-    raise ValueError(f"unknown family {family!r}")
+        return {(r, k): route(r, k) for r in range(maximum + 1) for k in range(1, r + 2)}
+    return {(n, k): route(n, k) for n in range(1, maximum + 1) for k in range(n)}

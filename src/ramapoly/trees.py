@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from itertools import takewhile
+from itertools import repeat, takewhile
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -296,29 +296,33 @@ def build(root: int, parent: Mapping[int, int]) -> RootedTree:
     The label set is `{root} | parent.keys()`.  Raises LabelError for bad or
     duplicate labels, CycleError when parent links loop.
     """
-    _check_labels([root, *parent])  # the keys are distinct: a duplicate is the root
-    for v, p in parent.items():
-        if p != root and p not in parent:
-            raise LabelError(f"parent {p!r} of {v} is not a label")
+    nodes = [root, *parent]
+    _check_labels(nodes)  # the keys are distinct: a duplicate is the root
+    if not {*parent.values()} <= {*nodes}:  # name the first bad parent in the map's order
+        v = next(v for v, p in parent.items() if p != root and p not in parent)
+        raise LabelError(f"parent {parent[v]!r} of {v} is not a label")
     # Every node must reach the root; with one parent per non-root node the
-    # only failure mode is a cycle.
-    state = {root: True}
+    # only failure mode is a cycle.  Each walk stamps the nodes it passes
+    # with its start and stops at a stamped one: its own stamp closes a cycle.
+    seen = {root: root}
     for v in parent:
-        path = []
         u = v
-        while u not in state:
-            path.append(u)
-            state[u] = False
+        while u not in seen:
+            seen[u] = v
             u = parent[u]
-        if state[u] is False:
+        if seen[u] == v:
             raise CycleError(f"cycle through label {u}")
-        for w in path:
-            state[w] = True
-    return _from_pmap({**parent, root: 0})
+    labels = tuple(sorted(nodes))
+    return RootedTree(labels, tuple(map(parent.get, labels, repeat(0))))
 
 
 def _check_labels(labels: Iterable) -> None:
-    # Labels are distinct positive integers.
+    # Labels are distinct positive integers: one pass in C for the common
+    # case, then a walk that names the first bad label.
+    labels = list(labels)
+    if ({*map(type, labels)} <= {int} and min(labels, default=1) > 0
+            and len({*labels}) == len(labels)):
+        return
     seen = set()
     for v in labels:
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
@@ -326,12 +330,6 @@ def _check_labels(labels: Iterable) -> None:
         if v in seen:
             raise LabelError(f"duplicate label {v}")
         seen.add(v)
-
-
-def _from_pmap(pmap: Mapping[int, int]) -> RootedTree:
-    # Trusted internal constructor for a label set put together from scratch.
-    labels = tuple(sorted(pmap))
-    return RootedTree(labels, tuple(pmap[v] for v in labels))
 
 
 def _moved(t: RootedTree, moves: Mapping[int, int]) -> RootedTree:
@@ -374,14 +372,6 @@ class PlaneTree:
 
     def __hash__(self) -> int:
         return hash(tuple(self._preorder()))
-
-    def check_labels(self) -> None:
-        _check_labels(node.label for node in self.iter_nodes())
-
-    def is_increasing(self) -> bool:
-        """True iff every child label exceeds its parent label."""
-        return all(c.label > node.label
-                   for node in self.iter_nodes() for c in node.children)
 
 
 # -- class filters -----------------------------------------------------------
@@ -599,10 +589,10 @@ def enumerate_unrooted(n: int, filt: ClassFilter | None = None) -> Iterator[Root
 
 
 def tree_to_text(t: RootedTree) -> str:
-    line = " ".join(str(p) for p in t.parents)
+    line = " ".join(map(str, t.parents))
     if t.labels == tuple(range(1, t.size + 1)):
         return line
-    return "labels: " + " ".join(str(v) for v in t.labels) + "\n" + line
+    return "labels: " + " ".join(map(str, t.labels)) + "\n" + line
 
 
 def _ints(tokens: Sequence[str]) -> list[int]:
@@ -632,11 +622,13 @@ def tree_from_text(text: str) -> RootedTree:
         if len(lines) != 1:
             raise TreeError("ptree v1 is a single line")
         parents = _ints(lines[0].split())
-        labels = list(range(1, len(parents) + 1))
-    roots = [v for v, p in zip(labels, parents) if p == 0]
-    if len(roots) != 1:
-        raise DisconnectedError(f"expected exactly one root, found {len(roots)}")
-    return build(roots[0], {v: p for v, p in zip(labels, parents) if p})
+        labels = range(1, len(parents) + 1)
+    roots = parents.count(0)
+    if roots != 1:
+        raise DisconnectedError(f"expected exactly one root, found {roots}")
+    if len({*labels}) < len(labels):  # the map below would keep one of each duplicate
+        _check_labels(labels)
+    return build(labels[parents.index(0)], {v: p for v, p in zip(labels, parents) if p})
 
 
 def plane_to_text(p: PlaneTree) -> str:
@@ -661,17 +653,19 @@ def plane_from_text(text: str) -> PlaneTree:
     s = text.strip()
     pos, end = 0, len(s)
     stack: list = [(None, [])]  # (label, children read so far) of each open node
+    labels = []  # in preorder
     while True:
         start = pos
         while pos < end and s[pos].isdigit():
             pos += 1
         if start == pos:
             raise TreeError(f"expected a label at position {start}")
+        labels.append(int(s[start:pos]))
         if pos < end and s[pos] == "(":
-            stack.append((int(s[start:pos]), []))
+            stack.append((labels[-1], []))
             pos += 1
         else:
-            stack[-1][1].append(PlaneTree(int(s[start:pos])))
+            stack[-1][1].append(PlaneTree(labels[-1]))
         while len(stack) > 1:  # close nodes until another child starts
             while pos < end and s[pos] == " ":
                 pos += 1
@@ -686,6 +680,5 @@ def plane_from_text(text: str) -> PlaneTree:
             break
     if pos != end:
         raise TreeError(f"trailing input at position {pos}")
-    node = stack[0][1][0]
-    node.check_labels()
-    return node
+    _check_labels(labels)
+    return stack[0][1][0]

@@ -60,7 +60,7 @@ class VerificationReport:
     results: list[CheckResult] = field(default_factory=list)
     wall_ns: int = 0
     # where a suite's time went (ns per phase) and how much work it did;
-    # the suites that fill them: check_bijections
+    # the suites that fill them: check_bijections and check_conjecture
     phases: dict[str, int] = field(default_factory=Counter)
     counts: dict[str, int] = field(default_factory=Counter)
 
@@ -214,23 +214,25 @@ def lambda_recurrence_mismatches(prev: Counter, cur: Counter,
 
 def _check_row_sums(rep: VerificationReport, rmax: int, nmax: int) -> None:
     # sum_k psi_k(r, x) = x^r for r <= rmax, sum_k Q_{n,k}(x) = (x+n)^(n-1)
-    # for n <= nmax
+    # for n <= nmax, by each family's first route
+    psi, q = (next(iter(ROUTES[family].values())) for family in ("psi", "q"))
     for r in range(rmax + 1):
         rep.check(f"psi row sum r={r}", IntPoly.x() ** r,
-                  sum((psi_bew(r, k) for k in range(1, r + 2)), IntPoly()))
+                  sum((psi(r, k) for k in range(1, r + 2)), IntPoly()))
     for n in range(1, nmax + 1):
         rep.check(f"Q row sum n={n}", IntPoly((n, 1)) ** (n - 1),
-                  sum((q_shor(n, k) for k in range(n)), IntPoly()))
+                  sum((q(n, k) for k in range(n)), IntPoly()))
 
 
 @_timed
 def reproduce_tables() -> VerificationReport:
     """Regenerate every cell of the psi, Q, and lambda tables."""
     rep = VerificationReport("tables")
+    psi, q = (next(iter(ROUTES[family].values())) for family in ("psi", "q"))
     for (r, k), coeffs in sorted(PSI_TABLE.items()):
-        rep.check(f"psi r={r} k={k}", IntPoly(coeffs), psi_bew(r, k))
+        rep.check(f"psi r={r} k={k}", IntPoly(coeffs), psi(r, k))
     for (n, k), coeffs in sorted(Q_TABLE.items()):
-        rep.check(f"Q n={n} k={k}", IntPoly(coeffs), q_shor(n, k))
+        rep.check(f"Q n={n} k={k}", IntPoly(coeffs), q(n, k))
     _check_row_sums(rep, 4, 5)
     tabs = {n: lambda_table(n) for n in range(2, 6)}
     for i, cells in sorted(LAMBDA_TABLES.items()):
@@ -257,7 +259,7 @@ def check_recurrences(nmax: int) -> VerificationReport:
             rep.check(f"Q degree n={n} k={k}", n - 1 - k, base.degree)
             rep.note(f"Q leading positive n={n} k={k}", base.leading > 0)
             rep.check(f"f = Q(0) n={n} k={k}", f(n, k), base(0))
-        rep.note(f"Q zero out of range n={n}", q_shor(n, n).is_zero() and q_shor(n, -1).is_zero())
+        rep.note(f"Q zero out of range n={n}", q_first(n, n).is_zero() and q_first(n, -1).is_zero())
         rep.check(f"f row sum n={n}", n ** (n - 1), sum(f(n, k) for k in range(n)))
     _check_row_sums(rep, nmax, nmax)
     return rep
@@ -602,32 +604,28 @@ def check_conjecture(nmax: int) -> VerificationReport:
     the all-improper double-factorial count."""
     _require_size(nmax, SUITES["conjecture"][2])
     rep = VerificationReport("conjecture")
-    tabs: dict[int, Counter] = {}
-    totals: dict[int, Counter] = {}
-    for n in range(2, nmax + 1):
-        cells = _k_lambda_counts(n)
-        tabs[n] = _with_lambda(cells)
-        totals[n] = Counter()
-        for (k, _), c in cells.items():
-            totals[n][k] += c
-    for n in range(3, nmax + 1):
-        rep.check(f"lambda recurrence n={n}, mismatching (k, i, expected, actual)",
-                  [], lambda_recurrence_mismatches(tabs[n - 1], tabs[n], n))
-    for n in range(2, nmax + 1):
-        for i in range(1, n):
-            rep.check(f"k=1 classes are (n-2)! n={n} i={i}",
-                      factorial(n - 2), tabs[n].get((1, i), 0))
-        for k in range(1, n):
-            rep.check(f"lambda at second-max n={n} k={k}",
-                      f(n - 1, k - 1), tabs[n].get((k, n - 1), 0))
-        rep.check(f"all-improper count n={n}",
-                  double_factorial(2 * n - 3), totals[n].get(n - 1, 0))
-        rep.check(f"enumeration complete n={n}",
-                  n ** (n - 1), sum(totals[n].values()))
-    for i, cells in sorted(LAMBDA_TABLES.items()):
-        for (n, k), value in sorted(cells.items()):
-            if n <= nmax:
-                rep.check(f"lambda table i={i} n={n} k={k}", value, tabs[n].get((k, i), 0))
+    with rep.phase("count"):
+        census = {n: _k_lambda_counts(n) for n in range(2, nmax + 1)}
+        tabs = {n: _with_lambda(c) for n, c in census.items()}
+    rep.counts["trees counted"] = sum(sum(c.values()) for c in census.values())
+    with rep.phase("check"):
+        for n in range(3, nmax + 1):
+            rep.check(f"lambda recurrence n={n}, mismatching (k, i, expected, actual)",
+                      [], lambda_recurrence_mismatches(tabs[n - 1], tabs[n], n))
+        for n in range(2, nmax + 1):
+            for i in range(1, n):
+                rep.check(f"k=1 classes are (n-2)! n={n} i={i}",
+                          factorial(n - 2), tabs[n].get((1, i), 0))
+            for k in range(1, n):
+                rep.check(f"lambda at second-max n={n} k={k}",
+                          f(n - 1, k - 1), tabs[n].get((k, n - 1), 0))
+            rep.check(f"all-improper count n={n}", double_factorial(2 * n - 3),
+                      sum(c for (k, _), c in census[n].items() if k == n - 1))
+            rep.check(f"enumeration complete n={n}", n ** (n - 1), sum(census[n].values()))
+        for i, cells in sorted(LAMBDA_TABLES.items()):
+            for (n, k), value in sorted(cells.items()):
+                if n <= nmax:
+                    rep.check(f"lambda table i={i} n={n} k={k}", value, tabs[n].get((k, i), 0))
     return rep
 
 

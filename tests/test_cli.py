@@ -71,6 +71,25 @@ def test_poly_walks_every_route(capsys):
                 assert err == f"error: method {method!r} does not generate family {family!r}\n"
 
 
+@pytest.mark.parametrize("family", ["psi", "q"])
+def test_first_route_is_the_default_everywhere(capsys, monkeypatch, family):
+    # reordering ROUTES moves the default of poly, table and the table suite together
+    first = next(iter(ROUTES[family].values()))
+    asked = []
+
+    def spy(a, k):
+        asked.append((a, k))
+        return first(a, k)
+
+    monkeypatch.setitem(ROUTES, family, {"spy": spy, **ROUTES[family]})
+    code, out, _ = run(capsys, ["poly", "--family", family, "--n", "3", "--k", "1"])
+    assert code == 0 and out == f"{first(3, 1)}\n" and asked == [(3, 1)]
+    code, _, _ = run(capsys, ["table", "--which", family, "--max", "4"])
+    assert code == 0 and (4, 1) in asked
+    asked.clear()
+    assert verify.reproduce_tables().ok and len(asked) > 20
+
+
 def test_table_q(capsys):
     code, out, _ = run(capsys, ["table", "--which", "q", "--max", "5"])
     assert code == 0
@@ -357,6 +376,39 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--n", "3", "--count", "--bogus"])
     assert exc.value.code == 2
+
+
+def test_in_process_calls_share_no_state(capsys, monkeypatch):
+    # main parses with one parser built at import; no call may leave state
+    # behind for the next one
+    def rebuilt():
+        raise AssertionError("main rebuilt its parser")
+
+    monkeypatch.setattr(cli, "_build_parser", rebuilt)
+    cell = ["poly", "--family", "q", "--n", "5", "--k", "2"]
+    code, out, _ = run(capsys, cell + ["--json"])
+    assert code == 0 and json.loads(out) == {"coefficients": ["190", "195", "45"]}
+    code, out, _ = run(capsys, cell)
+    assert code == 0 and out == "45x^2+195x+190\n"
+
+    audit = ["bij", "--map", "rooted", "--dir", "fwd"]
+    code, out, err = run(capsys, audit + ["--audit"], stdin="2 0 1", monkeypatch=monkeypatch)
+    assert code == 0 and err.startswith("audit: ")
+    code, out2, err = run(capsys, audit, stdin="2 0 1", monkeypatch=monkeypatch)
+    assert code == 0 and out2 == out and err == ""
+
+    with pytest.raises(SystemExit) as exc:
+        main(["bij", "--map", "nosuch", "--dir", "fwd"])
+    assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
+    code, out, err = run(capsys, audit, stdin="2 0 1", monkeypatch=monkeypatch)
+    assert code == 0 and out == "3 0 2\n" and err == ""
+
+    # the parser holds the suite names; the suites are looked up per call
+    broken = VerificationReport("tables")
+    broken.check("forced", 1, 2)
+    monkeypatch.setitem(verify.SUITES, "tables", (lambda: broken, None, None))
+    code, out, _ = run(capsys, ["verify", "--suite", "tables"])
+    assert code == 1 and out.splitlines()[-1] == broken.summary()
 
 
 # -- fuzzing the bij pipe ----------------------------------------------------------

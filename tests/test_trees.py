@@ -13,6 +13,7 @@ from ramapoly.trees import (ClassFilter, CycleError, DisconnectedError, LabelErr
 import conftest as oc
 from conftest import rooted_trees
 from golden import CENSUS_8, SIXTEEN_DEG1, SIXTEEN_DEG4
+from ramapoly.bijections import DomainError, plane_inv
 
 tt = tree_from_text
 
@@ -375,7 +376,7 @@ def test_plane_text_round_trip():
     s = "1(5(8(9)) 2(6) 3(7 4))"
     p = plane_from_text(s)
     assert plane_to_text(p) == s
-    assert p.is_increasing()
+    assert all(c.label > v.label for v in p.iter_nodes() for c in v.children)
     assert sum(1 for _ in p.iter_nodes()) == 9
 
 
@@ -408,7 +409,77 @@ def test_plane_errors():
         plane_from_text("1(2")
     with pytest.raises(TreeError):
         plane_from_text("1)2")
-    assert not plane_from_text("2(1)").is_increasing()
+
+
+def _plane_inv_text(text):
+    # what `ramapoly bij --map plane --dir inv` does with its input
+    return plane_inv(plane_from_text(text))
+
+
+# A table of mangled tree texts with the exception class and the exact
+# message each one raised before the readers were rewritten; every row
+# must keep both.
+_READ_ERRORS = [
+    (tree_from_text, "1 x 0", LabelError, "bad integer 'x'"),
+    (tree_from_text, "1 2.5 0", LabelError, "bad integer '2.5'"),
+    (tree_from_text, "labels: 2 a\n0 2", LabelError, "bad integer 'a'"),
+    (tree_from_text, "labels: 2 2 5\n0 2 2", LabelError, "duplicate label 2"),
+    (tree_from_text, "labels: 5 5\n0 5", LabelError, "duplicate label 5"),
+    (tree_from_text, "labels: -1 3\n3 0", LabelError, "invalid label -1"),
+    (tree_from_text, "labels: 0 1\n1 0", LabelError, "invalid label 0"),
+    (tree_from_text, "labels: -2 -1\n-1 0", LabelError, "invalid label -1"),
+    (tree_from_text, "0 7 1", LabelError, "parent 7 of 2 is not a label"),
+    (tree_from_text, "labels: 2 5\n0 3", LabelError, "parent 3 of 5 is not a label"),
+    (tree_from_text, "1 2 1", DisconnectedError, "expected exactly one root, found 0"),
+    (tree_from_text, "labels: 4 6 9\n6 9 4", DisconnectedError,
+     "expected exactly one root, found 0"),
+    (tree_from_text, "0 0 1", DisconnectedError, "expected exactly one root, found 2"),
+    (tree_from_text, "labels: 2 5 5\n0 0 2", DisconnectedError,
+     "expected exactly one root, found 2"),
+    (tree_from_text, "0 3 2", CycleError, "cycle through label 2"),
+    (tree_from_text, "0 3 4 5 6 2", CycleError, "cycle through label 2"),
+    (tree_from_text, "0 3 4 5 3 1", CycleError, "cycle through label 3"),
+    (tree_from_text, "labels: 5 2\n0 5", LabelError, "labels line must be sorted"),
+    (tree_from_text, "", TreeError, "empty tree text"),
+    (tree_from_text, " \n\n", TreeError, "empty tree text"),
+    (tree_from_text, "labels: 1 2\n0 1\n3", TreeError, "labeled form needs exactly two lines"),
+    (tree_from_text, "0 1\n1 0", TreeError, "ptree v1 is a single line"),
+    (tree_from_text, "labels: 1 2 3\n0 1", TreeError, "label/parent count mismatch"),
+    (_plane_inv_text, "1(2", TreeError, "unbalanced parentheses"),
+    (_plane_inv_text, "1(2(3 4)", TreeError, "unbalanced parentheses"),
+    (_plane_inv_text, "1(2))", TreeError, "trailing input at position 4"),
+    (_plane_inv_text, "1 2", TreeError, "trailing input at position 1"),
+    (_plane_inv_text, "", TreeError, "expected a label at position 0"),
+    (_plane_inv_text, "-1(2)", TreeError, "expected a label at position 0"),
+    (_plane_inv_text, "1(2 x)", TreeError, "expected a label at position 4"),
+    (_plane_inv_text, "1(2 2)", LabelError, "duplicate label 2"),
+    (_plane_inv_text, "1(2(3) 2)", LabelError, "duplicate label 2"),
+    (_plane_inv_text, "0(1)", LabelError, "invalid label 0"),
+    (_plane_inv_text, "2(1)", DomainError, "plane tree must be increasing"),
+    (_plane_inv_text, "2(3(1))", DomainError, "plane tree must be increasing"),
+    # not increasing and a duplicate label: the label error wins
+    (_plane_inv_text, "3(1 3)", LabelError, "duplicate label 3"),
+    (_plane_inv_text, "5(6 7(8 5))", LabelError, "duplicate label 5"),
+    (plane_inv, PlaneTree(3, (PlaneTree(1), PlaneTree(3))), LabelError, "duplicate label 3"),
+    (plane_inv, PlaneTree(2, (PlaneTree(1, (PlaneTree(5),)), PlaneTree(4, (PlaneTree(5),)))),
+     LabelError, "duplicate label 5"),
+    (plane_inv, PlaneTree(1, (PlaneTree(0),)), LabelError, "invalid label 0"),
+]
+
+
+@pytest.mark.parametrize("read, text, cls, message", _READ_ERRORS)
+def test_read_errors_are_frozen(read, text, cls, message):
+    with pytest.raises(cls) as info:
+        read(text)
+    assert type(info.value) is cls and str(info.value) == message
+
+
+def test_duplicate_labels_are_refused_not_dropped():
+    # a parent map keeps one entry per label, so these once read as a
+    # two-node tree and as a cycle through 5
+    for text in ("labels: 2 5 5\n0 2 2", "labels: 2 5 5\n0 2 5"):
+        with pytest.raises(LabelError, match="^duplicate label 5$"):
+            tree_from_text(text)
 
 
 # -- filters ----------------------------------------------------------------------

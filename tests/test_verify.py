@@ -222,6 +222,17 @@ def test_bijection_report_phases_and_counts():
     last = json.loads(rep.json_lines()[-1])
     assert last["phases_ns"] == rep.phases and last["counts"] == rep.counts
     assert "; classify " in rep.summary() and "; maps applied 35522)" in rep.summary()
-    other = check_conjecture(4)
+    other = check_recurrences(3)
     assert other.phases == {} and other.counts == {}
     assert json.loads(other.json_lines()[-1])["phases_ns"] == {}
+
+
+def test_conjecture_report_phases_and_counts():
+    rep = check_conjecture(6)
+    assert set(rep.phases) == {"count", "check"}
+    assert all(isinstance(ns, int) and ns > 0 for ns in rep.phases.values())
+    assert sum(rep.phases.values()) <= rep.wall_ns
+    assert rep.counts == {"trees counted": sum(n ** (n - 1) for n in range(2, 7))}
+    last = json.loads(rep.json_lines()[-1])
+    assert last["phases_ns"] == rep.phases and last["counts"] == rep.counts
+    assert rep.summary().endswith("; trees counted 8476)")
