@@ -172,11 +172,10 @@ def _fold_heads(t: RootedTree, top: int, v: int, trace: list | None) -> tuple[in
     path = t._up_path(1)
     stem = path[path.index(top)::-1]
     heads = [top]
-    out, limit = len(kids), w  # len(kids) is above every position
+    out = w  # a segment end u < w leaves out <= u, so w bounds only the first
     for u, nxt in zip(stem, stem[1:]):
-        if u < min(out, limit):
+        if u < out:
             heads.append(nxt)
-            limit = len(kids)
         out = min(out, u, *[low[c] for c in kids[u] if c != nxt])
     _note(trace, lambda: f"fold: w={t.labels[w - 1]} segment heads at {t._names(heads)}")
     return w, heads
@@ -419,8 +418,9 @@ def color_split(c: ColoredRootedTree) -> RootedTree:
     and the rest of the tree, and labels shift up by one."""
     t = c.tree
     n = _require_contiguous(t)
+    # the old root's parent 0 shifts to 1, the fresh root, as the black children's do
     return RootedTree(tuple(range(1, n + 2)), (0,) + tuple(
-        1 if (p == 0 or v in c.black) else p + 1 for v, p in zip(t.labels, t.parents)))
+        1 if v in c.black else p + 1 for v, p in zip(t.labels, t.parents)))
 
 
 def color_merge(t: RootedTree) -> ColoredRootedTree:
@@ -475,31 +475,32 @@ def plane_fwd(t: RootedTree) -> PlaneTree:
     plane: list = [[] for _ in kids]
     for c in reversed(order[1:]):  # deeper nodes first
         plane[low[c]].append(nxt[c])
-    for m in range(t.size, 0, -1):  # each list becomes its node after its children
-        plane[m] = PlaneTree(t.labels[m - 1], tuple([plane[c] for c in plane[m]]))
-    return plane[1]
+    pre, stack = [], [1]  # the preorder, by position
+    while stack:
+        pre.append(stack.pop())
+        stack += reversed(plane[pre[-1]])
+    return PlaneTree(t._names(pre), tuple([len(plane[m]) for m in pre]))
 
 
 def plane_inv(p: PlaneTree) -> RootedTree:
     """Inverse of `plane_fwd`: rebuild the root path from the ordered
     children, right to left."""
-    # Children before parents: the head of a subtree, the end of its
-    # rightmost path, is the root of the tree rebuilt from it.
-    head: dict[int, int] = {}
+    # Children before parents: each subtree read waits on a stack, the leftmost on top, as
+    # (label, head); its head, the end of its rightmost path, roots the tree rebuilt from it.
     pm: dict[int, int] = {}
-    order, falls = [], False  # the labels met, and whether a child fell below its parent
-    for node in reversed(list(p.iter_nodes())):
-        v = head[v] = node.label  # a leaf heads its own subtree
-        order.append(v)
-        if node.children:
-            kids = [c.label for c in node.children]
-            falls = falls or min(kids) <= v
-            heads = [*map(head.__getitem__, kids)]
-            pm.update(zip([v] + heads, heads))  # v -> h_1 -> ... -> h_m
-            head[v] = heads[-1]
-    _check_labels(reversed(order))  # a bad label is reported before a fall
+    stack: list[tuple[int, int]] = []
+    falls = False  # whether a child fell below its parent
+    for v, d in zip(reversed(p.labels), reversed(p.degrees)):
+        h = v  # a leaf heads its own subtree
+        for _ in range(d):  # the children, leftmost first: v -> h_1 -> ... -> h_d
+            c, head = stack.pop()
+            falls = falls or c <= v
+            pm[h] = head
+            h = head
+        stack.append((v, h))
+    _check_labels(p.labels)  # a bad label is reported before a fall
     if falls:
         raise DomainError("plane tree must be increasing")
-    pm[head[p.label]] = 0
+    pm[stack[0][1]] = 0
     labels = tuple(sorted(pm))
     return RootedTree(labels, tuple(map(pm.__getitem__, labels)))

@@ -18,8 +18,8 @@ from . import bijections as bj
 from . import verify as vf
 from .polynomials import ROUTES, IntPoly, poly_table
 from .series import genfun_mismatch
-from .trees import (ClassFilter, enumerate_rooted, enumerate_unrooted, plane_from_text,
-                    plane_to_text, tree_from_text, tree_to_text)
+from .trees import (ClassFilter, _check_labels, _ints, enumerate_rooted, enumerate_unrooted,
+                    plane_from_text, plane_to_text, tree_from_text, tree_to_text)
 
 # [10] has 10^9 rooted trees, hours of enumeration
 _ENUMERATE_LIMIT = 10
@@ -163,11 +163,12 @@ def _cmd_enumerate(args) -> int:
 
 def _read_colored(text: str) -> bj.ColoredRootedTree:
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    black: frozenset[int] = frozenset()
+    black: list[int] = []
     if lines and lines[-1].lstrip().startswith("black:"):
-        black = frozenset(int(tok) for tok in lines[-1].split(":", 1)[1].split())
+        black = _ints(lines[-1].split(":", 1)[1].split())
+        _check_labels(black)
         lines = lines[:-1]
-    return bj.ColoredRootedTree(tree_from_text("\n".join(lines)), black)
+    return bj.ColoredRootedTree(tree_from_text("\n".join(lines)), frozenset(black))
 
 
 def _cmd_bij(args) -> int:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from itertools import repeat, takewhile
+from itertools import accumulate, repeat, takewhile
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -72,9 +72,8 @@ def _descend(kids: Sequence, low: Sequence[int], i: int, bound: int) -> int:
     if target >= bound:
         return 0
     out = len(kids)  # above every position
+    # out leaves out the positions passed: one below out is >= bound, so above any stop
     while i >= bound or i >= out:
-        if i < out:
-            out = i
         for c in kids[i]:
             b = low[c]
             if b == target:
@@ -344,34 +343,25 @@ def _moved(t: RootedTree, moves: Mapping[int, int]) -> RootedTree:
 # -- plane trees -------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PlaneTree:
-    """Rooted tree with ordered children; labels are distinct positive ints.
-    Equality compares the preorder (label, child count) sequences."""
+    """Rooted tree with ordered children, stored as its preorder: `labels[j]`
+    has `degrees[j]` children, the subtrees that follow it in order.  The
+    labels are checked by the readers and maps, not here."""
 
-    label: int
-    children: tuple["PlaneTree", ...] = ()
+    labels: tuple[int, ...]
+    degrees: tuple[int, ...]
 
-    def iter_nodes(self) -> Iterator["PlaneTree"]:
-        """Every node, in preorder."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            if node.children:
-                stack += node.children[::-1]
+    def __post_init__(self):
+        d, n = self.degrees, len(self.degrees)
+        # Each node but the last leaves a child slot open for the next: the
+        # degrees up to node j sum past j, and all n of them sum to n - 1.
+        if (len(self.labels) != n or min(d, default=0) < 0 or sum(d) != n - 1
+                or not all(map(int.__gt__, accumulate(d[:-1]), range(n - 1)))):
+            raise TreeError("not the preorder of a plane tree")
 
     def __repr__(self) -> str:
         return f"plane_from_text({plane_to_text(self)!r})"
-
-    def _preorder(self) -> list[tuple[int, int]]:
-        return [(node.label, len(node.children)) for node in self.iter_nodes()]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PlaneTree) and self._preorder() == other._preorder()
-
-    def __hash__(self) -> int:
-        return hash(tuple(self._preorder()))
 
 
 # -- class filters -----------------------------------------------------------
@@ -633,11 +623,11 @@ def tree_from_text(text: str) -> RootedTree:
 
 def plane_to_text(p: PlaneTree) -> str:
     out, left = [], []  # left: the children still to write in each open "("
-    for node in p.iter_nodes():
-        out.append(str(node.label))
-        if node.children:
+    for label, d in zip(p.labels, p.degrees):
+        out.append(str(label))
+        if d:
             out.append("(")
-            left.append(len(node.children))
+            left.append(d)
             continue
         while left:  # a leaf ends a child of the innermost open node, maybe its last
             left[-1] -= 1
@@ -652,8 +642,8 @@ def plane_to_text(p: PlaneTree) -> str:
 def plane_from_text(text: str) -> PlaneTree:
     s = text.strip()
     pos, end = 0, len(s)
-    stack: list = [(None, [])]  # (label, children read so far) of each open node
-    labels = []  # in preorder
+    labels, degrees = [], [0]  # in preorder, after the degree of a slot above the root
+    stack = [0]  # the indices in degrees of that slot and of each open node
     while True:
         start = pos
         while pos < end and s[pos].isdigit():
@@ -661,11 +651,11 @@ def plane_from_text(text: str) -> PlaneTree:
         if start == pos:
             raise TreeError(f"expected a label at position {start}")
         labels.append(int(s[start:pos]))
+        degrees[stack[-1]] += 1
+        degrees.append(0)
         if pos < end and s[pos] == "(":
-            stack.append((labels[-1], []))
+            stack.append(len(labels))
             pos += 1
-        else:
-            stack[-1][1].append(PlaneTree(labels[-1]))
         while len(stack) > 1:  # close nodes until another child starts
             while pos < end and s[pos] == " ":
                 pos += 1
@@ -674,11 +664,10 @@ def plane_from_text(text: str) -> PlaneTree:
             if s[pos] != ")":
                 break
             pos += 1
-            label, kids = stack.pop()
-            stack[-1][1].append(PlaneTree(label, tuple(kids)))
+            stack.pop()
         if len(stack) == 1:
             break
     if pos != end:
         raise TreeError(f"trailing input at position {pos}")
     _check_labels(labels)
-    return stack[0][1][0]
+    return PlaneTree(tuple(labels), tuple(degrees[1:]))

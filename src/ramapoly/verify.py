@@ -524,10 +524,11 @@ def _all_increasing_plane_trees(n: int) -> list[PlaneTree]:
         shapes = grown
     trees = []
     for shape in shapes:
-        node: list = [None] * (n + 1)
-        for u in range(n, 0, -1):  # children carry larger labels
-            node[u] = PlaneTree(u, tuple([node[c] for c in shape[u - 1]]))
-        trees.append(node[1])
+        pre, stack = [], [1]  # the preorder
+        while stack:
+            pre.append(stack.pop())
+            stack += reversed(shape[pre[-1] - 1])
+        trees.append(PlaneTree(tuple(pre), tuple([len(shape[u - 1]) for u in pre])))
     return trees
 
 

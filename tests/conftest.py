@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hypothesis.strategies as st
 
-from ramapoly.trees import RootedTree, build
+from ramapoly.trees import PlaneTree, RootedTree, build
 
 
 # -- strategies -----------------------------------------------------------------
@@ -101,3 +101,19 @@ def o_alpha(t: RootedTree) -> int | None:
 def o_beta_star(t: RootedTree) -> int | None:
     kids = [u for u in t.labels if t.parent(u) == t.min_label]
     return min(o_beta(t, a) for a in kids) if kids else None
+
+
+def o_plane_parents(p: PlaneTree) -> list[int | None]:
+    """The parent label of each preorder node, None at the root: the nearest
+    earlier node with a child still to come, counted from `degrees`."""
+    parents: list[int | None] = []
+    waiting: list[list[int]] = []  # [label, children still to come] of the open nodes
+    for v, d in zip(p.labels, p.degrees):
+        parents.append(waiting[-1][0] if waiting else None)
+        if waiting:
+            waiting[-1][1] -= 1
+            if not waiting[-1][1]:
+                waiting.pop()
+        if d:
+            waiting.append([v, d])
+    return parents

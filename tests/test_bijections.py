@@ -16,7 +16,7 @@ from ramapoly.trees import (ClassFilter, RootedTree, build, enumerate_rooted,
                             tree_from_text, tree_to_text)
 from ramapoly.verify import double_factorial
 
-from conftest import o_upper_critical, rooted_trees
+from conftest import o_plane_parents, o_upper_critical, rooted_trees
 import golden
 
 tt = tree_from_text
@@ -378,8 +378,8 @@ def test_plane_bijection_exhaustive():
         count = 0
         for t in enumerate_rooted(n, ClassFilter(k=n - 1)):
             p = plane_fwd(t)
-            assert all(c.label > v.label for v in p.iter_nodes() for c in v.children)
-            assert {node.label for node in p.iter_nodes()} == set(t.labels)
+            assert all(q is None or q < v for v, q in zip(p.labels, o_plane_parents(p)))
+            assert sorted(p.labels) == list(t.labels)
             back = plane_inv(p)
             assert back == t
             assert back.improper_count() == back.size - 1
@@ -393,7 +393,7 @@ def test_plane_bijection_exhaustive():
 def test_plane_round_trip_random_labels(t):
     if t.improper_count() == t.size - 1:
         p = plane_fwd(t)
-        assert all(c.label > v.label for v in p.iter_nodes() for c in v.children)
+        assert all(q is None or q < v for v, q in zip(p.labels, o_plane_parents(p)))
         assert plane_inv(p) == t
 
 

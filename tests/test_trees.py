@@ -14,6 +14,7 @@ import conftest as oc
 from conftest import rooted_trees
 from golden import CENSUS_8, SIXTEEN_DEG1, SIXTEEN_DEG4
 from ramapoly.bijections import DomainError, plane_inv
+from ramapoly.cli import _read_colored
 
 tt = tree_from_text
 
@@ -376,8 +377,8 @@ def test_plane_text_round_trip():
     s = "1(5(8(9)) 2(6) 3(7 4))"
     p = plane_from_text(s)
     assert plane_to_text(p) == s
-    assert all(c.label > v.label for v in p.iter_nodes() for c in v.children)
-    assert sum(1 for _ in p.iter_nodes()) == 9
+    assert p.labels == (1, 5, 8, 9, 2, 6, 3, 7, 4)
+    assert oc.o_plane_parents(p) == [None, 1, 5, 8, 1, 2, 1, 3, 3]
 
 
 def test_plane_child_order_significant():
@@ -393,13 +394,15 @@ def test_deep_plane_trees_compare_and_hash():
     assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert plane_to_text(a) == path
     assert repr(a) == f"plane_from_text({path!r})"
-    assert [node.label for node in a.iter_nodes()] == list(range(1, n + 1))
+    assert a.labels == tuple(range(1, n + 1))
+    assert oc.o_plane_parents(a) == [None, *range(1, n)]
     # another deepest label; the same preorder labels in another shape
     assert a != plane_from_text(path.replace(f"({n})", f"({n + 1})"))
-    flat = PlaneTree(1, tuple(PlaneTree(v) for v in range(2, n + 1)))
-    assert a != flat and [x.label for x in flat.iter_nodes()] == list(range(1, n + 1))
-    assert PlaneTree(1, (PlaneTree(2),)) == PlaneTree(1, (PlaneTree(2),))
-    assert PlaneTree(1, (PlaneTree(2),)) != PlaneTree(1) and PlaneTree(1) != 1
+    flat = PlaneTree(tuple(range(1, n + 1)), (n - 1,) + (0,) * (n - 1))
+    assert a != flat and flat.labels == a.labels
+    assert plane_to_text(flat) == "1(" + " ".join(map(str, range(2, n + 1))) + ")"
+    assert PlaneTree((1, 2), (1, 0)) == PlaneTree((1, 2), (1, 0))
+    assert PlaneTree((1, 2), (1, 0)) != PlaneTree((1,), (0,)) and PlaneTree((1,), (0,)) != 1
 
 
 def test_plane_errors():
@@ -411,14 +414,17 @@ def test_plane_errors():
         plane_from_text("1)2")
 
 
+def _plane_pair(pair):
+    return PlaneTree(*pair)
+
+
 def _plane_inv_text(text):
     # what `ramapoly bij --map plane --dir inv` does with its input
     return plane_inv(plane_from_text(text))
 
 
-# A table of mangled tree texts with the exception class and the exact
-# message each one raised before the readers were rewritten; every row
-# must keep both.
+# A table of mangled tree inputs with the exception class and the exact
+# message each one raises; every row must keep both.
 _READ_ERRORS = [
     (tree_from_text, "1 x 0", LabelError, "bad integer 'x'"),
     (tree_from_text, "1 2.5 0", LabelError, "bad integer '2.5'"),
@@ -460,10 +466,17 @@ _READ_ERRORS = [
     # not increasing and a duplicate label: the label error wins
     (_plane_inv_text, "3(1 3)", LabelError, "duplicate label 3"),
     (_plane_inv_text, "5(6 7(8 5))", LabelError, "duplicate label 5"),
-    (plane_inv, PlaneTree(3, (PlaneTree(1), PlaneTree(3))), LabelError, "duplicate label 3"),
-    (plane_inv, PlaneTree(2, (PlaneTree(1, (PlaneTree(5),)), PlaneTree(4, (PlaneTree(5),)))),
-     LabelError, "duplicate label 5"),
-    (plane_inv, PlaneTree(1, (PlaneTree(0),)), LabelError, "invalid label 0"),
+    (plane_inv, PlaneTree((3, 1, 3), (2, 0, 0)), LabelError, "duplicate label 3"),
+    (plane_inv, PlaneTree((2, 1, 5, 4, 5), (2, 1, 0, 1, 0)), LabelError, "duplicate label 5"),
+    (plane_inv, PlaneTree((1, 0), (1, 0)), LabelError, "invalid label 0"),
+    # (labels, degrees) pairs that are not the preorder of one tree
+    (_plane_pair, ((1, 2), (1,)), TreeError, "not the preorder of a plane tree"),
+    (_plane_pair, ((1, 2, 3, 4), (3, -1, 1, 0)), TreeError, "not the preorder of a plane tree"),
+    (_plane_pair, ((1, 2), (0, 0)), TreeError, "not the preorder of a plane tree"),
+    (_plane_pair, ((1,), (1,)), TreeError, "not the preorder of a plane tree"),
+    # the black line of `ramapoly bij --map color --dir fwd`
+    (_read_colored, "0 1\nblack: 2 2", LabelError, "duplicate label 2"),
+    (_read_colored, "0 1\nblack: x", LabelError, "bad integer 'x'"),
 ]
 
 
