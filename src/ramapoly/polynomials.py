@@ -278,9 +278,13 @@ ROUTES = {
 
 def poly_table(family: str, maximum: int) -> dict[tuple[int, int], IntPoly]:
     """Cells of the psi table (keys (r, k), r <= maximum) or the Q table
-    (keys (n, k), n <= maximum), by the family's first route in `ROUTES`."""
+    (keys (n, k), n <= maximum), by the family's first route in `ROUTES`.
+    A maximum below the family's first row (psi 0, q 1) is refused."""
     if family not in ("psi", "q"):
         raise ValueError(f"unknown family {family!r}")
+    first = 0 if family == "psi" else 1
+    if maximum < first:
+        raise ValueError(f"{family} tables need a maximum of at least {first}")
     route = next(iter(ROUTES[family].values()))
     if family == "psi":
         return {(r, k): route(r, k) for r in range(maximum + 1) for k in range(1, r + 2)}

@@ -394,65 +394,72 @@ def _bijects(rep: VerificationReport, n: int, items: Collection[tuple], cod: set
     return ok and len(img) == len(items) and img == cod
 
 
-def _certify_rooted(rep: VerificationReport, n: int) -> set:
-    dom: dict = defaultdict(list)
-    cod: dict = defaultdict(set)
-    dom_path: dict = defaultdict(list)
-    cod_path: dict = defaultdict(set)
-    dom_restricted: dict = defaultdict(list)
-    cod_restricted: dict = defaultdict(set)
-    dom_flat: dict = defaultdict(list)
-    cod_flat: dict = defaultdict(set)
+def _certify_rooted(rep: VerificationReport, n: int) -> tuple[list, dict]:
+    # One pass over the trees on [n] files each tree once per side.  Domain
+    # (deg(1) > 0): lowering (k, i) when i >= 1, else flat (k, deg(1)).
+    # Codomain (deg(n) > 0): lifting (k, i) when deg(1) > 0 or lambda = 1,
+    # else restricted (k, i, deg(n)).  A composite class is a union of cells.
+    lowering: dict = defaultdict(list)
+    flat: dict = defaultdict(list)
+    lifting: dict = defaultdict(set)
+    restricted: dict = defaultdict(set)
     dom_fold: dict = defaultdict(list)
     cod_fold: dict = defaultdict(set)
+    # the min-rooted trees (p_1 = 0) by (k, deg(1)); fresh: 2 a leaf, the
+    # fresh-root codomain on [n - 1]
+    min_dom: dict = defaultdict(list)
+    min_cod: dict = defaultdict(set)
+    fresh: dict = defaultdict(set)
     seen = 0
     with rep.phase("classify"):
         for seen, t in enumerate(enumerate_rooted(n), 1):
             k = t.improper_count()
             i = t.proper_on_max_path()
             dmin, dmax = t.degree(1), t.degree(n)
-            lam = t.lower_critical() if dmax else None
             ps = t.parents
             if dmin > 0:
-                dom[k].append(ps)
-                if i >= 1:
-                    dom_path[(k, i)].append(ps)
-            if dmax > 0:
-                cod[k].add(ps)
-                if dmin > 0 or lam == 1:
-                    cod_path[(k, i)].add(ps)
-            if dmin == 0 and dmax >= 1 and lam is not None and lam > 1:
-                if i >= 1:
-                    dom_restricted[(k, i, dmax)].append(ps)
-                cod_restricted[(k, i, dmax)].add(ps)
-                if i == 0:
-                    for m in range(1, dmax + 1):
-                        cod_flat[(k, m)].add(ps)
-            if i == 0 and dmin >= 1:
-                dom_flat[(k, dmin)].append(ps)
+                (lowering[(k, i)] if i >= 1 else flat[(k, dmin)]).append(ps)
+            if dmax > 0:  # lambda is defined here, and read only when deg(1) = 0
+                (lifting[(k, i)] if dmin > 0 or t.lower_critical() == 1
+                 else restricted[(k, i, dmax)]).add(ps)
             if dmin == 1:
                 dom_fold[(k, t.beta_star())].append(ps)
             if dmin == 0 and t.root != 1:
                 cod_fold[(k, t.mu())].add(ps)
+            if ps[0] == 0:
+                if t.degree(2) > 0:
+                    min_dom[(k, dmin)].append(ps)
+                else:
+                    fresh[(k, dmin)].add(ps)
+                if dmax > 0:
+                    min_cod[(k, dmin)].add(ps)
         rep.counts["trees visited"] += seen
+
+    def union(k: int, *sides: dict) -> list:
+        # the trees in the cells whose key starts with k
+        return [ps for cells in sides for key, c in cells.items() if key[0] == k for ps in c]
 
     with rep.phase("map"):
         fwd_ok = {}
-        for k, items in sorted(dom.items()):
-            fwd_ok[k] = _bijects(rep, n, items, cod.get(k + 1, set()), bj.rooted_fwd, bj.rooted_inv)
+        for k in sorted({key[0] for key in (*lowering, *flat)}):
+            items = union(k, lowering, flat)
+            fwd_ok[k] = _bijects(rep, n, items, set(union(k + 1, lifting, restricted)),
+                                 bj.rooted_fwd, bj.rooted_inv)
             rep.note(f"rooted bijection n={n} k={k} ({len(items)} trees)", fwd_ok[k])
-        for k in sorted(cod):  # derived: see check_bijections
+        # derived: see check_bijections
+        for k in sorted({key[0] for key in (*lifting, *restricted)}):
             rep.note(f"rooted inverse round-trip n={n} k={k}", fwd_ok.get(k - 1, False))
 
-        for (k, i), items in sorted(dom_path.items()):
-            ok = _bijects(rep, n, items, cod_path.get((k + 1, i - 1), set()), bj.lower, bj.lift)
+        for (k, i), items in sorted(lowering.items()):
+            ok = _bijects(rep, n, items, lifting.get((k + 1, i - 1), set()), bj.lower, bj.lift)
             rep.note(f"lowering class n={n} k={k} i={i}", ok)
-        for (k, i, m), items in sorted(dom_restricted.items()):
-            ok = _bijects(rep, n, items, cod_restricted.get((k + 1, i - 1, m + 1), set()),
-                          bj.lower, bj.lift)
-            rep.note(f"restricted lowering n={n} k={k} i={i} deg(max)={m}", ok)
+        for (k, i, m), items in sorted(restricted.items()):
+            if i >= 1:
+                ok = _bijects(rep, n, items, restricted.get((k + 1, i - 1, m + 1), set()),
+                              bj.lower, bj.lift)
+                rep.note(f"restricted lowering n={n} k={k} i={i} deg(max)={m}", ok)
         cases: Counter = Counter()  # flatten dispatches by reported case
-        for (k, m), items in sorted(dom_flat.items()):
+        for (k, m), items in sorted(flat.items()):
             miscased = []
 
             def flatten(t):
@@ -468,8 +475,9 @@ def _certify_rooted(rep: VerificationReport, n: int) -> set:
                     miscased.append(t)
                 return u
 
-            ok = _bijects(rep, n, items, cod_flat.get((k + m, m), set()), flatten,
-                          lambda u: bj.unflatten_min(u, m))
+            cod = set().union(*(c for (kk, j, d), c in restricted.items()
+                                if (kk, j) == (k + m, 0) and d >= m))
+            ok = _bijects(rep, n, items, cod, flatten, lambda u: bj.unflatten_min(u, m))
             rep.note(f"flatten classes n={n} k={k} m={m}", ok and not miscased)
         # every case fires from n = 5 on (case A needs five labels)
         rep.note(f"flatten cases n={n}", n < 5 or all(cases[c] for c in "ABCD"),
@@ -478,35 +486,16 @@ def _certify_rooted(rep: VerificationReport, n: int) -> set:
             ok = _bijects(rep, n, items, cod_fold.get((k + 1, w), set()), bj.fold_stem,
                           bj.unfold_stem)
             rep.note(f"fold classes n={n} k={k} w={w}", ok)
-    return cod.get(n - 1, set())  # all-improper: a leaf n would hang by a proper edge
 
-
-def _certify_unrooted(rep: VerificationReport, size: int) -> dict:
-    dom: dict = defaultdict(list)
-    cod: dict = defaultdict(set)
-    fresh: dict = defaultdict(set)  # 2 a leaf: the fresh-root codomain on [size - 1]
-    seen = 0
-    with rep.phase("classify"):
-        for seen, t in enumerate(enumerate_unrooted(size), 1):
-            k = t.improper_count()
-            r = t.degree(1)
-            if t.degree(2) > 0:
-                dom[(k, r)].append(t.parents)
-            else:
-                fresh[(k, r)].add(t.parents)
-            if t.degree(size) > 0:
-                cod[(k, r)].add(t.parents)
-        rep.counts["trees visited"] += seen
-    with rep.phase("map"):
-        fwd_ok = {}
-        for (k, r), items in sorted(dom.items()):
-            ok = fwd_ok[(k, r)] = _bijects(rep, size, items, cod.get((k + 1, r), set()),
+        for (k, r), items in sorted(min_dom.items()):
+            ok = fwd_ok[(k, r)] = _bijects(rep, n, items, min_cod.get((k + 1, r), set()),
                                            bj.unrooted_fwd, bj.unrooted_inv)
-            rep.note(f"min-rooted bijection size={size} k={k} r={r} ({len(items)} trees)", ok)
-        for k, r in sorted(cod):  # derived: see check_bijections
-            rep.note(f"min-rooted inverse round-trip size={size} k={k} r={r}",
+            rep.note(f"min-rooted bijection size={n} k={k} r={r} ({len(items)} trees)", ok)
+        for k, r in sorted(min_cod):  # derived: see check_bijections
+            rep.note(f"min-rooted inverse round-trip size={n} k={k} r={r}",
                      fwd_ok.get((k - 1, r), False))
-    return fresh
+    # all-improper: a leaf n would hang by a proper edge
+    return union(n - 1, lifting, restricted), fresh
 
 
 def _all_increasing_plane_trees(n: int) -> list[PlaneTree]:
@@ -577,20 +566,21 @@ def certify_plane(rep: VerificationReport, n: int, all_improper: Collection[tupl
 @_timed
 def check_bijections(nmax: int) -> VerificationReport:
     """Certify every map: domain -> codomain onto-ness, injectivity, inverse
-    round-trips, and statistic deltas, over full enumerations.  The rooted
+    round-trips, and statistic deltas, over full enumerations.  One pass per
+    [n] files each tree once per side, a composite class is a union of cells,
+    and the min-rooted records of each n follow its rooted ones.  The rooted
     and min-rooted inverse round-trip record of class k takes the verdict of
     the forward record of class k - 1 (False if that class is empty): it
     shows fwd injective on D with fwd(D) = C and inv(fwd(t)) = t, so inv
     ran on all of C and fwd(inv(u)) = u, as the maps keep no state."""
     _require_size(nmax, SUITES["bijections"][2])
     rep = VerificationReport("bijections")
-    # [1] has the one tree (0,); size 2 has no min-rooted records, but it
-    # gives the fresh-root codomain of n = 1
-    all_improper = [[(0,)]] + [_certify_rooted(rep, n) for n in range(2, nmax + 1)]
-    fresh = [_certify_unrooted(rep, size) for size in range(2, nmax + 1)]
+    # [1] has the one tree (0,) and no fresh-root codomain; [2] has no
+    # min-rooted records, but it gives the fresh-root codomain of n = 1
+    all_improper, fresh = zip(([(0,)], {}), *(_certify_rooted(rep, n) for n in range(2, nmax + 1)))
     with rep.phase("map"):
         for n in range(1, nmax):
-            _certify_small_maps(rep, n, fresh[n - 1])
+            _certify_small_maps(rep, n, fresh[n])
     for n in range(1, nmax + 1):
         certify_plane(rep, n, all_improper[n - 1])
     return rep

@@ -277,6 +277,9 @@ def test_genfun_command(capsys):
     ["verify", "--suite", "identities", "--nmax", "1"],
     ["poly", "--family", "psi", "--method", "shor", "--n", "3", "--k", "1"],
     ["table", "--which", "lambda", "--max", "1"],
+    # tables with no row, which used to print nothing and exit 0
+    ["table", "--which", "q", "--max", "0"],
+    ["table", "--which", "psi", "--max", "-1"],
     # refused before the first suite prints its report
     ["verify", "--suite", "all", "--nmax", "2"],
 ])

@@ -1,4 +1,6 @@
 import json
+import re
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -208,16 +210,31 @@ def test_certify_plane_fails_a_wrong_domain_list():
         assert rep.ok is ok and len(rep.results) == 1
 
 
+def test_forward_records_cover_their_domains():
+    # A class that lost a cell on both of its sides would still biject, so
+    # the domain sizes are checked against counts: 1 is a leaf in
+    # (n-1)^(n-1) rooted trees on [n], and 2 in (n-1)^(n-2) trees rooted at
+    # 1 (in the one tree on [2], so size 2 has no min-rooted records)
+    names = [r.name for r in check_bijections(6).results]
+    assert len(names) == len(set(names))
+    sizes = Counter()
+    for name in names:
+        m = re.fullmatch(r"(rooted|min-rooted) bijection (?:n|size)=(\d+) .*\((\d+) trees\)", name)
+        if m:
+            sizes[(m[1], int(m[2]))] += int(m[3])
+    assert sizes == {**{("rooted", n): n ** (n - 1) - (n - 1) ** (n - 1) for n in range(2, 7)},
+                     **{("min-rooted", n): n ** (n - 2) - (n - 1) ** (n - 2) for n in range(3, 7)}}
+
+
 def test_bijection_report_phases_and_counts():
     rep = check_bijections(6)
     assert set(rep.phases) == {"classify", "map", "plane generation"}
     assert all(isinstance(ns, int) and ns > 0 for ns in rep.phases.values())
     # the phases cover the run: within 5% of its wall time
     assert 19 * rep.wall_ns <= 20 * sum(rep.phases.values()) <= 20 * rep.wall_ns
-    # rooted trees on [2..6], min-rooted ones on [2..6] and the rooted
-    # trees on [1..5] that the colour and fresh-root maps grow
-    visited = (sum(n ** (n - 1) for n in range(2, 7)) + sum(n ** (n - 2) for n in range(2, 7))
-               + sum(n ** (n - 1) for n in range(1, 6)))
+    # rooted trees on [2..6], whose pass also files the min-rooted ones,
+    # and the rooted trees on [1..5] that the colour and fresh-root maps grow
+    visited = sum(n ** (n - 1) for n in range(2, 7)) + sum(n ** (n - 1) for n in range(1, 6))
     assert rep.counts == {"trees visited": visited, "maps applied": 35522}
     last = json.loads(rep.json_lines()[-1])
     assert last["phases_ns"] == rep.phases and last["counts"] == rep.counts
