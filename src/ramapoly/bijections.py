@@ -40,14 +40,15 @@ over arbitrary label sets, with min/max taking those roles):
 
 Each function checks its preconditions eagerly and raises DomainError
 outside its stated domain.  An optional `trace` list collects dispatch
-records (strings and CaseTag entries) for audits.  The rooted maps work on
-label positions; only `_moved` and the trace records turn them into labels.
+records (strings and CaseTag entries) for audits.  Every map works on label
+positions; the colour maps, on [n], read them straight off the parent tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 
 from .trees import PlaneTree, RootedTree, _check_labels, _moved
 
@@ -349,57 +350,69 @@ def rooted_inv(t: RootedTree, trace: list | None = None) -> RootedTree:
 # -- the min-rooted ("unrooted") bijection --------------------------------------
 
 
-def _graft(t: RootedTree, sub: RootedTree) -> dict[int, int]:
-    # position moves that put sub's labels into t as in sub, its root under t's min
-    pos = {0: 1, **{u: t._pos(u) for u in sub.labels}}
-    return {pos[u]: pos[p] for u, p in zip(sub.labels, sub.parents)}
+def _branch(t: RootedTree, i: int) -> tuple[int, list[int]]:
+    # the root's child above position i > 1, and its subtree's positions, increasing
+    kids, top = t._arrays()[1], t._up_path(i)[-2]
+    sub = [top]
+    for u in sub:  # breadth-first: the list grows while it is walked
+        sub.extend(kids[u])
+    return top, sorted(sub)
+
+
+def _regraft(t: RootedTree, sub: list[int], onto: list[int], fn=None, trace=None) -> dict:
+    # Position moves that take the subtree of t on the positions `sub`, as a tree
+    # of its own on the labels at `onto`, through fn, and put it back onto `onto`
+    labels = t._names(onto)
+    name = dict(zip(sub, labels))  # the root of t, above sub, becomes 0 and back
+    u = RootedTree(labels, tuple(map(name.get, map(t._arrays()[0].__getitem__, sub), repeat(0))))
+    pos = dict(zip((0, *labels), (1, *onto)))
+    return dict(zip(onto, map(pos.__getitem__, (fn(u, trace) if fn else u).parents)))
 
 
 def unrooted_fwd(t: RootedTree, trace: list | None = None) -> RootedTree:
     """T_{n+1,k}[deg(2)>0, deg(1)=r] -> T_{n+1,k+1}[deg(n+1)>0, deg(1)=r]
     on trees rooted at their min label; preserves the root degree."""
-    mn, mx = t.min_label, t.max_label
-    if t.root != mn:
+    up, kids, _ = t._arrays()
+    n = len(up) - 1
+    if up[1]:
         raise DomainError("tree must be rooted at its min label")
-    if t.size < 2:
+    if n < 2:
         raise DomainError("need at least two labels")
-    second = t.labels[1]
-    if t.degree(second) == 0:
+    if not kids[2]:
         raise DomainError("second-smallest label must have a child")
-    # the children of the root whose subtrees hold `second` and the max
-    x, y = t.path_to_root(second)[-2], t.path_to_root(mx)[-2]
-    if x == y or t.degree(mx) > 0:
-        which = "shared branch" if x == y else "max already internal"
-        _note(trace, lambda: f"case: {which}; recurse into branch {x}")
-        return _moved(t, _graft(t, rooted_fwd(t.subtree(x), trace)))
-    _note(trace, lambda: f"case: leaf max in branch {y}; swap roles across {x}/{y}")
-    sub_x, sub_y = t.subtree(x), t.subtree(y)
-    lifted = sub_x.relabel([u for u in sub_x.labels if u != second] + [mx])
-    lowered = sub_y.relabel([second] + [u for u in sub_y.labels if u != mx])
-    # the two branches trade `second` and the max, so the grafts cover them
-    return _moved(t, {**_graft(t, rooted_fwd(lifted, trace)), **_graft(t, lowered)})
+    x, sub_x = _branch(t, 2)  # the root's branch that holds the second-smallest label
+    if sub_x[-1] == n or kids[n]:
+        which = "shared branch" if sub_x[-1] == n else "max already internal"
+        _note(trace, lambda: f"case: {which}; recurse into branch {t.labels[x - 1]}")
+        return _moved(t, _regraft(t, sub_x, sub_x, rooted_fwd, trace))
+    y, sub_y = _branch(t, n)
+    _note(trace, lambda: f"case: leaf max in branch {t.labels[y - 1]}; "
+                         f"swap roles across {t.labels[x - 1]}/{t.labels[y - 1]}")
+    # the two branches trade the second-smallest label and the max
+    return _moved(t, {**_regraft(t, sub_x, sub_x[1:] + [n], rooted_fwd, trace),
+                      **_regraft(t, sub_y, [2] + sub_y[:-1])})
 
 
 def unrooted_inv(t: RootedTree, trace: list | None = None) -> RootedTree:
     """Inverse of `unrooted_fwd`."""
-    mn, mx = t.min_label, t.max_label
-    if t.root != mn:
+    up, kids, _ = t._arrays()
+    n = len(up) - 1
+    if up[1]:
         raise DomainError("tree must be rooted at its min label")
-    if t.size < 2 or t.degree(mx) == 0:
+    if n < 2 or not kids[n]:
         raise DomainError("max label must have a child")
-    second = t.labels[1]
-    # the children of the root whose subtrees hold the max and `second`
-    u, v = t.path_to_root(mx)[-2], t.path_to_root(second)[-2]
-    sub_v = t.subtree(v)
-    if sub_v.degree(sub_v.max_label) > 0:  # always when u == v: mx is in the branch
-        _note(trace, lambda: f"case: shared branch; recurse into branch {u}" if u == v
-              else f"case: branch {v} max internal; recurse into it")
-        return _moved(t, _graft(t, rooted_inv(sub_v, trace)))
-    _note(trace, lambda: f"case: swapped roles; recurse into branch {u} and relabel")
-    back = rooted_inv(t.subtree(u), trace)
-    restored_x = back.relabel([second] + [w for w in back.labels if w != mx])
-    restored_y = sub_v.relabel([w for w in sub_v.labels if w != second] + [mx])
-    return _moved(t, {**_graft(t, restored_x), **_graft(t, restored_y)})
+    v, sub_v = _branch(t, 2)  # the root's branch that holds the second-smallest label
+    if kids[sub_v[-1]]:  # always when the max is in it
+        _note(trace, lambda: f"case: shared branch; recurse into branch {t.labels[v - 1]}"
+              if sub_v[-1] == n else f"case: branch {t.labels[v - 1]} max internal; "
+                                     "recurse into it")
+        return _moved(t, _regraft(t, sub_v, sub_v, rooted_inv, trace))
+    u, sub_u = _branch(t, n)
+    _note(trace, lambda: f"case: swapped roles; recurse into branch {t.labels[u - 1]} and relabel")
+    # the inverse runs on the branch as it is; then the two branches trade back
+    back = _moved(t, _regraft(t, sub_u, sub_u, rooted_inv, trace))
+    return _moved(back, {**_regraft(back, sub_u, [2] + sub_u[:-1]),
+                         **_regraft(back, sub_v, sub_v[1:] + [n])})
 
 
 # -- coloring equivalence and the fresh-root map ---------------------------------
@@ -407,7 +420,7 @@ def unrooted_inv(t: RootedTree, trace: list | None = None) -> RootedTree:
 
 def _require_contiguous(t: RootedTree) -> int:
     n = t.size
-    if t.labels != tuple(range(1, n + 1)):
+    if t.labels[-1] != n:  # the sorted distinct positive labels are not 1..n
         raise DomainError("this map needs labels exactly 1..n")
     return n
 
@@ -430,7 +443,9 @@ def color_merge(t: RootedTree) -> ColoredRootedTree:
     n = _require_contiguous(t) - 1
     if n < 1 or t.root != 1:
         raise DomainError("expected a tree on [n+1] rooted at 1")
-    holder = next(c for c in t.children(1) if t.beta(c) == 2)
+    holder = 2  # climb to the root's child whose subtree holds 2
+    while t.parents[holder - 1] != 1:
+        holder = t.parents[holder - 1]
     black = frozenset(c - 1 for c in t.children(1) if c != holder)
     parents = tuple((0 if v == holder else 1) if p == 1 else p - 1
                     for v, p in zip(t.labels[1:], t.parents[1:]))
@@ -446,7 +461,7 @@ def insert_root(t: RootedTree) -> RootedTree:
 
 def extract_root(t: RootedTree) -> RootedTree:
     """Inverse of `insert_root`."""
-    if t.size > 1 and t.degree(t.labels[1]) != 0:
+    if t.size > 1 and t.labels[1] in t.parents:
         raise DomainError("the second-smallest label must be a leaf")
     return color_merge(t).tree
 
@@ -460,26 +475,25 @@ def plane_fwd(t: RootedTree) -> PlaneTree:
     ordered children, and so on inside each piece."""
     if t.improper_count() != t.size - 1:
         raise DomainError("every edge must be improper")
-    _, kids, low = t._arrays()
-    # The successive pieces at u take its children in increasing beta: once
-    # the branch of c is placed, the piece left at u is labelled by the next
-    # child's beta, or by u after the last child.
-    nxt: dict[int, int] = {}
-    order = kids[0][:]
-    for u in order:  # breadth-first: the list grows while it is walked
-        by_beta = sorted(kids[u], key=low.__getitem__)
-        nxt.update(zip(by_beta, [low[c] for c in by_beta[1:]] + [u]))
-        order.extend(kids[u])
-    # The plane children of m are the pieces left along the path up from m
-    # through the nodes whose beta is m, the nearest first.
-    plane: list = [[] for _ in kids]
-    for c in reversed(order[1:]):  # deeper nodes first
-        plane[low[c]].append(nxt[c])
-    pre, stack = [], [1]  # the preorder, by position
+    up, kids, low = t._arrays()
+    # The plane children of m: the pieces left along the path up from m through
+    # the nodes whose beta is m, nearest first.  piece[c], the one left at up[c]
+    # once c's branch is placed, is the next child's beta in beta order, or up[c].
+    piece = [0] * len(up)
+    pre, degrees, stack = [], [], [1]  # the preorder, by position
     while stack:
-        pre.append(stack.pop())
-        stack += reversed(plane[pre[-1]])
-    return PlaneTree(t._names(pre), tuple([len(plane[m]) for m in pre]))
+        pre.append(m := stack.pop())
+        kept, c = len(stack), m
+        while low[c] == m and up[c]:
+            if not piece[c]:  # set for all the siblings at once
+                by_beta = sorted(kids[up[c]], key=low.__getitem__)
+                for a, b in zip(by_beta, [*map(low.__getitem__, by_beta[1:]), up[c]]):
+                    piece[a] = b
+            stack.append(piece[c])
+            c = up[c]
+        degrees.append(len(stack) - kept)
+        stack[kept:] = reversed(stack[kept:])
+    return PlaneTree(t._names(pre), tuple(degrees))
 
 
 def plane_inv(p: PlaneTree) -> RootedTree:

@@ -15,16 +15,15 @@ module: beta(v) is the minimum label in the subtree of v, the upper critical
 node is the head of the first proper edge on the path from the maximum label
 to the root, the lower critical node (lambda) and mu are the first nodes on
 certain paths that are smaller than everything outside their subtree, and
-alpha / beta_star are extremes of beta over children of the maximum/minimum
-label.  Everything is exact and pure: operations return new trees and never
-mutate their inputs.
+beta_star is the least beta over the children of the minimum label.  Everything
+is exact and pure: operations return new trees and never mutate their inputs.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from itertools import accumulate, repeat, takewhile
+from itertools import accumulate, compress, repeat, takewhile
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -111,7 +110,7 @@ class RootedTree:
         if core is None:
             labels, n = self.labels, len(self.labels)
             ups = (self.parents if labels[-1] == n  # on [n] a label is its own position
-                   else [bisect_left(labels, p) + 1 if p else 0 for p in self.parents])
+                   else list(map(dict(zip((0, *labels), range(n + 1))).__getitem__, self.parents)))
             up = (0,) + tuple(ups)
             kids: list = [()] * (n + 1)
             low = list(range(n + 1))
@@ -169,8 +168,8 @@ class RootedTree:
         """Parent label of v, or None for the root."""
         return self.parents[self._pos(v) - 1] or None
 
-    def children(self, v: int) -> tuple[int, ...]:
-        return self._names(self._arrays()[1][self._pos(v)])
+    def children(self, v: int) -> tuple[int, ...]:  # read off the parents: no core
+        return tuple(compress(self.labels, map(self.labels[self._pos(v) - 1].__eq__, self.parents)))
 
     def degree(self, v: int) -> int:
         return len(self._arrays()[1][self._pos(v)])
@@ -183,17 +182,6 @@ class RootedTree:
         """True iff x lies in the subtree rooted at y (every node is its own
         descendant)."""
         return self._pos(y) in self._up_path(self._pos(x))
-
-    def subtree(self, v: int) -> RootedTree:
-        """The subtree rooted at v as a standalone tree."""
-        i = self._pos(v)
-        kids = self._arrays()[1]
-        sub = [i]
-        for u in sub:  # breadth-first: the list grows while it is walked
-            sub.extend(kids[u])
-        sub.sort()
-        return RootedTree(self._names(sub),
-                          tuple([self.parents[u - 1] if u != i else 0 for u in sub]))
 
     # -- improper-edge statistics ------------------------------------------
 
@@ -264,17 +252,6 @@ class RootedTree:
             raise TreeError("min label is a leaf")
         return self.labels[min([low[a] for a in kids[1]]) - 1]
 
-    # -- relabeling ---------------------------------------------------------
-
-    def relabel(self, new_labels: Sequence[int]) -> RootedTree:
-        """Order-isomorphic relabeling: the i-th smallest label becomes the
-        i-th smallest element of `new_labels`."""
-        _check_labels(new_labels)
-        target = tuple(sorted(new_labels))
-        if len(target) != self.size:
-            raise LabelError("relabel target has wrong size")
-        return RootedTree(target, tuple(target[self._pos(p) - 1] if p else 0 for p in self.parents))
-
     # -- value semantics ----------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -297,28 +274,37 @@ def build(root: int, parent: Mapping[int, int]) -> RootedTree:
     """
     nodes = [root, *parent]
     _check_labels(nodes)  # the keys are distinct: a duplicate is the root
-    if not {*parent.values()} <= {*nodes}:  # name the first bad parent in the map's order
-        v = next(v for v, p in parent.items() if p != root and p not in parent)
-        raise LabelError(f"parent {parent[v]!r} of {v} is not a label")
-    # Every node must reach the root; with one parent per non-root node the
-    # only failure mode is a cycle.  Each walk stamps the nodes it passes
-    # with its start and stops at a stamped one: its own stamp closes a cycle.
-    seen = {root: root}
-    for v in parent:
-        u = v
-        while u not in seen:
-            seen[u] = v
-            u = parent[u]
-        if seen[u] == v:
-            raise CycleError(f"cycle through label {u}")
     labels = tuple(sorted(nodes))
-    return RootedTree(labels, tuple(map(parent.get, labels, repeat(0))))
+    return _tree(labels, tuple(map(parent.get, labels, repeat(0))), parent)
 
 
-def _check_labels(labels: Iterable) -> None:
+def _tree(labels: tuple, parents: tuple, keys: Iterable, ups: list | None = None) -> RootedTree:
+    # The tree on the sorted distinct positive `labels` with one root among the
+    # aligned `parents` (as positions in `ups`, if known).  Over `keys`, the
+    # labels but the root in order, the first parent that is no label raises,
+    # then the first walk up to meet its own stamp: a cycle.  All in C but the walk.
+    n = len(labels)
+    if ups is None:  # the parents and keys as positions
+        pos = dict(zip((0, *labels), range(n + 1)))
+        ups = list(map(pos.get, parents, repeat(-1)))
+        keys = map(pos.__getitem__, keys)
+    if ups.count(0) != 1 or min(ups) < 0 or max(ups) > n:
+        v = next(v for v in keys if not 0 < ups[v - 1] <= n)
+        raise LabelError(f"parent {parents[v - 1]!r} of {labels[v - 1]} is not a label")
+    up, stamp = [0, *ups], [-1] + [0] * n  # slot 0, above the root, ends every walk
+    for v in keys:
+        u = v
+        while not stamp[u]:  # stamp each node with the first walk to reach it
+            stamp[u] = v
+            w, u = u, up[u]
+        if stamp[u] == v:  # named as w names its parent
+            raise CycleError(f"cycle through label {parents[w - 1]}")
+    return RootedTree(labels, parents)
+
+
+def _check_labels(labels: Sequence) -> None:
     # Labels are distinct positive integers: one pass in C for the common
     # case, then a walk that names the first bad label.
-    labels = list(labels)
     if ({*map(type, labels)} <= {int} and min(labels, default=1) > 0
             and len({*labels}) == len(labels)):
         return
@@ -580,19 +566,20 @@ def enumerate_unrooted(n: int, filt: ClassFilter | None = None) -> Iterator[Root
 
 def tree_to_text(t: RootedTree) -> str:
     line = " ".join(map(str, t.parents))
-    if t.labels == tuple(range(1, t.size + 1)):
+    if t.labels[-1] == t.size:  # the sorted distinct positive labels are 1..n
         return line
     return "labels: " + " ".join(map(str, t.labels)) + "\n" + line
 
 
 def _ints(tokens: Sequence[str]) -> list[int]:
-    out = []
-    for tok in tokens:
-        try:
-            out.append(int(tok))
-        except ValueError:
-            raise LabelError(f"bad integer {tok!r}") from None
-    return out
+    try:
+        return list(map(int, tokens))
+    except ValueError:  # name the first bad token
+        for tok in tokens:
+            try:
+                int(tok)
+            except ValueError:
+                raise LabelError(f"bad integer {tok!r}") from None
 
 
 def tree_from_text(text: str) -> RootedTree:
@@ -611,11 +598,13 @@ def tree_from_text(text: str) -> RootedTree:
     else:
         if len(lines) != 1:
             raise TreeError("ptree v1 is a single line")
-        parents = _ints(lines[0].split())
-        labels = range(1, len(parents) + 1)
+        parents, labels = _ints(lines[0].split()), None
     roots = parents.count(0)
     if roots != 1:
         raise DisconnectedError(f"expected exactly one root, found {roots}")
+    if labels is None:  # on [n] a label is its own position
+        labels = tuple(range(1, len(parents) + 1))
+        return _tree(labels, tuple(parents), compress(labels, parents), parents)
     if len({*labels}) < len(labels):  # the map below would keep one of each duplicate
         _check_labels(labels)
     return build(labels[parents.index(0)], {v: p for v, p in zip(labels, parents) if p})

@@ -59,8 +59,7 @@ class VerificationReport:
     suite: str
     results: list[CheckResult] = field(default_factory=list)
     wall_ns: int = 0
-    # where a suite's time went (ns per phase) and how much work it did;
-    # the suites that fill them: check_bijections and check_conjecture
+    # where an enumerating suite's time went (ns per phase) and the work it did
     phases: dict[str, int] = field(default_factory=Counter)
     counts: dict[str, int] = field(default_factory=Counter)
 
@@ -140,11 +139,8 @@ def double_factorial(m: int) -> int:
 
 
 def tabulate(n: int, key: Callable[[RootedTree], Hashable], unrooted: bool = False) -> Counter:
-    """key(t) -> count over all trees on [n] (rooted at 1 when `unrooted`);
-    trees whose key is None are left out."""
-    tab = Counter(map(key, enumerate_unrooted(n) if unrooted else enumerate_rooted(n)))
-    tab.pop(None, None)
-    return tab
+    """key(t) -> count over all trees on [n], rooted at 1 when `unrooted`."""
+    return Counter(map(key, enumerate_unrooted(n) if unrooted else enumerate_rooted(n)))
 
 
 def count_class(n: int, filt: ClassFilter | None = None, unrooted: bool = False) -> int:
@@ -306,67 +302,68 @@ def check_identities(nmax: int) -> VerificationReport:
     enumerated tree."""
     _require_size(nmax, SUITES["identities"][2])
     rep = VerificationReport("identities")
-    x = IntPoly.x()
-
-    for n in range(2, max(nmax, 12) + 1):
-        for k in range(n):
-            lhs = q_shor(n, k).shift(-1)
-            rhs = (IntPoly((-k, 1)) * q_shor(n - 1, k)
-                   + (n + k - 2) * q_shor(n - 1, k - 1))
-            rep.check(f"shifted two-term identity n={n} k={k}", lhs, rhs)
-
-    rooted = {}
-    for n in range(1, nmax):
-        cnt = rooted[n] = tabulate(n, _k_deg1)
-        for k in range(n):
-            total = sum(c for (kk, _), c in cnt.items() if kk == k)
-            rep.check(f"f interpretation n={n} k={k}", f(n, k), total)
-            acc = IntPoly()
-            for (kk, d), c in cnt.items():
-                if kk == k:
-                    acc = acc + c * IntPoly((1, 1)) ** d
-            rep.check(f"deg(1) interpretation over rooted trees n={n} k={k}",
-                      q_shor(n, k), acc)
-        rep.check(f"rooted total n={n}", n ** (n - 1), sum(cnt.values()))
-
-    unrooted = {size: _unrooted_summary(size) for size in range(2, nmax + 1)}
-    for size, summ in unrooted.items():
-        n = size - 1
-        for k in range(size):
-            rep.check(f"deg(1) interpretation over min-rooted trees n={n} k={k}",
-                      q_shor(n, k), _deg1_poly(summ["all"], k))
-            if n >= 2:
-                rep.check(f"max-leaf refinement n={n} k={k}",
-                          IntPoly((n - 1, 1)) * q_shor(n - 1, k),
-                          _deg1_poly(summ["max_leaf"], k))
-                rep.check(f"max-internal refinement n={n} k={k}",
-                          (n + k - 2) * q_shor(n - 1, k - 1),
-                          _deg1_poly(summ["max_internal"], k))
-                rep.check(f"max-internal refinement shifted n={n} k={k}",
-                          (n + k - 1) * q_shor(n - 1, k),
-                          _deg1_poly(summ["max_internal"], k + 1))
-            rep.check(f"second-leaf class n={n} k={k}",
-                      q_shor(n, k).shift(-1), _deg1_poly(summ["second_leaf"], k))
-            rep.check(f"degree-preserving exchange n={n} k={k}",
-                      _deg1_poly(summ["second_internal"], k),
-                      _deg1_poly(summ["max_internal"], k + 1))
-            for r in range(1, size):
-                rep.check(f"degree-preserving exchange n={n} k={k} r={r}",
-                          summ["second_internal"].get((k, r), 0),
-                          summ["max_internal"].get((k + 1, r), 0))
-                if n in unrooted:
-                    rep.check(f"second-internal count n={n} k={k} r={r}",
-                              (n + k - 1) * unrooted[n]["all"].get((k, r), 0),
-                              summ["second_internal"].get((k, r), 0))
-        if n in rooted:
+    with rep.phase("enumerate"):
+        rooted = {n: tabulate(n, _k_deg1) for n in range(1, nmax)}
+        unrooted = {size: _unrooted_summary(size) for size in range(2, nmax + 1)}
+    rep.counts["trees visited"] = (sum(sum(c.values()) for c in rooted.values())
+                                   + sum(sum(s["all"].values()) for s in unrooted.values()))
+    with rep.phase("check"):
+        for n in range(2, max(nmax, 12) + 1):
             for k in range(n):
-                lhs = sum(c for (kk, d), c in rooted[n].items() if kk == k and d > 0)
-                rep.check(f"min-internal count n={n} k={k}",
-                          (n + k - 1) * f(n - 1, k), lhs)
-                for r in range(n):
-                    rep.check(f"fresh-root class count n={n} k={k} r={r}",
-                              rooted[n].get((k, r), 0),
-                              summ["second_leaf"].get((k, r + 1), 0))
+                lhs = q_shor(n, k).shift(-1)
+                rhs = (IntPoly((-k, 1)) * q_shor(n - 1, k)
+                       + (n + k - 2) * q_shor(n - 1, k - 1))
+                rep.check(f"shifted two-term identity n={n} k={k}", lhs, rhs)
+
+        for n, cnt in rooted.items():
+            for k in range(n):
+                total = sum(c for (kk, _), c in cnt.items() if kk == k)
+                rep.check(f"f interpretation n={n} k={k}", f(n, k), total)
+                acc = IntPoly()
+                for (kk, d), c in cnt.items():
+                    if kk == k:
+                        acc = acc + c * IntPoly((1, 1)) ** d
+                rep.check(f"deg(1) interpretation over rooted trees n={n} k={k}",
+                          q_shor(n, k), acc)
+            rep.check(f"rooted total n={n}", n ** (n - 1), sum(cnt.values()))
+
+        for size, summ in unrooted.items():
+            n = size - 1
+            for k in range(size):
+                rep.check(f"deg(1) interpretation over min-rooted trees n={n} k={k}",
+                          q_shor(n, k), _deg1_poly(summ["all"], k))
+                if n >= 2:
+                    rep.check(f"max-leaf refinement n={n} k={k}",
+                              IntPoly((n - 1, 1)) * q_shor(n - 1, k),
+                              _deg1_poly(summ["max_leaf"], k))
+                    rep.check(f"max-internal refinement n={n} k={k}",
+                              (n + k - 2) * q_shor(n - 1, k - 1),
+                              _deg1_poly(summ["max_internal"], k))
+                    rep.check(f"max-internal refinement shifted n={n} k={k}",
+                              (n + k - 1) * q_shor(n - 1, k),
+                              _deg1_poly(summ["max_internal"], k + 1))
+                rep.check(f"second-leaf class n={n} k={k}",
+                          q_shor(n, k).shift(-1), _deg1_poly(summ["second_leaf"], k))
+                rep.check(f"degree-preserving exchange n={n} k={k}",
+                          _deg1_poly(summ["second_internal"], k),
+                          _deg1_poly(summ["max_internal"], k + 1))
+                for r in range(1, size):
+                    rep.check(f"degree-preserving exchange n={n} k={k} r={r}",
+                              summ["second_internal"].get((k, r), 0),
+                              summ["max_internal"].get((k + 1, r), 0))
+                    if n in unrooted:
+                        rep.check(f"second-internal count n={n} k={k} r={r}",
+                                  (n + k - 1) * unrooted[n]["all"].get((k, r), 0),
+                                  summ["second_internal"].get((k, r), 0))
+            if n in rooted:
+                for k in range(n):
+                    lhs = sum(c for (kk, d), c in rooted[n].items() if kk == k and d > 0)
+                    rep.check(f"min-internal count n={n} k={k}",
+                              (n + k - 1) * f(n - 1, k), lhs)
+                    for r in range(n):
+                        rep.check(f"fresh-root class count n={n} k={k} r={r}",
+                                  rooted[n].get((k, r), 0),
+                                  summ["second_leaf"].get((k, r + 1), 0))
     return rep
 
 
@@ -424,7 +421,7 @@ def _certify_rooted(rep: VerificationReport, n: int) -> tuple[list, dict]:
                  else restricted[(k, i, dmax)]).add(ps)
             if dmin == 1:
                 dom_fold[(k, t.beta_star())].append(ps)
-            if dmin == 0 and t.root != 1:
+            if dmin == 0:  # so 1 is not the root: n >= 2
                 cod_fold[(k, t.mu())].add(ps)
             if ps[0] == 0:
                 if t.degree(2) > 0:

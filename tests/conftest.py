@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hypothesis.strategies as st
 
-from ramapoly.trees import PlaneTree, RootedTree, build
+from ramapoly.trees import LabelError, PlaneTree, RootedTree, build
 
 
 # -- strategies -----------------------------------------------------------------
@@ -117,3 +117,21 @@ def o_plane_parents(p: PlaneTree) -> list[int | None]:
         if d:
             waiting.append([v, d])
     return parents
+
+
+# -- tree surgery for tests -------------------------------------------------------
+
+
+def subtree(t: RootedTree, v: int) -> RootedTree:
+    """The subtree rooted at v as a standalone tree."""
+    return build(v, {u: t.parent(u) for u in o_subtree(t, v) if u != v})
+
+
+def relabel(t: RootedTree, new_labels) -> RootedTree:
+    """Order-isomorphic relabeling: the i-th smallest label becomes the i-th
+    smallest element of `new_labels`."""
+    target = sorted(new_labels)
+    if len({*target}) != len(target) or len(target) != t.size:
+        raise LabelError(f"relabel target needs {t.size} distinct labels")
+    rank = dict(zip(t.labels, target))
+    return build(rank[t.root], {rank[v]: rank[p] for v, p in zip(t.labels, t.parents) if p})

@@ -16,7 +16,7 @@ from ramapoly.trees import (ClassFilter, RootedTree, build, enumerate_rooted,
                             tree_from_text, tree_to_text)
 from ramapoly.verify import double_factorial
 
-from conftest import o_plane_parents, o_upper_critical, rooted_trees
+from conftest import o_plane_parents, o_upper_critical, relabel, rooted_trees, subtree
 import golden
 
 tt = tree_from_text
@@ -237,9 +237,9 @@ def test_unrooted_reduces_to_rooted_for_single_branch():
         if t.degree(1) != 1 or t.degree(2) == 0:
             continue
         u = unrooted_fwd(t)
-        branch = t.subtree(t.children(1)[0])
+        branch = subtree(t, t.children(1)[0])
         direct = rooted_fwd(branch)
-        assert u.subtree(u.children(1)[0]) == direct
+        assert subtree(u, u.children(1)[0]) == direct
 
 
 def test_unrooted_preserves_root_degree_exhaustive():
@@ -406,7 +406,7 @@ MIN_ROOTED = [t for n in range(2, 7) for t in enumerate_unrooted(n)]
 def min_rooted_trees(draw):
     # a tree rooted at its min, moved onto a drawn label set
     t = draw(st.sampled_from(MIN_ROOTED))
-    return t.relabel(draw(st.sets(st.integers(1, 60), min_size=t.size, max_size=t.size)))
+    return relabel(t, draw(st.sets(st.integers(1, 60), min_size=t.size, max_size=t.size)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -465,11 +465,11 @@ def test_maps_commute_with_relabeling():
     for n in range(1, 7):
         s = SPARSE[:n]
         for t in enumerate_rooted(n):
-            ts = t.relabel(s)
+            ts = relabel(t, s)
             for name, fn in ANY_LABELS.items():
                 want, got = _outcome(fn, t), _outcome(fn, ts)
                 if isinstance(want[0], RootedTree):
-                    want = (want[0].relabel(s), [
+                    want = (relabel(want[0], s), [
                         CaseTag(e.case, None if e.located is None else s[e.located - 1],
                                 tuple(s[b - 1] for b in e.boundaries)) for e in want[1]])
                 assert got == want, (name, t)

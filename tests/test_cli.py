@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -445,14 +447,14 @@ STDIN_TEXTS = st.one_of(
 )
 
 
-def _bij(which, direction, text):
+def _bij(which, direction, text, *flags):
     # `run` needs capsys and monkeypatch, which hypothesis does not reset
     # between the examples of one test
     out, err = io.StringIO(), io.StringIO()
     stdin, sys.stdin = sys.stdin, io.StringIO(text)
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            code = main(["bij", "--map", which, "--dir", direction])
+            code = main(["bij", "--map", which, "--dir", direction, *flags])
     finally:
         sys.stdin = stdin
     return code, out.getvalue(), err.getvalue()
@@ -482,3 +484,71 @@ def test_bij_pipe_fuzz(which, direction, text):
     code, back, err = _bij(which, back_dir, out)
     assert code == 0 and err == ""
     assert _parsed(which, direction, back) == _parsed(which, direction, text)
+
+
+# -- golden outputs on large trees ---------------------------------------------------
+
+
+def _golden_input(rng, which, n):
+    # A random recursive tree on [n]: the labels in a shuffled order, each
+    # hung under an earlier one; rooted at 1 for the min-rooted map, with a
+    # random black subset of 1's children for the colour map.  For the plane
+    # map, an increasing plane tree, grown as `plane_texts` grows one.
+    if which == "plane":
+        kids = [[] for _ in range(n + 1)]
+        for v in range(2, n + 1):
+            above = kids[rng.randrange(1, v)]
+            above.insert(rng.randint(0, len(above)), v)
+
+        def text(v):  # a random increasing tree is shallow: depth about e ln n
+            return f"{v}({' '.join(map(text, kids[v]))})" if kids[v] else str(v)
+        return text(1) + "\n"
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    if which == "unrooted":
+        order.remove(1)
+        order.insert(0, 1)
+    parent = [0] * (n + 1)
+    for i in range(1, n):
+        parent[order[i]] = order[rng.randrange(i)]
+    text = " ".join(map(str, parent[1:]))
+    if which == "color":
+        black = [v for v in range(2, n + 1) if parent[v] == 1 and rng.random() < 0.5]
+        if black:
+            text += "\nblack: " + " ".join(map(str, black))
+    return text + "\n"
+
+
+# sha256 of every request below: outputs, audit lines, errors and exit codes
+GOLDEN_BIJ_SHA256 = "eed0222b9de9a825d4cc03b4926e893a94338edac00ee2fd43a8eaec74122f05"
+
+
+def test_bij_golden_outputs_on_large_trees():
+    # Six inputs per map in each map's domain, 50 to 1,000 labels, through
+    # the first direction and back with --audit; the rejected draws are
+    # hashed too, so their errors and exit codes are pinned as well.
+    rng = random.Random(18)
+    digest = hashlib.sha256()
+    audits = []
+    for which in BIJ_MAPS:
+        first, second = ("inv", "fwd") if which == "plane" else ("fwd", "inv")
+        done = 0
+        while done < 6:
+            text = _golden_input(rng, which, rng.randint(50, 1000))
+            result = _bij(which, first, text, "--audit")
+            digest.update(repr((which, first, result)).encode())
+            code, out, err = result
+            if code:
+                assert code == 2 and out == "" and err.startswith("error: ")
+                continue
+            back = _bij(which, second, out, "--audit")
+            digest.update(repr((which, second, back)).encode())
+            assert back[0] == 0 and back[1] == text
+            audits += result[2].splitlines() + back[2].splitlines()
+            done += 1
+    # every dispatch case of the rooted and min-rooted maps is in the digest
+    for case in ("-> lower", "route: flatten", "route: lift", "lowers then unflatten",
+                 "case: shared branch", "case: max already internal", "case: leaf max",
+                 "max internal; recurse", "case: swapped roles"):
+        assert any(case in line for line in audits), case
+    assert digest.hexdigest() == GOLDEN_BIJ_SHA256

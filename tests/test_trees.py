@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from itertools import product
 
@@ -126,16 +127,16 @@ def test_alpha_beta_star():
 
 
 def test_relabel():
-    assert build(1, {2: 1}).relabel([5, 9]) == build(5, {9: 5})
+    assert oc.relabel(build(1, {2: 1}), [5, 9]) == build(5, {9: 5})
     t = build(2, {1: 2, 3: 1})
-    assert t.relabel([1, 2, 3]) == t
-    r = t.relabel([4, 7, 8])
+    assert oc.relabel(t, [1, 2, 3]) == t
+    r = oc.relabel(t, [4, 7, 8])
     assert r == build(7, {4: 7, 8: 4})
     assert r.improper_count() == t.improper_count() == 1
     with pytest.raises(LabelError):
-        t.relabel([1, 2])
+        oc.relabel(t, [1, 2])
     with pytest.raises(LabelError):
-        t.relabel([1, 2, 2])
+        oc.relabel(t, [1, 2, 2])
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -269,7 +270,7 @@ def test_position_core_matches_oracles_on_both_label_sets():
     # gaps, where a label's position and its value differ.
     for n in range(1, 7):
         for base in enumerate_rooted(n):
-            for t in (base, base.relabel(GAPPY_LABELS[:n])):
+            for t in (base, oc.relabel(base, GAPPY_LABELS[:n])):
                 labels = t.labels
                 for v in labels:
                     assert t.parent(v) == (t.parents[labels.index(v)] or None)
@@ -277,9 +278,7 @@ def test_position_core_matches_oracles_on_both_label_sets():
                     assert t.children(v) == kids and t.degree(v) == len(kids)
                     path = oc.o_path_to_root(t, v)
                     assert t.path_to_root(v) == tuple(path)
-                    sub = oc.o_subtree(t, v)
-                    assert t.subtree(v).labels == tuple(sorted(sub))
-                    assert t.beta(v) == min(sub)  # o_beta, without a second o_subtree
+                    assert t.beta(v) == oc.o_beta(t, v)
                     for y in labels:
                         assert t.is_descendant(v, y) == (y in path)
                 assert t.improper_count() == oc.o_improper_count(t)
@@ -295,7 +294,7 @@ def test_position_core_matches_oracles_on_both_label_sets():
                 gap = [v for v in range(1, labels[-1]) if v not in labels][-1:]
                 for bad in [0, labels[-1] + 1, *gap]:
                     assert all(_rejects(accessor, bad) for accessor in (
-                        t.parent, t.children, t.degree, t.path_to_root, t.subtree, t.beta,
+                        t.parent, t.children, t.degree, t.path_to_root, t.beta,
                         lambda v: t.is_descendant(v, t.root),
                         lambda v: t.is_descendant(t.root, v)))
 
@@ -331,7 +330,7 @@ def test_random_trees_match_oracles(t):
 @given(rooted_trees(max_size=7), st.sets(st.integers(1, 99), min_size=7, max_size=7))
 def test_relabel_is_order_isomorphic(t, fresh):
     target = sorted(fresh)[: t.size]
-    r = t.relabel(target)
+    r = oc.relabel(t, target)
     assert r.improper_count() == t.improper_count()
     assert r.proper_on_max_path() == t.proper_on_max_path()
     rank = {v: i for i, v in enumerate(t.labels)}
@@ -358,14 +357,14 @@ def test_labeled_two_line_form():
 
 def test_subtree_extraction():
     t = tt("2 0 4 2 9 4 2 9 6")
-    s = t.subtree(9)
+    s = oc.subtree(t, 9)
     assert s.labels == (5, 8, 9) and s.root == 9
     assert s.parent(5) == 9 and s.parent(8) == 9
 
 
 def test_value_semantics():
     t = build(1, {2: 1})
-    u = t.relabel([3, 4])
+    u = oc.relabel(t, [3, 4])
     assert t == build(1, {2: 1})
     assert u != t
     assert len({t, build(1, {2: 1})}) == 1
@@ -485,6 +484,54 @@ def test_read_errors_are_frozen(read, text, cls, message):
     with pytest.raises(cls) as info:
         read(text)
     assert type(info.value) is cls and str(info.value) == message
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _malformed(t):
+    # single-token edits of t's parent entries
+    labels, parents = t.labels, t.parents
+    for i, v in enumerate(labels):
+        # a non-integer, and a parent that is no label
+        for p in ("x", labels[-1] + 1, -1):
+            yield parents[:i] + (p,) + parents[i + 1:]
+        if parents[i]:  # a second root, and a cycle through v
+            for p in (0, *oc.o_subtree(t, v)):
+                yield parents[:i] + (p,) + parents[i + 1:]
+
+
+def test_malformed_texts_fail_as_build_does():
+    # Every tree on [n], n <= 5, and a seeded sample on [6] and [7], in the
+    # ptree form and moved onto sparse labels in the `labels:` form: with
+    # one root, the reader refuses each single-token edit with the error
+    # `build` raises on the same parent map; a bad token or root count has
+    # its frozen message.
+    rng = random.Random(18)
+    trees = [t for n in range(1, 6) for t in enumerate_rooted(n)]
+    trees += [t for n in (6, 7) for t in rng.sample(list(enumerate_rooted(n)), 60)]
+    checked = 0
+    for base in trees:
+        for t in (base, oc.relabel(base, [3 * v + 1 for v in base.labels])):
+            head = "" if t.labels[-1] == t.size else "labels: " + " ".join(map(str, t.labels)) + "\n"
+            for entries in _malformed(t):
+                roots = entries.count(0)
+                if "x" in entries:
+                    want = LabelError, "bad integer 'x'"
+                elif roots != 1:
+                    want = DisconnectedError, f"expected exactly one root, found {roots}"
+                else:
+                    parent = {v: p for v, p in zip(t.labels, entries) if p}
+                    want = _outcome(build, t.labels[entries.index(0)], parent)
+                    assert isinstance(want, tuple)  # build refuses the edit too
+                got = _outcome(tree_from_text, head + " ".join(map(str, entries)))
+                assert got == want, (t, entries)
+                checked += 1
+    assert checked > 30000
 
 
 def test_duplicate_labels_are_refused_not_dropped():

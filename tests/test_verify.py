@@ -253,3 +253,16 @@ def test_conjecture_report_phases_and_counts():
     last = json.loads(rep.json_lines()[-1])
     assert last["phases_ns"] == rep.phases and last["counts"] == rep.counts
     assert rep.summary().endswith("; trees counted 8476)")
+
+
+def test_identities_report_phases_and_counts():
+    rep = check_identities(5)
+    assert set(rep.phases) == {"enumerate", "check"}
+    assert all(isinstance(ns, int) and ns > 0 for ns in rep.phases.values())
+    assert sum(rep.phases.values()) <= rep.wall_ns
+    # the rooted trees on [1..4] and the trees on [2..5] rooted at 1
+    visited = sum(n ** (n - 1) for n in range(1, 5)) + sum(n ** (n - 2) for n in range(2, 6))
+    assert rep.counts == {"trees visited": visited}
+    last = json.loads(rep.json_lines()[-1])
+    assert last["phases_ns"] == rep.phases and last["counts"] == rep.counts
+    assert rep.summary().endswith(f"; trees visited {visited})")
