@@ -592,11 +592,14 @@ def check_conjecture(nmax: int) -> VerificationReport:
     the all-improper double-factorial count."""
     _require_size(nmax, SUITES["conjecture"][2])
     rep = VerificationReport("conjecture")
-    with rep.phase("count"):
-        census = {n: _k_lambda_counts(n) for n in range(2, nmax + 1)}
-        tabs = {n: _with_lambda(c) for n, c in census.items()}
+    census = {}
+    for n in range(2, nmax + 1):
+        with rep.phase(f"count n={n}"):
+            census[n] = _k_lambda_counts(n)
+        rep.counts[f"internal-max trees n={n}"] = sum(c for (_, lam), c in census[n].items() if lam)
     rep.counts["trees counted"] = sum(sum(c.values()) for c in census.values())
     with rep.phase("check"):
+        tabs = {n: _with_lambda(c) for n, c in census.items()}
         for n in range(3, nmax + 1):
             rep.check(f"lambda recurrence n={n}, mismatching (k, i, expected, actual)",
                       [], lambda_recurrence_mismatches(tabs[n - 1], tabs[n], n))

@@ -1,4 +1,7 @@
+import os
 import random
+import signal
+import time
 from collections import Counter
 from itertools import product
 
@@ -7,13 +10,15 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from ramapoly.trees import (ClassFilter, CycleError, DisconnectedError, LabelError, PlaneTree,
-                            RootedTree, TreeError, _k_lambda_counts, _prefixes, build,
+                            RootedTree, TreeError, _forked_rows, _k_lambda_counts,
+                            _k_lambda_rows, _prefixes, build,
                             enumerate_rooted, enumerate_unrooted, plane_from_text,
                             plane_to_text, tree_from_text, tree_to_text)
 
 import conftest as oc
 from conftest import rooted_trees
 from golden import CENSUS_8, SIXTEEN_DEG1, SIXTEEN_DEG4
+from ramapoly import trees
 from ramapoly.bijections import DomainError, plane_inv
 from ramapoly.cli import _read_colored
 
@@ -198,6 +203,124 @@ def test_k_lambda_counts_match_oracles_and_per_tree_methods():
 
 def test_k_lambda_counts_match_golden_census_at_eight():
     assert _k_lambda_counts(8) == CENSUS_8
+
+
+def _counts(rows) -> Counter:
+    return Counter({(k, lam or None): c for lam, row in enumerate(rows)
+                    for k, c in enumerate(row) if c})
+
+
+def test_sharded_census_equals_in_process_count():
+    for shards in (2, 3):
+        assert _forked_rows(7, shards) == _k_lambda_rows(7)
+        assert _counts(_forked_rows(8, shards)) == CENSUS_8  # the frozen in-process count
+    for n in range(2, 7):  # up to one shard per parent of 1
+        assert all(_forked_rows(n, shards) == _k_lambda_rows(n) for shards in range(1, n + 1))
+
+
+def test_every_parent_of_one_covers_n_to_the_n_minus_two_trees():
+    for n in range(2, 8):
+        ones = [0, *range(2, n + 1)]
+        for q in ones:
+            assert sum(map(sum, _k_lambda_rows(n, [q]))) == n ** (n - 2)
+        if n <= 5:  # a restricted walk is the full walk's run with that p_1
+            full = [p[:] for p, *_ in _prefixes(n)]
+            for q in ones:
+                assert [p[:] for p, *_ in _prefixes(n, {q})] == [p for p in full if p[1] == q]
+        # a shard with no parent of 1 left, or only 1 itself, walks nothing
+        assert list(_prefixes(n, ())) == list(_prefixes(n, {1})) == []
+    assert [p[:] for p, *_ in _prefixes(1, {0})] == [[0]] and list(_prefixes(1, {2})) == []
+
+
+def _no_fork(*args):
+    raise AssertionError("forked")
+
+
+@pytest.mark.parametrize("n, affinity, cpus, has_fork", [
+    (7, {0}, 4, True),  # one usable CPU, whatever the machine has
+    (7, None, 1, True),  # no affinity call: the CPU count decides
+    (7, {0, 1}, 2, False),
+    (5, {0, 1, 2, 3}, 4, True),  # below the shard threshold
+])
+def test_census_runs_in_process_where_it_cannot_shard(monkeypatch, n, affinity, cpus, has_fork):
+    want = _counts(_k_lambda_rows(n))
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    if has_fork:
+        monkeypatch.setattr(os, "fork", _no_fork)
+    else:
+        monkeypatch.delattr(os, "fork", raising=False)
+    assert _k_lambda_counts(n) == want
+
+
+def test_census_takes_one_shard_per_usable_cpu(monkeypatch):
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(os, "fork", counted)
+    assert _k_lambda_counts(7) == _counts(_k_lambda_rows(7)) and len(forks) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)  # never more shards than n
+    forks.clear()
+    assert _k_lambda_counts(7) == _counts(_k_lambda_rows(7)) and len(forks) == 7
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("raise", r"shard 0 exited 1 with 0 of 56 counts"),
+    ("short", r"shard 1 exited 0 with 49 of 56 counts"),
+    ("killed", r"shard 0 exited -9 with 0 of 56 counts"),
+])
+def test_failed_shard_raises_once_every_child_is_reaped(monkeypatch, fault, message):
+    rows = trees._k_lambda_rows
+
+    def faulty(n, ones):
+        if fault == "raise" and 0 in ones:
+            raise ValueError("injected")
+        if fault == "killed" and 0 in ones:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return rows(n, ones)[:-1] if fault == "short" and 2 in ones else rows(n, ones)
+
+    monkeypatch.setattr(trees, "_k_lambda_rows", faulty)
+    with pytest.raises(RuntimeError, match=message) as exc:
+        _forked_rows(7, 3)
+    assert "shard 2" not in str(exc.value)  # the sound shards are not named
+    _no_children_left()
+
+
+def test_interrupted_census_kills_and_reaps_its_children(monkeypatch):
+    class Interrupt(Exception):
+        pass
+
+    def hang(n, ones):
+        time.sleep(60)
+
+    def interrupt(signum, frame):
+        raise Interrupt
+
+    monkeypatch.setattr(trees, "_k_lambda_rows", hang)
+    old = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        t0 = time.perf_counter()
+        signal.setitimer(signal.ITIMER_REAL, 0.3)
+        with pytest.raises(Interrupt):
+            _forked_rows(7, 2)
+        assert time.perf_counter() - t0 < 10
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    _no_children_left()
 
 
 def test_prefix_forest_matches_its_parent_tuple():

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from golden import CENSUS_8, CENSUS_9
 from ramapoly import bijections as bj
 from ramapoly.trees import ClassFilter, enumerate_rooted
 from ramapoly.verify import (LAMBDA_TABLES, PSI_TABLE, Q_TABLE, CheckResult,
@@ -70,6 +71,14 @@ def test_lambda_recurrence_mismatches():
     assert lambda_recurrence_mismatches(prev, cur, 5) == []
     cur[(2, 1)] += 1
     assert lambda_recurrence_mismatches(prev, cur, 5) == [(2, 1, 29, 30)]
+
+
+def test_golden_censuses_satisfy_the_recurrence():
+    # the frozen n = 8 and n = 9 censuses, cross-checked without enumerating
+    tabs = [Counter({cell: c for cell, c in g.items() if cell[1]}) for g in (CENSUS_8, CENSUS_9)]
+    assert lambda_recurrence_mismatches(*tabs, 9) == []
+    assert sum(CENSUS_9.values()) == 9 ** 8
+    assert sum(c for (k, _), c in CENSUS_9.items() if k == 8) == double_factorial(15)
 
 
 def test_golden_tables_complete():
@@ -246,10 +255,13 @@ def test_bijection_report_phases_and_counts():
 
 def test_conjecture_report_phases_and_counts():
     rep = check_conjecture(6)
-    assert set(rep.phases) == {"count", "check"}
+    assert list(rep.phases) == [f"count n={n}" for n in range(2, 7)] + ["check"]
     assert all(isinstance(ns, int) and ns > 0 for ns in rep.phases.values())
     assert sum(rep.phases.values()) <= rep.wall_ns
-    assert rep.counts == {"trees counted": sum(n ** (n - 1) for n in range(2, 7))}
+    # the max label n is a leaf of (n - 1)^(n - 1) of the n^(n - 1) trees
+    assert rep.counts == {**{f"internal-max trees n={n}": n ** (n - 1) - (n - 1) ** (n - 1)
+                             for n in range(2, 7)},
+                          "trees counted": sum(n ** (n - 1) for n in range(2, 7))}
     last = json.loads(rep.json_lines()[-1])
     assert last["phases_ns"] == rep.phases and last["counts"] == rep.counts
     assert rep.summary().endswith("; trees counted 8476)")
