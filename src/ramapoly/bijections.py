@@ -483,6 +483,9 @@ def plane_fwd(t: RootedTree) -> PlaneTree:
     pre, degrees, stack = [], [], [1]  # the preorder, by position
     while stack:
         pre.append(m := stack.pop())
+        if low[m] != m or not up[m]:  # no plane children: most nodes
+            degrees.append(0)
+            continue
         kept, c = len(stack), m
         while low[c] == m and up[c]:
             if not piece[c]:  # set for all the siblings at once

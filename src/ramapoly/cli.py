@@ -251,6 +251,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except BrokenPipeError:
         return 0
+    except (OSError, RuntimeError) as exc:  # a fork or a forked shard failed: nothing verified
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     finally:
         sys.set_int_max_str_digits(digits)
 

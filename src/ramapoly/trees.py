@@ -21,11 +21,12 @@ is exact and pure: operations return new trees and never mutate their inputs.
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, compress, repeat, takewhile
 from dataclasses import dataclass
-from typing import Container, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "TreeError",
@@ -552,30 +553,37 @@ def _k_lambda_counts(n: int) -> Counter:
     # max label is a leaf.  The parent of 1 is 0 or one of 2..n, and each
     # choice covers n^(n-2) trees, so the choices, strided over one forked
     # shard per usable CPU (at most n), split the count evenly.
-    import os
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # not on this platform
-        cpus = os.cpu_count() or 1
-    shards = min(cpus, n)
-    if shards < 2 or n < _SHARD_MIN_N or not hasattr(os, "fork"):
-        rows = _k_lambda_rows(n)
-    else:
-        rows = _forked_rows(n, shards)
+    rows = _forked_rows(n, min(_usable_cpus(), n) if n >= _SHARD_MIN_N else 1)
     return Counter({(k, lam or None): c
                     for lam, row in enumerate(rows) for k, c in enumerate(row) if c})
 
 
 def _forked_rows(n: int, shards: int) -> list[list[int]]:
-    # _k_lambda_rows(n), summed over `shards` forked children: shard j takes
-    # every shards-th parent of 1 from the j-th of 0, 2, 3, ..., n, and sends
-    # its rows back over a pipe.  Every child is reaped before the call
-    # returns or raises; an exception in the parent (an interrupt, say)
-    # kills them first, and a child that fails or sends too little makes
-    # the call raise.
-    import os
-    import signal
+    # _k_lambda_rows(n), summed over `shards` shards, forked if more than one:
+    # shard j takes every shards-th parent of 1 from the j-th of 0, 2, 3, ..., n.
     ones = [0, *range(2, n + 1)]
+    got = _run_shards(lambda j: (c for row in _k_lambda_rows(n, ones[j::shards]) for c in row),
+                      shards, n * (n + 1), f"lambda census n={n}")
+    total = [sum(cells) for cells in zip(*got)]
+    return [total[i:i + n] for i in range(0, len(total), n)]
+
+
+def _usable_cpus() -> int:
+    # how many forked shards can run at once: 1 without os.fork
+    if not hasattr(os, "fork"):
+        return 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _run_shards(work: Callable[[int], Iterable[int]], shards: int, size: int,
+                what: str) -> list[list[int]]:
+    # [list(work(j)) for j in range(shards)], each in a forked child that sends
+    # its `size` ints over a pipe (one shard runs in-process).  Every child is
+    # reaped before the call returns or raises; a parent exception (an interrupt,
+    # say) kills them first, and a child that fails or miscounts raises RuntimeError.
+    if shards < 2:
+        return [list(work(0))]
+    import signal
     pids, reads, got = [], [], []
     try:
         for j in range(shards):
@@ -586,11 +594,10 @@ def _forked_rows(n: int, shards: int) -> list[list[int]]:
                 if pid == 0:  # the child: it never leaves this block
                     code = 1
                     try:
-                        rows = _k_lambda_rows(n, ones[j::shards])
-                        os.write(w, " ".join(str(c) for row in rows for c in row).encode())
+                        os.write(w, " ".join(str(int(c)) for c in work(j)).encode())
                         code = 0
                     except Exception as exc:  # an interrupt exits 1 quietly
-                        os.write(2, f"lambda census shard {j}: {exc!r}\n".encode())
+                        os.write(2, f"{what} shard {j}: {exc!r}\n".encode())
                     finally:
                         os._exit(code)
             finally:
@@ -607,13 +614,11 @@ def _forked_rows(n: int, shards: int) -> list[list[int]]:
         for r in reads:
             os.close(r)
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    size = n * (n + 1)
-    bad = [f"shard {j} exited {code} with {len(counts)} of {size} counts"
-           for j, (code, counts) in enumerate(zip(codes, got)) if code or len(counts) != size]
+    bad = [f"shard {j} exited {code} with {len(ints)} of {size} counts"
+           for j, (code, ints) in enumerate(zip(codes, got)) if code or len(ints) != size]
     if bad:
-        raise RuntimeError(f"lambda census n={n}: " + "; ".join(bad))
-    total = [sum(map(int, cells)) for cells in zip(*got)]
-    return [total[i:i + n] for i in range(0, size, n)]
+        raise RuntimeError(f"{what}: " + "; ".join(bad))
+    return [list(map(int, ints)) for ints in got]
 
 
 def enumerate_rooted(n: int, filt: ClassFilter | None = None) -> Iterator[RootedTree]:

@@ -244,6 +244,39 @@ def test_verify_map_rejecting_its_class_fails_the_record(capsys, monkeypatch, na
     assert "suite bijections: FAIL" in out
 
 
+@pytest.mark.parametrize("fault", ["fork", "shard"])
+@pytest.mark.parametrize("suite, nmax", [("bijections", 6), ("conjecture", 7)])
+def test_verify_reports_a_failed_shard_as_an_error(capsys, monkeypatch, fault, suite, nmax):
+    # a fork that fails (OSError) or a shard that raises (RuntimeError) is
+    # one error line and exit 1: the suite did not verify
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(trees, "_usable_cpus", lambda: 2)
+    parent = os.getpid()
+    if fault == "fork":
+        def fork():
+            raise OSError("injected fork failure")
+
+        monkeypatch.setattr(os, "fork", fork)
+    else:
+        def in_child(real):
+            def work(*args, **kwargs):
+                if os.getpid() != parent:
+                    raise ZeroDivisionError("injected")
+                return real(*args, **kwargs)
+            return work
+
+        monkeypatch.setattr(bj, "rooted_fwd", in_child(bj.rooted_fwd))
+        monkeypatch.setattr(trees, "_k_lambda_rows", in_child(trees._k_lambda_rows))
+    code, out, err = run(capsys, ["verify", "--suite", suite, "--nmax", str(nmax)])
+    assert code == 1 and "suite " not in out
+    what = {"bijections": "bijection certifier n=6", "conjecture": "lambda census n=7"}[suite]
+    want = ("error: injected fork failure" if fault == "fork"
+            else f"error: {what}: shard 0 exited 1 with 0 of ")
+    assert len(err.splitlines()) == 1 and err.startswith(want)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_verify_all_runs_every_suite_in_table_order(capsys):
     code, out, _ = run(capsys, ["verify", "--suite", "all", "--nmax", "4"])
     summaries = [ln for ln in out.splitlines() if ln.startswith("suite ")]

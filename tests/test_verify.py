@@ -1,12 +1,14 @@
 import json
+import os
 import re
+import signal
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from golden import CENSUS_8, CENSUS_9
-from ramapoly import bijections as bj
+from ramapoly import bijections as bj, verify as vf
 from ramapoly.trees import ClassFilter, enumerate_rooted
 from ramapoly.verify import (LAMBDA_TABLES, PSI_TABLE, Q_TABLE, CheckResult,
                              VerificationReport, certify_plane, check_bijections,
@@ -203,6 +205,94 @@ def test_one_tree_fault_fails_forward_and_derived_inverse_record(monkeypatch, na
 
     monkeypatch.setattr(bj, name, faulty)
     assert [r.name for r in check_bijections(5).failures] == failed
+
+
+def _shards(monkeypatch, w: int, least: int = 2) -> None:
+    # the certifier maps on w shards from n = least on
+    monkeypatch.setattr(vf, "_usable_cpus", lambda: w)
+    monkeypatch.setattr(vf, "_CERTIFY_SHARD_MIN_N", least)
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _records(rep: VerificationReport) -> list[tuple]:
+    return [(r.name, r.ok, r.actual) for r in rep.results]
+
+
+@pytest.mark.parametrize("nmax", range(2, 7))
+def test_sharded_certifier_equals_in_process(monkeypatch, nmax):
+    _shards(monkeypatch, 1)
+    want = check_bijections(nmax)
+    for w in (1, 2, 3):
+        _shards(monkeypatch, w)
+        rep = check_bijections(nmax)
+        assert _records(rep) == _records(want) and rep.counts == want.counts
+        assert set(rep.phases) == {"classify", "map", "plane generation"}
+    _no_children_left()
+
+
+def _lowering_class(n: int, k: int, i: int) -> list:
+    # the domain of record "lowering class n k i", in the certifier's order
+    return [t for t in enumerate_rooted(n) if t.degree(1) > 0 and t.improper_count() == k
+            and t.proper_on_max_path() == i]
+
+
+@pytest.mark.parametrize("fault", ["round trip", "outside class", "not injective"])
+def test_fault_only_shard_one_sees_fails_the_same_records(monkeypatch, fault):
+    # The planted tree t0 sits at an odd place in its lowering class, so on
+    # two shards only shard 1 maps it there.  n is a leaf of t0, so t0 is no
+    # image of any map and lift(t0) runs only where the fault plants it.
+    n, k, i = 5, 1, 1
+    cls = _lowering_class(n, k, i)
+    t0 = next(t for t in cls[1::2] if t.degree(n) == 0)
+    lower, lift = bj.lower, bj.lift
+    image = lower(t0)
+
+    def faulty_lower(t, trace=None):
+        if t != t0 or fault == "round trip":
+            return lower(t, trace)
+        return t0 if fault == "outside class" else lower(cls[0], trace)
+
+    def faulty_lift(t, trace=None):
+        if fault == "round trip" and t == image:
+            return t
+        return t0 if fault == "outside class" and t == t0 else lift(t, trace)
+
+    monkeypatch.setattr(bj, "lower", faulty_lower)
+    monkeypatch.setattr(bj, "lift", faulty_lift)
+    _shards(monkeypatch, 1)
+    want = check_bijections(n)
+    _shards(monkeypatch, 2)
+    rep = check_bijections(n)
+    assert f"lowering class n={n} k={k} i={i}" in [r.name for r in want.failures]
+    assert _records(rep) == _records(want) and rep.counts == want.counts
+    _no_children_left()
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("raise", r"bijection certifier n=5: shard 1 exited 1 with 0 of \d+ counts$"),
+    ("killed", r"bijection certifier n=5: shard 1 exited -9 with 0 of \d+ counts$"),
+])
+def test_failed_certifier_shard_raises_once_every_child_is_reaped(monkeypatch, fault, message):
+    n, k, i = 5, 1, 1
+    t0 = _lowering_class(n, k, i)[1]  # mapped by shard 1 of 2 alone
+    lower, parent = bj.lower, os.getpid()
+
+    def faulty(t, trace=None):
+        if t == t0 and os.getpid() != parent:
+            if fault == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise ZeroDivisionError("injected")  # no ValueError: the shard fails
+        return lower(t, trace)
+
+    monkeypatch.setattr(bj, "lower", faulty)
+    _shards(monkeypatch, 2, least=n)
+    with pytest.raises(RuntimeError, match=message):
+        check_bijections(n)
+    _no_children_left()
 
 
 def test_certify_plane_fails_a_wrong_domain_list():
