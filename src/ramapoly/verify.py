@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import json
 import time
-from collections import Counter, defaultdict
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import combinations, islice, repeat
+from itertools import chain, combinations, islice, product
 from math import factorial, prod
-from typing import Callable, Collection, Hashable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator
 
 from . import bijections as bj
 from .polynomials import ROUTES, IntPoly, f, psi_bew, q_shor
@@ -370,245 +370,242 @@ def check_identities(nmax: int) -> VerificationReport:
 # -- bijection certification ------------------------------------------------------
 
 
-# From this n on the certifier maps on one forked shard per usable CPU.  The
-# rooted records' maps take 17.8 ms in-process against 17.7 on two shards at
-# n = 5, 201 against 128 ms at n = 6 and 3.89 against 1.91 s at n = 7; the
-# plane map 2.2 against 5.3, 18.5 against 15.4 and 289 against 204 ms
-# (medians of 15 alternating runs, 5 at n = 7, 2-vCPU Xeon, Python 3.11).
+# From this n on the certifier runs one forked shard per usable CPU.  A pass
+# over [n] with the colour maps takes 102 ms in-process against 94 ms on two
+# shards at n = 5, 1.04 against 0.59 s at n = 6 and 19.1 against 10.9 s at
+# n = 7; the plane record 4.6 against 9.7, 33 against 31 and 528 against 337
+# ms (medians of 15 alternating runs, 5 at n = 7, 2-vCPU Xeon, Python 3.11):
+# n = 5 breaks even, and n = 6 is the first clear gain.
 _CERTIFY_SHARD_MIN_N = 6
 
+# The kinds of cell a tree on [n] is filed in, with the length of their keys
+# (README, "The certifier streams", says which statistics key each)
+_KINDS = {"rooted": 1, "lowering": 2, "flat": 2, "lifting": 2, "restricted": 3, "dom_fold": 2,
+          "cod_fold": 2, "min_dom": 2, "min_cod": 2, "colour": 1, "insert": 2, "fresh": 2}
+_TALLY = ("trees", "maps", "all-improper", *"ABCD")  # A-D: flatten dispatches by case
 
-def _bijects(rep: VerificationReport, n: int, maps: list[tuple],
-             tally: dict[str, int]) -> list[bool]:
-    """For each (items, cod, fwd, inv, key) in `maps`, whether fwd maps the
-    trees on [n] with parent tuples `items` onto the image keys `cod` of one
-    class and inv undoes it: each t has inv(fwd(t)) == t, so fwd is
-    injective, and key(fwd(t)) in cod (a tree on [n] is its parent tuple),
-    so |D| = |C| makes fwd onto C.  From n = _CERTIFY_SHARD_MIN_N on, shard
-    j of w forked shards checks every w-th tree of every map from the j-th,
-    and `tally`, counts the maps keep under fixed keys, sums the shards'."""
-    rep.counts["maps applied"] += 2 * sum(len(items) for items, *_ in maps)
-    labels = tuple(range(1, n + 1))
 
-    def shard(j: int) -> list[int]:
-        ok = []
-        for items, cod, fwd, inv, key in maps:
-            try:
-                ok.append(all(inv(u := fwd(t)) == t and key(u) in cod
-                              for t in map(RootedTree, repeat(labels), islice(items, j, None, w))))
-            except ValueError:  # a map rejected a tree of its class
-                ok.append(False)
-        return [*ok, *tally.values()]
+def _fails(t, fwd, inv, image: Callable[[RootedTree], bool], labels: tuple) -> bool:
+    # whether inv(fwd(t)) != t, or fwd(t) lacks the labels or the statistics
+    # of its codomain cell, which `image` reads off the core inv built
+    try:
+        u = fwd(t)
+        return not (inv(u) == t and u.labels == labels and image(u))
+    except ValueError:  # a map rejected a tree of its class
+        return True
 
+
+def _sharded(n: int, work: Callable[[int, int], Iterable[int]], size: int, what: str) -> list:
+    # work(j, w) summed over shards j < w: one forked shard per usable CPU
+    # from n = _CERTIFY_SHARD_MIN_N on, else one in-process
     w = _usable_cpus() if n >= _CERTIFY_SHARD_MIN_N else 1
-    cols = [*zip(*_run_shards(shard, w, len(maps) + len(tally), f"bijection certifier n={n}"))]
-    tally.update(zip(tally, map(sum, cols[len(maps):])))
-    return [all(col) and len(items) == len(cod) for col, (items, cod, *_) in zip(cols, maps)]
+    return [*map(sum, zip(*_run_shards(lambda j: work(j, w), w, size, what)))]
 
 
-def _certify_rooted(rep: VerificationReport, n: int) -> tuple[list, dict]:
-    # One pass over the trees on [n] files each tree once per side.  Domain
-    # (deg(1) > 0): lowering (k, i) when i >= 1, else flat (k, deg(1)).
-    # Codomain (deg(n) > 0): lifting (k, i) when deg(1) > 0 or lambda = 1,
-    # else restricted (k, i, deg(n)).  A composite class is a union of cells.
-    lowering: dict = defaultdict(list)
-    flat: dict = defaultdict(list)
-    lifting: dict = defaultdict(set)
-    restricted: dict = defaultdict(set)
-    dom_fold: dict = defaultdict(list)
-    cod_fold: dict = defaultdict(set)
-    # the min-rooted trees (p_1 = 0) by (k, deg(1)); fresh: 2 a leaf, the
-    # fresh-root codomain on [n - 1]
-    min_dom: dict = defaultdict(list)
-    min_cod: dict = defaultdict(set)
-    fresh: dict = defaultdict(set)
-    seen = 0
-    with rep.phase("classify"):
-        for seen, t in enumerate(enumerate_rooted(n), 1):
-            k = t.improper_count()
-            i = t.proper_on_max_path()
-            dmin, dmax = t.degree(1), t.degree(n)
-            ps = t.parents
-            if dmin > 0:
-                (lowering[(k, i)] if i >= 1 else flat[(k, dmin)]).append(ps)
-            if dmax > 0:  # lambda is defined here, and read only when deg(1) = 0
-                (lifting[(k, i)] if dmin > 0 or t.lower_critical() == 1
-                 else restricted[(k, i, dmax)]).add(ps)
-            if dmin == 1:
-                dom_fold[(k, t.beta_star())].append(ps)
-            if dmin == 0:  # so 1 is not the root: n >= 2
-                cod_fold[(k, t.mu())].add(ps)
-            if ps[0] == 0:
-                if t.degree(2) > 0:
-                    min_dom[(k, dmin)].append(ps)
-                else:
-                    fresh[(k, dmin)].add(ps)
-                if dmax > 0:
-                    min_cod[(k, dmin)].add(ps)
-        rep.counts["trees visited"] += seen
+def _certify_shard(n: int, grow: bool, layout: list, j: int, w: int) -> list[int]:
+    # Every w-th tree on [n] from the j-th: its trees in each cell of `layout`, those
+    # that fail each domain cell's map, and _TALLY; `grow` maps [n] into [n + 1] too.
+    labels, grown = tuple(range(1, n + 1)), tuple(range(1, n + 2))
+    got, bad, tally = Counter(), Counter(), dict.fromkeys(_TALLY, 0)
 
-    def union(k: int, *sides: dict) -> list:
-        # the trees in the cells whose key starts with k
-        return [ps for cells in sides for key, c in cells.items() if key[0] == k for ps in c]
+    def domain(cell, t, fwd, inv, image, on=labels) -> None:
+        # t is in a domain cell: count it, and whether it fails the cell's map
+        got[cell] += 1
+        tally["maps"] += 2
+        if _fails(t, fwd, inv, image, on):
+            bad[cell] += 1
 
-    with rep.phase("map"):
-        maps: list = []  # (items, cod, fwd, inv, key) of each mapping record
-        notes: list = []  # (name, the index in maps of its verdict, None for False, or cases)
+    def flatten(t, m):
+        # the case must be the one read off the image: is the min under the
+        # max, and does the max keep just the m moved children
+        trace: list = []
+        u = bj.flatten_min(t, trace)
+        tag = next(e for e in reversed(trace) if isinstance(e, bj.CaseTag))
+        tally[tag.case.value] += 1
+        tight = u.degree(n) == m
+        case = ("D" if tight else "C") if u.is_descendant(1, n) else ("B" if tight else "A")
+        if tag.case.value != case:  # fails the record
+            raise ValueError(f"flatten reported case {tag.case.value} for case {case}")
+        return u
 
-        def record(name: str, items: list, cod: set, fwd, inv, key=lambda u: u.parents) -> int:
-            notes.append((name, len(maps)))
-            maps.append((items, cod, fwd, inv, key))
-            return len(maps) - 1
-
-        fwd_at = {}
-        for k in sorted({key[0] for key in (*lowering, *flat)}):
-            items = union(k, lowering, flat)
-            fwd_at[k] = record(f"rooted bijection n={n} k={k} ({len(items)} trees)", items,
-                               set(union(k + 1, lifting, restricted)), bj.rooted_fwd, bj.rooted_inv)
-        # derived: see check_bijections
-        for k in sorted({key[0] for key in (*lifting, *restricted)}):
-            notes.append((f"rooted inverse round-trip n={n} k={k}", fwd_at.get(k - 1)))
-
-        for (k, i), items in sorted(lowering.items()):
-            record(f"lowering class n={n} k={k} i={i}", items,
-                   lifting.get((k + 1, i - 1), set()), bj.lower, bj.lift)
-        for (k, i, m), items in sorted(restricted.items()):
-            if i >= 1:
-                record(f"restricted lowering n={n} k={k} i={i} deg(max)={m}", items,
-                       restricted.get((k + 1, i - 1, m + 1), set()), bj.lower, bj.lift)
-        cases = dict.fromkeys("ABCD", 0)  # flatten dispatches by reported case
-
-        def flatten(t, m):
-            # the case must be the one read off the image: is the min under the
-            # max, and does the max keep just the m moved children
-            trace: list = []
-            u = bj.flatten_min(t, trace)
-            tag = next(e for e in reversed(trace) if isinstance(e, bj.CaseTag))
-            cases[tag.case.value] += 1
-            tight = u.degree(n) == m
-            case = ("D" if tight else "C") if u.is_descendant(1, n) else ("B" if tight else "A")
-            if tag.case.value != case:  # fails the record
-                raise ValueError(f"flatten reported case {tag.case.value} for case {case}")
-            return u
-
-        for (k, m), items in sorted(flat.items()):
-            cod = set().union(*(c for (kk, j, d), c in restricted.items()
-                                if (kk, j) == (k + m, 0) and d >= m))
-            record(f"flatten classes n={n} k={k} m={m}", items, cod,
-                   lambda t, m=m: flatten(t, m), lambda u, m=m: bj.unflatten_min(u, m))
-        notes.append((f"flatten cases n={n}", cases))
-        for (k, w), items in sorted(dom_fold.items()):
-            record(f"fold classes n={n} k={k} w={w}", items, cod_fold.get((k + 1, w), set()),
-                   bj.fold_stem, bj.unfold_stem)
-
-        for (k, r), items in sorted(min_dom.items()):
-            name = f"min-rooted bijection size={n} k={k} r={r} ({len(items)} trees)"
-            fwd_at[(k, r)] = record(name, items, min_cod.get((k + 1, r), set()),
-                                    bj.unrooted_fwd, bj.unrooted_inv)
-        for k, r in sorted(min_cod):  # derived: see check_bijections
-            notes.append((f"min-rooted inverse round-trip size={n} k={k} r={r}",
-                          fwd_at.get((k - 1, r))))
-
-        ok = _bijects(rep, n, maps, cases)
-        for name, at in notes:
-            if at is cases:  # every case fires from n = 5 on (case A needs five labels)
-                rep.note(name, n < 5 or all(cases.values()),
-                         " ".join(f"{c}={tally}" for c, tally in cases.items()))
+    for t in islice(enumerate_rooted(n), j, None, w):
+        tally["trees"] += 1
+        k, i = t.improper_count(), t.proper_on_max_path()
+        dmin, dmax = t.degree(1), t.degree(n)
+        tally["all-improper"] += k == n - 1
+        if dmin:
+            domain(("rooted", k), t, bj.rooted_fwd, bj.rooted_inv,
+                   lambda u: u.improper_count() == k + 1 and u.degree(n) > 0)
+            if i:
+                domain(("lowering", k, i), t, bj.lower, bj.lift,
+                       lambda u: (u.improper_count(), u.proper_on_max_path()) == (k + 1, i - 1)
+                       and u.degree(n) > 0 and (u.degree(1) > 0 or u.lower_critical() == 1))
             else:
-                rep.note(name, at is not None and ok[at])
-    # all-improper: a leaf n would hang by a proper edge
-    return union(n - 1, lifting, restricted), fresh
+                domain(("flat", k, dmin), t, lambda t: flatten(t, dmin),
+                       lambda u: bj.unflatten_min(u, dmin),
+                       lambda u: (u.improper_count(), u.proper_on_max_path(), u.degree(1))
+                       == (k + dmin, 0, 0) and u.degree(n) >= dmin and u.lower_critical() != 1)
+        if dmax:  # lambda is defined here, and read only when deg(1) = 0
+            if dmin or t.lower_critical() == 1:
+                got["lifting", k, i] += 1
+            elif i:  # a restricted cell that is a domain too
+                domain(("restricted", k, i, dmax), t, bj.lower, bj.lift,
+                       lambda u: (u.improper_count(), u.proper_on_max_path(), u.degree(1),
+                                  u.degree(n)) == (k + 1, i - 1, 0, dmax + 1)
+                       and u.lower_critical() != 1)
+            else:
+                got["restricted", k, i, dmax] += 1
+        if dmin == 1:
+            b = t.beta_star()
+            domain(("dom_fold", k, b), t, bj.fold_stem, bj.unfold_stem,
+                   lambda u: (u.improper_count(), u.degree(1), u.mu()) == (k + 1, 0, b))
+        elif not dmin and n > 1:  # so 1 is not the root
+            got["cod_fold", k, t.mu()] += 1
+        if t.parents[0] == 0 and n > 1:
+            if t.degree(2):
+                domain(("min_dom", k, dmin), t, bj.unrooted_fwd, bj.unrooted_inv,
+                       lambda u: (u.parents[0], u.improper_count(), u.degree(1)) == (0, k + 1, dmin)
+                       and u.degree(n) > 0)
+            else:
+                got["fresh", k, dmin] += 1
+            if dmax:
+                got["min_cod", k, dmin] += 1
+        if grow:
+            for black in chain.from_iterable(combinations(t.children(1), s)
+                                             for s in range(dmin + 1)):
+                domain(("colour", k), bj.ColoredRootedTree(t, frozenset(black)), bj.color_split,
+                       bj.color_merge, lambda u: (u.parents[0], u.improper_count()) == (0, k),
+                       grown)
+            domain(("insert", k, dmin + 1), t, bj.insert_root, bj.extract_root,
+                   lambda u: (u.parents[0], u.degree(2), u.degree(1), u.improper_count())
+                   == (0, 0, dmin + 1, k), grown)
+    return [*map(got.__getitem__, layout), *map(bad.__getitem__, layout), *tally.values()]
 
 
-def _all_increasing_plane_trees(n: int) -> list[PlaneTree]:
+def _cells(counts: dict, kind: str) -> list[tuple[tuple, int]]:
+    # the nonempty cells of a kind, keys increasing
+    return [(key[1:], c) for key, c in counts.items() if key[0] == kind and c]
+
+
+def _note_rooted(rep: VerificationReport, n: int, got: dict, bad: dict, tally: dict) -> None:
+    # the records of the maps within [n], in their fixed order, from its pass's sums
+    ok = {}
+
+    def forward(name: str, cell: tuple, cod: int) -> None:
+        # no tree of the domain cell failed its map, and |D| = |C|
+        ok[cell] = not bad[cell] and got[cell] == cod
+        rep.note(name, ok[cell])
+
+    cod = Counter()  # the rooted codomain of k: every codomain cell of k
+    for kind in ("lifting", "restricted"):
+        for (k, *_), c in _cells(got, kind):
+            cod[k] += c
+    for (k,), c in _cells(got, "rooted"):
+        forward(f"rooted bijection n={n} k={k} ({c} trees)", ("rooted", k), cod[k + 1])
+    for k in sorted(cod):
+        rep.note(f"rooted inverse round-trip n={n} k={k}",  # derived: see check_bijections
+                 ok.get(("rooted", k - 1), False))
+    for (k, i), _ in _cells(got, "lowering"):
+        forward(f"lowering class n={n} k={k} i={i}", ("lowering", k, i),
+                got["lifting", k + 1, i - 1])
+    for (k, i, m), _ in _cells(got, "restricted"):
+        if i >= 1:
+            forward(f"restricted lowering n={n} k={k} i={i} deg(max)={m}",
+                    ("restricted", k, i, m), got["restricted", k + 1, i - 1, m + 1])
+    for (k, m), _ in _cells(got, "flat"):
+        forward(f"flatten classes n={n} k={k} m={m}", ("flat", k, m),
+                sum(c for (kk, j, d), c in _cells(got, "restricted") if (kk, j) == (k + m, 0)
+                    and d >= m))
+    # every case fires from n = 5 on (case A needs five labels)
+    rep.note(f"flatten cases n={n}", n < 5 or all(tally[c] for c in "ABCD"),
+             " ".join(f"{c}={tally[c]}" for c in "ABCD"))
+    for (k, b), _ in _cells(got, "dom_fold"):
+        forward(f"fold classes n={n} k={k} w={b}", ("dom_fold", k, b), got["cod_fold", k + 1, b])
+    for (k, r), c in _cells(got, "min_dom"):
+        forward(f"min-rooted bijection size={n} k={k} r={r} ({c} trees)", ("min_dom", k, r),
+                got["min_cod", k + 1, r])
+    for (k, r), _ in _cells(got, "min_cod"):  # derived: see check_bijections
+        rep.note(f"min-rooted inverse round-trip size={n} k={k} r={r}",
+                 ok.get(("min_dom", k - 1, r), False))
+
+
+def _increasing_plane_trees(n: int) -> Iterator[PlaneTree]:
     # Independent generator: insert each label v in increasing order as a new
     # leaf in every child slot; a tree on v-1 nodes offers 2v-3 slots.  A
-    # tree is kept as child lists, shape[u - 1] holding the children of u.
-    shapes = [((),)]
-    for v in range(2, n + 1):
-        grown = []
-        for shape in shapes:
-            for j, kids in enumerate(shape):
-                for pos in range(len(kids) + 1):
-                    grown.append(shape[:j] + (kids[:pos] + (v,) + kids[pos:],)
-                                 + shape[j + 1:] + ((),))
-        shapes = grown
-    trees = []
-    for shape in shapes:
-        pre, stack = [], [1]  # the preorder
-        while stack:
-            pre.append(stack.pop())
-            stack += reversed(shape[pre[-1] - 1])
-        trees.append(PlaneTree(tuple(pre), tuple([len(shape[u - 1]) for u in pre])))
-    return trees
+    # tree is kept as child lists, shape[u - 1] holding the children of u,
+    # grown depth first, so only the shapes beside one path are held at once.
+    stack = [((),)]
+    while stack:
+        shape = stack.pop()
+        if len(shape) < n:
+            v = len(shape) + 1
+            stack += reversed([shape[:j] + (kids[:pos] + (v,) + kids[pos:],) + shape[j + 1:] + ((),)
+                               for j, kids in enumerate(shape) for pos in range(len(kids) + 1)])
+            continue
+        pre, todo = [], [1]  # the preorder
+        while todo:
+            pre.append(todo.pop())
+            todo += reversed(shape[pre[-1] - 1])
+        yield PlaneTree(tuple(pre), tuple([len(shape[u - 1]) for u in pre]))
 
 
-def _certify_small_maps(rep: VerificationReport, n: int, fresh: dict) -> None:
-    # color equivalence and the fresh-root map both grow [n] into [n+1]
-    split_images = set()
-    pairs = seen = 0
-    root_images: dict = defaultdict(set)
-    ok_color = ok_root = True
-    try:
-        for seen, t in enumerate(enumerate_rooted(n), 1):
-            k = t.improper_count()
-            kids = t.children(1)
-            for size in range(len(kids) + 1):
-                for black in combinations(kids, size):
-                    u = bj.color_split(bj.ColoredRootedTree(t, frozenset(black)))
-                    back = bj.color_merge(u)
-                    ok_color &= u.improper_count() == k
-                    ok_color &= back.tree == t and back.black == frozenset(black)
-                    split_images.add(u.parents)
-                    pairs += 1
-            u = bj.insert_root(t)
-            ok_root &= bj.extract_root(u) == t
-            root_images[(k, t.degree(1) + 1)].add(u.parents)
-    except ValueError:  # a map rejected a tree of its class: both image sets fall short
-        ok_color = ok_root = False
-    rep.counts["trees visited"] += seen
-    rep.counts["maps applied"] += 2 * (pairs + seen)
-    ok_color &= pairs == len(split_images) == (n + 1) ** (n - 1)
-    rep.note(f"color split/merge n={n} ({pairs} colored trees)", ok_color)
-    rep.note(f"fresh-root bijection n={n}", ok_root and root_images == fresh)
+def certify_plane(rep: VerificationReport, n: int, count: int) -> None:
+    """The plane record, from the codomain side: plane_inv maps each
+    independently generated increasing plane tree on [n] to an all-improper
+    tree on [n] that plane_fwd takes back, so it is injective, and `count`,
+    the number of all-improper trees on [n], equal to theirs makes it onto."""
+    labels = tuple(range(1, n + 1))
 
+    def work(j: int, w: int) -> tuple[int, int]:
+        # the plane trees shard j of w maps, and how many of them fail
+        fails = [_fails(p, bj.plane_inv, bj.plane_fwd, lambda t: t.improper_count() == n - 1,
+                        labels) for p in islice(_increasing_plane_trees(n), j, None, w)]
+        return len(fails), sum(fails)
 
-def certify_plane(rep: VerificationReport, n: int, all_improper: Collection[tuple]) -> None:
-    """plane_fwd is a bijection from the all-improper trees on [n], given as
-    parent tuples, onto the independently generated increasing plane trees."""
-    with rep.phase("plane generation"):
-        expected = set(_all_increasing_plane_trees(n))
-    with rep.phase("map"):
-        ok, = _bijects(rep, n, [(all_improper, expected, bj.plane_fwd, bj.plane_inv, lambda p: p)],
-                       {})
+    with rep.phase("plane"):
+        mapped, failed = _sharded(n, work, 2, f"plane bijection n={n}")
+    rep.counts["maps applied"] += 2 * mapped
     target = double_factorial(2 * n - 3)
-    ok &= len(all_improper) == target == len(expected)
-    rep.note(f"plane bijection n={n} (both sides {target})", ok)
+    rep.note(f"plane bijection n={n} (both sides {target})",
+             not failed and count == target == mapped)
 
 
 @_timed
 def check_bijections(nmax: int) -> VerificationReport:
-    """Certify every map: domain -> codomain onto-ness, injectivity, inverse
-    round-trips, and statistic deltas, over full enumerations.  One pass per
-    [n] files each tree once per side, a composite class is a union of cells,
-    and the min-rooted records of each n follow its rooted ones.  A forward
-    record checks inv(fwd(t)) = t, so fwd is injective, and fwd(t) in C for
-    each t in D; with |D| = |C| that makes fwd(D) = C.  The rooted and
-    min-rooted inverse round-trip record of class k takes the verdict of the
-    forward record of class k - 1 (False if that class is empty), so inv ran
-    on all of C and fwd(inv(u)) = u, as the maps keep no state.  From n = 6
-    on, the rooted, lowering, restricted lowering, flatten, fold, min-rooted
-    and plane maps run on one forked shard per usable CPU."""
+    """Certify every map over full enumerations, keeping only counts.  One
+    pass per [n] (shard j of w takes every w-th tree from the j-th) files
+    each tree in its cells and applies each map whose domain holds it:
+    inv(fwd(t)) = t makes fwd injective, the statistics of fwd(t) put it in
+    its codomain cell, and |D| = |C| from the counts makes fwd(D) = C.  For
+    n < nmax the colour and fresh-root maps grow [n] into [n + 1].  The
+    inverse round-trip record of class k takes the verdict of the forward
+    record of class k - 1 (False if that class is empty): inv ran on all of
+    C and fwd(inv(u)) = u, as the maps keep no state.  The plane record is
+    certified from the codomain side (certify_plane)."""
     _require_size(nmax, SUITES["bijections"][2])
     rep = VerificationReport("bijections")
-    # [1] has the one tree (0,) and no fresh-root codomain; [2] has no
-    # min-rooted records, but it gives the fresh-root codomain of n = 1
-    all_improper, fresh = zip(([(0,)], {}), *(_certify_rooted(rep, n) for n in range(2, nmax + 1)))
+    passes = []  # the cell counts, failures and tally of each [n]
     with rep.phase("map"):
-        for n in range(1, nmax):
-            _certify_small_maps(rep, n, fresh[n])
-    for n in range(1, nmax + 1):
-        certify_plane(rep, n, all_improper[n - 1])
+        for n in range(1, nmax + 1):
+            layout = [(kind, *key) for kind, arity in _KINDS.items()
+                      for key in product(range(n + 1), repeat=arity)]
+            sums = _sharded(n, lambda j, w: _certify_shard(n, n < nmax, layout, j, w),
+                            2 * len(layout) + len(_TALLY), f"bijection certifier n={n}")
+            got, bad = dict(zip(layout, sums)), dict(zip(layout, sums[len(layout):]))
+            tally = dict(zip(_TALLY, sums[2 * len(layout):]))
+            passes.append((got, bad, tally))
+            rep.counts["trees visited"] += tally["trees"]
+            rep.counts["maps applied"] += tally["maps"]
+            if n > 1:
+                _note_rooted(rep, n, got, bad, tally)
+        for n, ((got, bad, _), (cod, _, _)) in enumerate(zip(passes, passes[1:]), 1):
+            pairs = sum(c for _, c in _cells(got, "colour"))
+            rep.note(f"color split/merge n={n} ({pairs} colored trees)",
+                     not _cells(bad, "colour") and pairs == (n + 1) ** (n - 1))
+            rep.note(f"fresh-root bijection n={n}",
+                     not _cells(bad, "insert") and _cells(got, "insert") == _cells(cod, "fresh"))
+    for n, (_, _, tally) in enumerate(passes, 1):
+        certify_plane(rep, n, tally["all-improper"])
     return rep
 
 

@@ -4,12 +4,13 @@ import re
 import signal
 from collections import Counter
 from dataclasses import replace
+from itertools import islice
 
 import pytest
 
 from golden import CENSUS_8, CENSUS_9
 from ramapoly import bijections as bj, verify as vf
-from ramapoly.trees import ClassFilter, enumerate_rooted
+from ramapoly.trees import ClassFilter, RootedTree, enumerate_rooted
 from ramapoly.verify import (LAMBDA_TABLES, PSI_TABLE, Q_TABLE, CheckResult,
                              VerificationReport, certify_plane, check_bijections,
                              check_conjecture, check_genfun, check_identities,
@@ -207,6 +208,36 @@ def test_one_tree_fault_fails_forward_and_derived_inverse_record(monkeypatch, na
     assert [r.name for r in check_bijections(5).failures] == failed
 
 
+@pytest.mark.parametrize("w", [1, 2])
+@pytest.mark.parametrize("name, fault, failed", [
+    ("color_split", "wrong", "color split/merge n=4 (125 colored trees)"),
+    ("color_split", "raise", "color split/merge n=4 (125 colored trees)"),
+    ("insert_root", "wrong", "fresh-root bijection n=4"),
+    ("insert_root", "raise", "fresh-root bijection n=4"),
+])
+def test_one_tree_fault_in_a_growing_map_fails_its_own_record(monkeypatch, w, name, fault,
+                                                              failed):
+    # Keyed on the input as above.  insert_root is color_split with every
+    # child of 1 black, so the colour fault keys on a black set that is not
+    # all of them.  A wrong image is the image of another input.
+    real = getattr(bj, name)
+    t0 = RootedTree((1, 2, 3, 4), (0, 1, 1, 2))
+    key, other = ((bj.ColoredRootedTree(t0, frozenset({2})), bj.ColoredRootedTree(t0))
+                  if name == "color_split" else (t0, RootedTree((1, 2, 3, 4), (0, 1, 1, 1))))
+
+    def faulty(x):
+        if x != key:
+            return real(x)
+        if fault == "raise":
+            raise bj.DomainError("injected")
+        return real(other)
+
+    monkeypatch.setattr(bj, name, faulty)
+    _shards(monkeypatch, w)
+    assert [r.name for r in check_bijections(5).failures] == [failed]
+    _no_children_left()
+
+
 def _shards(monkeypatch, w: int, least: int = 2) -> None:
     # the certifier maps on w shards from n = least on
     monkeypatch.setattr(vf, "_usable_cpus", lambda: w)
@@ -230,36 +261,43 @@ def test_sharded_certifier_equals_in_process(monkeypatch, nmax):
         _shards(monkeypatch, w)
         rep = check_bijections(nmax)
         assert _records(rep) == _records(want) and rep.counts == want.counts
-        assert set(rep.phases) == {"classify", "map", "plane generation"}
+        assert set(rep.phases) == {"map", "plane"}
     _no_children_left()
 
 
-def _lowering_class(n: int, k: int, i: int) -> list:
-    # the domain of record "lowering class n k i", in the certifier's order
-    return [t for t in enumerate_rooted(n) if t.degree(1) > 0 and t.improper_count() == k
-            and t.proper_on_max_path() == i]
+def _lowering_class(n: int, k: int, i: int, first: int = 0, step: int = 1) -> list:
+    # the domain of record "lowering class n k i" among every step-th tree
+    # on [n] from the first, the trees that shard `first` of `step` files
+    return [t for t in islice(enumerate_rooted(n), first, None, step) if t.degree(1) > 0
+            and t.improper_count() == k and t.proper_on_max_path() == i]
 
 
-@pytest.mark.parametrize("fault", ["round trip", "outside class", "not injective"])
+@pytest.mark.parametrize("fault", ["round trip", "outside class", "not injective", "wrong cell"])
 def test_fault_only_shard_one_sees_fails_the_same_records(monkeypatch, fault):
-    # The planted tree t0 sits at an odd place in its lowering class, so on
-    # two shards only shard 1 maps it there.  n is a leaf of t0, so t0 is no
-    # image of any map and lift(t0) runs only where the fault plants it.
+    # The planted tree t0 sits at an odd place in the enumeration of [n], so
+    # on two shards only shard 1 maps it.  n is a leaf of t0, so t0 is no
+    # image of any map and lift(t0) runs only where the fault plants it.  A
+    # wrong cell has the right k and deg(n) > 0, so only i can catch it.
     n, k, i = 5, 1, 1
     cls = _lowering_class(n, k, i)
-    t0 = next(t for t in cls[1::2] if t.degree(n) == 0)
+    t0 = next(t for t in _lowering_class(n, k, i, 1, 2) if t.degree(n) == 0)
     lower, lift = bj.lower, bj.lift
     image = lower(t0)
+    # a tree of lifting cell (k + 1, i) rather than (k + 1, i - 1)
+    off = next(t for t in enumerate_rooted(n) if t.degree(n) > 0 and t.degree(1) > 0
+               and t.improper_count() == k + 1 and t.proper_on_max_path() == i)
+    planted = {"outside class": t0, "not injective": lower(cls[0]), "wrong cell": off}
 
     def faulty_lower(t, trace=None):
         if t != t0 or fault == "round trip":
             return lower(t, trace)
-        return t0 if fault == "outside class" else lower(cls[0], trace)
+        return planted[fault]
 
     def faulty_lift(t, trace=None):
         if fault == "round trip" and t == image:
             return t
-        return t0 if fault == "outside class" and t == t0 else lift(t, trace)
+        return t0 if fault in ("outside class", "wrong cell") and t == planted[fault] \
+            else lift(t, trace)
 
     monkeypatch.setattr(bj, "lower", faulty_lower)
     monkeypatch.setattr(bj, "lift", faulty_lift)
@@ -278,7 +316,7 @@ def test_fault_only_shard_one_sees_fails_the_same_records(monkeypatch, fault):
 ])
 def test_failed_certifier_shard_raises_once_every_child_is_reaped(monkeypatch, fault, message):
     n, k, i = 5, 1, 1
-    t0 = _lowering_class(n, k, i)[1]  # mapped by shard 1 of 2 alone
+    t0 = _lowering_class(n, k, i, 1, 2)[0]  # mapped by shard 1 of 2 alone
     lower, parent = bj.lower, os.getpid()
 
     def faulty(t, trace=None):
@@ -295,15 +333,12 @@ def test_failed_certifier_shard_raises_once_every_child_is_reaped(monkeypatch, f
     _no_children_left()
 
 
-def test_certify_plane_fails_a_wrong_domain_list():
-    # certify_plane maps the list it is given; its count checks fail a list
-    # that misses an all-improper tree or holds one more tree
+def test_certify_plane_fails_a_wrong_domain_count():
+    # certify_plane maps from the plane side; its count checks fail a count
+    # of the all-improper trees that misses one or holds one more
     n = 5
-    trees = list(enumerate_rooted(n))
-    all_improper = [t.parents for t in trees if t.improper_count() == n - 1]
-    proper = next(t.parents for t in trees if t.improper_count() < n - 1)
-    for given, ok in ((all_improper, True), (all_improper[1:], False),
-                      (all_improper + [proper], False)):
+    count = count_class(n, ClassFilter(k=n - 1))
+    for given, ok in ((count, True), (count - 1, False), (count + 1, False)):
         rep = VerificationReport("plane")
         certify_plane(rep, n, given)
         assert rep.ok is ok and len(rep.results) == 1
@@ -327,17 +362,17 @@ def test_forward_records_cover_their_domains():
 
 def test_bijection_report_phases_and_counts():
     rep = check_bijections(6)
-    assert set(rep.phases) == {"classify", "map", "plane generation"}
+    assert set(rep.phases) == {"map", "plane"}
     assert all(isinstance(ns, int) and ns > 0 for ns in rep.phases.values())
     # the phases cover the run: within 5% of its wall time
     assert 19 * rep.wall_ns <= 20 * sum(rep.phases.values()) <= 20 * rep.wall_ns
-    # rooted trees on [2..6], whose pass also files the min-rooted ones,
-    # and the rooted trees on [1..5] that the colour and fresh-root maps grow
-    visited = sum(n ** (n - 1) for n in range(2, 7)) + sum(n ** (n - 1) for n in range(1, 6))
+    # one pass over the rooted trees on each of [1..6]: it also files the
+    # min-rooted trees, and the colour and fresh-root maps grow [1..5]
+    visited = sum(n ** (n - 1) for n in range(1, 7))
     assert rep.counts == {"trees visited": visited, "maps applied": 35522}
     last = json.loads(rep.json_lines()[-1])
     assert last["phases_ns"] == rep.phases and last["counts"] == rep.counts
-    assert "; classify " in rep.summary() and "; maps applied 35522)" in rep.summary()
+    assert "; map " in rep.summary() and "; maps applied 35522)" in rep.summary()
     other = check_recurrences(3)
     assert other.phases == {} and other.counts == {}
     assert json.loads(other.json_lines()[-1])["phases_ns"] == {}
