@@ -24,9 +24,10 @@ from __future__ import annotations
 import os
 from bisect import bisect_left
 from collections import Counter
-from itertools import accumulate, compress, repeat, takewhile
+from itertools import accumulate, compress, repeat
 from dataclasses import dataclass
-from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "TreeError",
@@ -242,8 +243,10 @@ class RootedTree:
         for j in range(len(path) - 1, 0, -1):
             u = path[j]
             if u < out:
-                found = u
-            out = min(out, u, *[low[c] for c in kids[u] if c != path[j - 1]])
+                found = out = u
+            for c in kids[u]:
+                if low[c] < out and c != path[j - 1]:
+                    out = low[c]
         return found
 
     def beta_star(self) -> int:
@@ -418,28 +421,27 @@ class ClassFilter:
 # -- enumeration ---------------------------------------------------------------
 
 
-def _prefixes(n: int, ones: Container[int] | None = None
+def _prefixes(n: int, head: Sequence[int] = ()
               ) -> Iterator[tuple[list[int], tuple[int, ...], list, list[int], int]]:
-    # Every parent assignment p_1..p_{n-1} that the max label n completes
-    # into a rooted tree on [n], with p_1 in `ones` (any p_1 when None), in
-    # lexicographic order, with the live forest
-    # it makes on [n] (changed when the next one is asked for), as (p, free,
-    # kids, low, k): p[i] is the parent of i, `free` the labels outside the
-    # subtree of n, under which n may hang, kids[v] the children of v
-    # (kids[0] holds the root among 1..n-1, if any; n, a root, is in none),
-    # low[v] the least label in the subtree of v, and k the number of
+    # Every parent assignment p_1..p_{n-1} that starts with `head` and that the
+    # max label n completes into a rooted tree on [n], in lexicographic order,
+    # with the live forest it makes on [n] (changed when the next one is asked
+    # for), as (p, free, kids, low, k): p[i] is the parent of i, `free` the
+    # labels outside the subtree of n, under which n may hang, kids[v] the
+    # children of v (kids[0] holds the root among 1..n-1, if any; n, a root, is
+    # in none), low[v] the least label in the subtree of v, and k the number of
     # improper edges; all lists are increasing.  An explicit stack walks the
     # levels 1..n-2 depth first; the last level n-1 is expanded in place.
     kids, low = [[] for _ in range(n + 1)], list(range(n + 1))
     if n == 1:
-        if ones is None or 0 in ones:
+        if not any(head):
             yield [0], (), kids, low, 0
         return
     last = n - 1
     p = [0] * n
-    # head[i]: where the parent walk from i first left 1..i-1 when i was
-    # assigned (0 at the root).  It exceeds i, so walks over heads climb.
-    head = [0] * n
+    # exits[i]: where the parent walk from i first left 1..i-1 when i was
+    # assigned (0 at the root).  It exceeds i, so walks over exits climb.
+    exits = [0] * n
     # side[h]: the labels, as a bit mask, of the tree whose root is h, with
     # h = 0 for the root among 1..i; sets[m]: the labels of mask m
     side = [0] + [1 << v for v in range(1, n + 1)]
@@ -450,15 +452,15 @@ def _prefixes(n: int, ones: Container[int] | None = None
     trail: list[int] = []
 
     def options(i: int) -> list[tuple[int, int]]:
-        # (parent, head) for each parent of i that closes no cycle
+        # (parent, exit) for each parent of i that closes no cycle
         out = [] if kids[0] else [(0, 0)]
         for q in range(1, n + 1):
             h = q
             while 0 < h < i:
-                h = head[h]
+                h = exits[h]
             if h != i:
                 out.append((q, h))
-        return out if i > 1 or ones is None else [o for o in out if o[0] in ones]
+        return out if i > len(head) else [o for o in out if o[0] == head[i - 1]]
 
     def hang(i: int, q: int) -> None:
         # Hang the root i under q.  The subtrees of q and its ancestors gain
@@ -492,7 +494,7 @@ def _prefixes(n: int, ones: Container[int] | None = None
             i = len(stack) + 1
             stack.append(iter(options(i)))
             nxt = next(stack[-1], None)  # n is always an option past level 1
-            if nxt is None:  # `ones` left level 1 nothing
+            if nxt is None:  # `head` left a pinned level nothing
                 return
         else:
             # last joins the root's side unless it hangs in the tree of n
@@ -503,7 +505,7 @@ def _prefixes(n: int, ones: Container[int] | None = None
                 unhang(last)
             while stack:  # advance the deepest level that has an option left
                 i = len(stack)
-                side[head[i]] ^= side[i]
+                side[exits[i]] ^= side[i]
                 unhang(i)
                 nxt = next(stack[-1], None)
                 if nxt is not None:
@@ -511,22 +513,29 @@ def _prefixes(n: int, ones: Container[int] | None = None
                 stack.pop()
             else:
                 return
-        p[i], head[i] = nxt
-        side[head[i]] |= side[i]
+        p[i], exits[i] = nxt
+        side[exits[i]] |= side[i]
         hang(i, p[i])
 
 
-def _k_lambda_rows(n: int, ones: Container[int] | None = None) -> list[list[int]]:
+def _heads(n: int) -> list[tuple[int, ...]]:
+    # The units a pass over [n] is dealt in: the heads (p_1, p_2) of its parent arrays,
+    # p_1 alone below n = 3, in order.  p_2 is 0 only if p_1 is not, and 1 unless p_1 is 2.
+    ones = [0, *range(2, n + 1)]
+    return ([(q, r) for q in ones for r in range(n + 1)
+             if r != 2 and (q, r) not in ((0, 0), (2, 1))] if n > 2 else [(q,) for q in ones])
+
+
+def _k_lambda_rows(n: int, head: Sequence[int] = ()) -> list[list[int]]:
     # rows[lambda or 0][k]: the (k, lambda) counts over the rooted trees on
-    # [n] in which the parent of 1 is in `ones` (any parent when None).  The
-    # trees completing one prefix differ only in the parent q of n, so they
-    # share the subtree M of n, lambda = lambda(M) and every edge off the
-    # path from q to the root, all read from the prefix forest with
-    # b = beta(n).  Hanging n under q adds the edge into n (improper iff
-    # q > b), and the edge (u, c) on the path turns improper iff
-    # b < u < low[c]; the walk from the root adds those up top-down.
+    # [n] whose parent array starts with `head`.  The trees completing one
+    # prefix differ only in the parent q of n, so they share the subtree M of
+    # n, lambda = lambda(M) and every edge off the path from q to the root, all
+    # read from the prefix forest with b = beta(n).  Hanging n under q adds the
+    # edge into n (improper iff q > b), and the edge (u, c) on the path turns
+    # improper iff b < u < low[c]; the walk from the root adds those up top-down.
     rows = [[0] * n for _ in range(n + 1)]
-    for _, _, kids, low, k in _prefixes(n, ones):
+    for _, _, kids, low, k in _prefixes(n, head):
         if not kids[n]:  # b = n: no parent of n moves k (n = 1 is its own root)
             rows[0][k] += n - 1 or 1
             continue
@@ -541,30 +550,24 @@ def _k_lambda_rows(n: int, ones: Container[int] | None = None) -> list[list[int]
     return rows
 
 
-# Below this n the census runs in-process.  Forking, piping and reaping two
-# shards costs about 3.5 ms, so two shards take 10.7 ms at n = 6 against
-# 5.9 ms in-process, and 53-85 ms at n = 7 against 70-126 ms (medians of 15
-# and ranges of 7 runs, 2-vCPU Xeon, Python 3.11).
+# Below this n the census runs in-process.  Two shards dealt the units take
+# 14.0 ms at n = 6 against 8.8 ms in-process, and 76 ms at n = 7 against 133 ms
+# (medians of 15 and 31 alternating runs, 2-vCPU Xeon, Python 3.11).
 _SHARD_MIN_N = 7
 
 
 def _k_lambda_counts(n: int) -> Counter:
     # (k, lambda) -> count over all rooted trees on [n], lambda None where the
-    # max label is a leaf.  The parent of 1 is 0 or one of 2..n, and each
-    # choice covers n^(n-2) trees, so the choices, strided over one forked
-    # shard per usable CPU (at most n), split the count evenly.
+    # max label is a leaf, dealt out to one forked shard per usable CPU (at most n).
     rows = _forked_rows(n, min(_usable_cpus(), n) if n >= _SHARD_MIN_N else 1)
     return Counter({(k, lam or None): c
                     for lam, row in enumerate(rows) for k, c in enumerate(row) if c})
 
 
 def _forked_rows(n: int, shards: int) -> list[list[int]]:
-    # _k_lambda_rows(n), summed over `shards` shards, forked if more than one:
-    # shard j takes every shards-th parent of 1 from the j-th of 0, 2, 3, ..., n.
-    ones = [0, *range(2, n + 1)]
-    got = _run_shards(lambda j: (c for row in _k_lambda_rows(n, ones[j::shards]) for c in row),
-                      shards, n * (n + 1), f"lambda census n={n}")
-    total = [sum(cells) for cells in zip(*got)]
+    # _k_lambda_rows(n), summed over its heads as dealt to `shards` shards
+    total = _run_shards(lambda head: (c for row in _k_lambda_rows(n, head) for c in row),
+                        _heads(n), shards, n * (n + 1), f"lambda census n={n}")
     return [total[i:i + n] for i in range(0, len(total), n)]
 
 
@@ -575,16 +578,31 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _run_shards(work: Callable[[int], Iterable[int]], shards: int, size: int,
-                what: str) -> list[list[int]]:
-    # [list(work(j)) for j in range(shards)], each in a forked child that sends
-    # its `size` ints over a pipe (one shard runs in-process).  Every child is
-    # reaped before the call returns or raises; a parent exception (an interrupt,
-    # say) kills them first, and a child that fails or miscounts raises RuntimeError.
+def _run_shards(work: Callable[[object], Iterable[int]], units: Sequence, shards: int,
+                size: int, what: str) -> list[int]:
+    # work(unit), `size` ints, summed over `units` (in-process for one shard).  Before
+    # the first fork the parent writes each unit's index as a byte to a task pipe, in
+    # one write that is atomic and cannot block (256 bytes at most, below PIPE_BUF);
+    # each forked child pulls one at a time until the pipe is empty, so a fast shard
+    # takes more.  Every child is reaped before the call returns or raises; a parent
+    # exception kills them first, and a failed or miscounting child raises RuntimeError.
+    if len(units) > 256:
+        raise ValueError(f"{what}: {len(units)} units, but one byte names at most 256")
+
+    def add_up(picks: Iterable[int]) -> list[int]:
+        # work(units[i]) summed over the indices i in `picks`, then their number
+        total = [0] * (size + 1)
+        for i in picks:
+            total = [a + b for a, b in zip(total, (*work(units[i]), 1), strict=True)]
+        return total
+
     if shards < 2:
-        return [list(work(0))]
+        return add_up(range(len(units)))[:-1]
     import signal
     pids, reads, got = [], [], []
+    tasks, deal = os.pipe()
+    os.write(deal, bytes(range(len(units))))
+    os.close(deal)  # so a child's read ends once the units run out
     try:
         for j in range(shards):
             r, w = os.pipe()
@@ -594,7 +612,8 @@ def _run_shards(work: Callable[[int], Iterable[int]], shards: int, size: int,
                 if pid == 0:  # the child: it never leaves this block
                     code = 1
                     try:
-                        os.write(w, " ".join(str(int(c)) for c in work(j)).encode())
+                        total = add_up(map(ord, iter(partial(os.read, tasks, 1), b"")))
+                        os.write(w, " ".join(map(str, total)).encode())
                         code = 0
                     except Exception as exc:  # an interrupt exits 1 quietly
                         os.write(2, f"{what} shard {j}: {exc!r}\n".encode())
@@ -611,23 +630,25 @@ def _run_shards(work: Callable[[int], Iterable[int]], shards: int, size: int,
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for r in reads:
+        for r in (tasks, *reads):
             os.close(r)
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    bad = [f"shard {j} exited {code} with {len(ints)} of {size} counts"
-           for j, (code, ints) in enumerate(zip(codes, got)) if code or len(ints) != size]
+    bad = [f"shard {j} exited {code} with {len(ints)} of {size + 1} counts"
+           for j, (code, ints) in enumerate(zip(codes, got)) if code or len(ints) != size + 1]
     if bad:
         raise RuntimeError(f"{what}: " + "; ".join(bad))
-    return [list(map(int, ints)) for ints in got]
+    *total, done = map(sum, zip(*[map(int, ints) for ints in got]))
+    if done != len(units):
+        raise RuntimeError(f"{what}: the shards did {done} of {len(units)} units")
+    return total
 
 
-def enumerate_rooted(n: int, filt: ClassFilter | None = None) -> Iterator[RootedTree]:
-    """All n^(n-1) rooted labeled trees on [n] passing `filt`, each exactly
-    once, ordered lexicographically by parent array (root encoded 0)."""
+def _trees(n: int, head: tuple = (), filt: ClassFilter | None = None) -> Iterator[RootedTree]:
+    # the rooted trees on [n] passing `filt` whose parent arrays start with `head`, in order
     if n < 1:
         raise ValueError("n must be positive")
     labels = tuple(range(1, n + 1))
-    for p, free, _, _, _ in _prefixes(n):
+    for p, free, _, _, _ in _prefixes(n, head):
         prefix = tuple(p[1:])
         for q in free or (0,):
             t = RootedTree(labels, prefix + (q,))
@@ -635,11 +656,16 @@ def enumerate_rooted(n: int, filt: ClassFilter | None = None) -> Iterator[Rooted
                 yield t
 
 
+def enumerate_rooted(n: int, filt: ClassFilter | None = None) -> Iterator[RootedTree]:
+    """All n^(n-1) rooted labeled trees on [n] passing `filt`, each exactly
+    once, ordered lexicographically by parent array (root encoded 0)."""
+    yield from _trees(n, (), filt)
+
+
 def enumerate_unrooted(n: int, filt: ClassFilter | None = None) -> Iterator[RootedTree]:
     """All n^(n-2) trees on [n] in the unrooted convention: rooted at 1.
     Parent arrays with p_1 = 0 sort first, so these head the rooted ones."""
-    trees = takewhile(lambda t: t.parents[0] == 0, enumerate_rooted(n))
-    return trees if filt is None else filter(filt.matches, trees)
+    yield from _trees(n, (0,), filt)
 
 
 # -- text formats ----------------------------------------------------------------

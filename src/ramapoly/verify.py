@@ -15,15 +15,15 @@ import time
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain, combinations, islice, product
+from itertools import chain, combinations, product
 from math import factorial, prod
-from typing import Callable, Hashable, Iterable, Iterator
+from typing import Callable, Hashable, Iterator
 
 from . import bijections as bj
 from .polynomials import ROUTES, IntPoly, f, psi_bew, q_shor
 from .series import genfun_mismatch
-from .trees import (ClassFilter, PlaneTree, RootedTree, _k_lambda_counts, _run_shards,
-                    _usable_cpus, enumerate_rooted, enumerate_unrooted)
+from .trees import (ClassFilter, PlaneTree, RootedTree, _heads, _k_lambda_counts, _run_shards,
+                    _trees, _usable_cpus, enumerate_rooted, enumerate_unrooted)
 
 __all__ = [
     "CheckResult",
@@ -370,12 +370,12 @@ def check_identities(nmax: int) -> VerificationReport:
 # -- bijection certification ------------------------------------------------------
 
 
-# From this n on the certifier runs one forked shard per usable CPU.  A pass
-# over [n] with the colour maps takes 102 ms in-process against 94 ms on two
-# shards at n = 5, 1.04 against 0.59 s at n = 6 and 19.1 against 10.9 s at
-# n = 7; the plane record 4.6 against 9.7, 33 against 31 and 528 against 337
-# ms (medians of 15 alternating runs, 5 at n = 7, 2-vCPU Xeon, Python 3.11):
-# n = 5 breaks even, and n = 6 is the first clear gain.
+# From this n on the certifier runs one forked shard per usable CPU.  Dealt in
+# units, a pass over [n] with the colour maps takes 114 ms in-process against 67
+# ms on two shards at n = 5 and 1.11 against 0.63 s at n = 6; the plane record
+# 4.7 against 6.4 and 42 against 27 ms (medians of 15 alternating runs, 2-vCPU
+# Xeon, Python 3.11).  The n = 5 gain is inside the spread of a pass (76-144
+# ms in-process), so n = 6 stays the first clear one.
 _CERTIFY_SHARD_MIN_N = 6
 
 # The kinds of cell a tree on [n] is filed in, with the length of their keys
@@ -395,16 +395,14 @@ def _fails(t, fwd, inv, image: Callable[[RootedTree], bool], labels: tuple) -> b
         return True
 
 
-def _sharded(n: int, work: Callable[[int, int], Iterable[int]], size: int, what: str) -> list:
-    # work(j, w) summed over shards j < w: one forked shard per usable CPU
-    # from n = _CERTIFY_SHARD_MIN_N on, else one in-process
-    w = _usable_cpus() if n >= _CERTIFY_SHARD_MIN_N else 1
-    return [*map(sum, zip(*_run_shards(lambda j: work(j, w), w, size, what)))]
+def _sharded(n: int, work: Callable, units: list, size: int, what: str) -> list[int]:
+    # work(unit) summed over `units`, dealt to one shard per usable CPU from _CERTIFY_SHARD_MIN_N
+    return _run_shards(work, units, _usable_cpus() if n >= _CERTIFY_SHARD_MIN_N else 1, size, what)
 
 
-def _certify_shard(n: int, grow: bool, layout: list, j: int, w: int) -> list[int]:
-    # Every w-th tree on [n] from the j-th: its trees in each cell of `layout`, those
-    # that fail each domain cell's map, and _TALLY; `grow` maps [n] into [n + 1] too.
+def _certify_shard(n: int, grow: bool, layout: list, head: tuple) -> list[int]:
+    # The trees on [n] whose parent arrays start with `head`: those in each cell of `layout`,
+    # those that fail each domain cell's map, and _TALLY; `grow` maps [n] into [n + 1] too.
     labels, grown = tuple(range(1, n + 1)), tuple(range(1, n + 2))
     got, bad, tally = Counter(), Counter(), dict.fromkeys(_TALLY, 0)
 
@@ -428,7 +426,7 @@ def _certify_shard(n: int, grow: bool, layout: list, j: int, w: int) -> list[int
             raise ValueError(f"flatten reported case {tag.case.value} for case {case}")
         return u
 
-    for t in islice(enumerate_rooted(n), j, None, w):
+    for t in _trees(n, head):
         tally["trees"] += 1
         k, i = t.improper_count(), t.proper_on_max_path()
         dmin, dmax = t.degree(1), t.degree(n)
@@ -529,12 +527,12 @@ def _note_rooted(rep: VerificationReport, n: int, got: dict, bad: dict, tally: d
                  ok.get(("min_dom", k - 1, r), False))
 
 
-def _increasing_plane_trees(n: int) -> Iterator[PlaneTree]:
-    # Independent generator: insert each label v in increasing order as a new
-    # leaf in every child slot; a tree on v-1 nodes offers 2v-3 slots.  A
-    # tree is kept as child lists, shape[u - 1] holding the children of u,
-    # grown depth first, so only the shapes beside one path are held at once.
-    stack = [((),)]
+def _increasing_plane_trees(n: int, shape: tuple = ((),)) -> Iterator[tuple[tuple, PlaneTree]]:
+    # Independent generator of the trees on [n] grown from `shape`, each as its
+    # shape and its PlaneTree: insert each label v in increasing order as a new
+    # leaf in every child slot (2v-3 of them).  A shape holds child lists, shape[u - 1]
+    # the children of u, grown depth first, so only those beside one path are held.
+    stack = [shape]
     while stack:
         shape = stack.pop()
         if len(shape) < n:
@@ -546,7 +544,7 @@ def _increasing_plane_trees(n: int) -> Iterator[PlaneTree]:
         while todo:
             pre.append(todo.pop())
             todo += reversed(shape[pre[-1] - 1])
-        yield PlaneTree(tuple(pre), tuple([len(shape[u - 1]) for u in pre]))
+        yield shape, PlaneTree(tuple(pre), tuple([len(shape[u - 1]) for u in pre]))
 
 
 def certify_plane(rep: VerificationReport, n: int, count: int) -> None:
@@ -556,14 +554,15 @@ def certify_plane(rep: VerificationReport, n: int, count: int) -> None:
     the number of all-improper trees on [n], equal to theirs makes it onto."""
     labels = tuple(range(1, n + 1))
 
-    def work(j: int, w: int) -> tuple[int, int]:
-        # the plane trees shard j of w maps, and how many of them fail
+    def work(shape: tuple) -> tuple[int, int]:
+        # the plane trees grown from `shape`, and how many of them fail
         fails = [_fails(p, bj.plane_inv, bj.plane_fwd, lambda t: t.improper_count() == n - 1,
-                        labels) for p in islice(_increasing_plane_trees(n), j, None, w)]
+                        labels) for _, p in _increasing_plane_trees(n, shape)]
         return len(fails), sum(fails)
 
-    with rep.phase("plane"):
-        mapped, failed = _sharded(n, work, 2, f"plane bijection n={n}")
+    with rep.phase("plane"):  # dealt in the shapes on the first min(n, 4) labels
+        units = [shape for shape, _ in _increasing_plane_trees(min(n, 4))]
+        mapped, failed = _sharded(n, work, units, 2, f"plane bijection n={n}")
     rep.counts["maps applied"] += 2 * mapped
     target = double_factorial(2 * n - 3)
     rep.note(f"plane bijection n={n} (both sides {target})",
@@ -573,7 +572,7 @@ def certify_plane(rep: VerificationReport, n: int, count: int) -> None:
 @_timed
 def check_bijections(nmax: int) -> VerificationReport:
     """Certify every map over full enumerations, keeping only counts.  One
-    pass per [n] (shard j of w takes every w-th tree from the j-th) files
+    pass per [n] (dealt to the shards in the heads of its parent arrays) files
     each tree in its cells and applies each map whose domain holds it:
     inv(fwd(t)) = t makes fwd injective, the statistics of fwd(t) put it in
     its codomain cell, and |D| = |C| from the counts makes fwd(D) = C.  For
@@ -589,7 +588,7 @@ def check_bijections(nmax: int) -> VerificationReport:
         for n in range(1, nmax + 1):
             layout = [(kind, *key) for kind, arity in _KINDS.items()
                       for key in product(range(n + 1), repeat=arity)]
-            sums = _sharded(n, lambda j, w: _certify_shard(n, n < nmax, layout, j, w),
+            sums = _sharded(n, lambda head: _certify_shard(n, n < nmax, layout, head), _heads(n),
                             2 * len(layout) + len(_TALLY), f"bijection certifier n={n}")
             got, bad = dict(zip(layout, sums)), dict(zip(layout, sums[len(layout):]))
             tally = dict(zip(_TALLY, sums[2 * len(layout):]))

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import signal
 import time
 from collections import Counter
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from ramapoly.trees import (ClassFilter, CycleError, DisconnectedError, LabelError, PlaneTree,
-                            RootedTree, TreeError, _forked_rows, _k_lambda_counts,
+                            RootedTree, TreeError, _forked_rows, _heads, _k_lambda_counts,
                             _k_lambda_rows, _prefixes, build,
                             enumerate_rooted, enumerate_unrooted, plane_from_text,
                             plane_to_text, tree_from_text, tree_to_text)
@@ -121,6 +122,8 @@ def test_mu():
     assert build(3, {1: 3, 2: 1}).mu() == 3
     with pytest.raises(TreeError):
         build(1, {2: 1}).mu()
+    for n in range(2, 8):  # every tree on [n] for n <= 7 against the oracle
+        assert all((t.mu() if t.parents[0] else None) == oc.o_mu(t) for t in enumerate_rooted(n))
 
 
 def test_alpha_beta_star():
@@ -220,16 +223,33 @@ def test_sharded_census_equals_in_process_count():
 
 def test_every_parent_of_one_covers_n_to_the_n_minus_two_trees():
     for n in range(2, 8):
-        ones = [0, *range(2, n + 1)]
-        for q in ones:
-            assert sum(map(sum, _k_lambda_rows(n, [q]))) == n ** (n - 2)
-        if n <= 5:  # a restricted walk is the full walk's run with that p_1
-            full = [p[:] for p, *_ in _prefixes(n)]
-            for q in ones:
-                assert [p[:] for p, *_ in _prefixes(n, {q})] == [p for p in full if p[1] == q]
-        # a shard with no parent of 1 left, or only 1 itself, walks nothing
-        assert list(_prefixes(n, ())) == list(_prefixes(n, {1})) == []
-    assert [p[:] for p, *_ in _prefixes(1, {0})] == [[0]] and list(_prefixes(1, {2})) == []
+        heads = _heads(n)
+        assert heads == sorted(set(heads)) and len(heads) <= 256
+        # the walks pinned to each head, heads in order, are the full walk, and none is empty
+        walks = [[p[:] for p, *_ in _prefixes(n, h)] for h in heads]
+        assert all(walks) and sum(walks, []) == [p[:] for p, *_ in _prefixes(n)]
+        assert all(p[1:len(h) + 1] == list(h) for h, walk in zip(heads, walks) for p in walk)
+        # 1 under itself, and from n = 3 on two roots among 1..n-1 or a 2-cycle, walks nothing
+        for h in [(1,)] + [(0, 0), (2, 1)] * (n > 2):
+            assert list(_prefixes(n, h)) == []
+        for q in [0, *range(2, n + 1)]:
+            assert sum(sum(map(sum, _k_lambda_rows(n, h))) for h in heads if h[0] == q) == n ** (n - 2)
+    assert _heads(1) == [(0,)] and [p[:] for p, *_ in _prefixes(1, (0,))] == [[0]]
+    assert list(_prefixes(1, (2,))) == []
+
+
+@pytest.mark.parametrize("shards", [2, 3])
+def test_shuffled_units_give_the_same_census(monkeypatch, shards):
+    # the fork driver deals each pass's units in a fixed shuffled order
+    run = trees._run_shards
+
+    def shuffled(work, units, *args):
+        return run(work, random.Random(len(units)).sample(units, len(units)), *args)
+
+    monkeypatch.setattr(trees, "_run_shards", shuffled)
+    for n in (3, 7):
+        assert _forked_rows(n, shards) == _k_lambda_rows(n)
+    _no_children_left()
 
 
 def _no_fork(*args):
@@ -277,25 +297,40 @@ def _no_children_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("fault, message", [
-    ("raise", r"shard 0 exited 1 with 0 of 56 counts"),
-    ("short", r"shard 1 exited 0 with 49 of 56 counts"),
-    ("killed", r"shard 0 exited -9 with 0 of 56 counts"),
-])
-def test_failed_shard_raises_once_every_child_is_reaped(monkeypatch, fault, message):
+@pytest.mark.parametrize("fault, code, why", [
+    ("raise", 1, "ValueError('injected')"),
+    ("short", 1, "ValueError('zip() argument 2 is shorter than argument 1')"),
+    ("killed", -9, None),
+], ids=["raise", "short", "killed"])
+def test_failed_shard_raises_once_every_child_is_reaped(monkeypatch, capfd, fault, code, why):
+    # One unit is faulty: whichever shard pulls it is the one named, with the
+    # error it printed, and the sound shards pull the rest.
     rows = trees._k_lambda_rows
 
-    def faulty(n, ones):
-        if fault == "raise" and 0 in ones:
-            raise ValueError("injected")
-        if fault == "killed" and 0 in ones:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return rows(n, ones)[:-1] if fault == "short" and 2 in ones else rows(n, ones)
+    def faulty(n, head):
+        if head == (0, 1):
+            if fault == "raise":
+                raise ValueError("injected")
+            if fault == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            return rows(n, head)[:-1]
+        return rows(n, head)
 
     monkeypatch.setattr(trees, "_k_lambda_rows", faulty)
-    with pytest.raises(RuntimeError, match=message) as exc:
+    with pytest.raises(RuntimeError) as exc:
         _forked_rows(7, 3)
-    assert "shard 2" not in str(exc.value)  # the sound shards are not named
+    found = re.fullmatch(rf"lambda census n=7: shard (\d) exited {code} with 0 of 57 counts",
+                         str(exc.value))
+    assert found, str(exc.value)  # exactly one shard named
+    err = capfd.readouterr().err
+    assert err == (f"lambda census n=7 shard {found[1]}: {why}\n" if why else "")
+    _no_children_left()
+
+
+def test_fork_driver_refuses_more_units_than_a_byte_names():
+    with pytest.raises(ValueError, match="257 units"):
+        trees._run_shards(lambda u: [u], range(257), 2, 1, "demo")
+    assert trees._run_shards(lambda u: [u, 1], range(256), 2, 2, "demo") == [255 * 128, 256]
     _no_children_left()
 
 

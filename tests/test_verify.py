@@ -1,10 +1,10 @@
 import json
 import os
+import random
 import re
 import signal
 from collections import Counter
 from dataclasses import replace
-from itertools import islice
 
 import pytest
 
@@ -265,22 +265,39 @@ def test_sharded_certifier_equals_in_process(monkeypatch, nmax):
     _no_children_left()
 
 
-def _lowering_class(n: int, k: int, i: int, first: int = 0, step: int = 1) -> list:
-    # the domain of record "lowering class n k i" among every step-th tree
-    # on [n] from the first, the trees that shard `first` of `step` files
-    return [t for t in islice(enumerate_rooted(n), first, None, step) if t.degree(1) > 0
+@pytest.mark.parametrize("w", [2, 3])
+def test_shuffled_units_give_the_same_records(monkeypatch, w):
+    # every pass (the trees on each [n] and the plane record) dealt in a
+    # fixed shuffled order
+    _shards(monkeypatch, 1)
+    want = check_bijections(6)
+    run = vf._run_shards
+
+    def shuffled(work, units, *args):
+        return run(work, random.Random(len(units)).sample(units, len(units)), *args)
+
+    monkeypatch.setattr(vf, "_run_shards", shuffled)
+    _shards(monkeypatch, w)
+    rep = check_bijections(6)
+    assert _records(rep) == _records(want) and rep.counts == want.counts
+    _no_children_left()
+
+
+def _lowering_class(n: int, k: int, i: int) -> list:
+    # the domain of record "lowering class n k i"
+    return [t for t in enumerate_rooted(n) if t.degree(1) > 0
             and t.improper_count() == k and t.proper_on_max_path() == i]
 
 
 @pytest.mark.parametrize("fault", ["round trip", "outside class", "not injective", "wrong cell"])
 def test_fault_only_shard_one_sees_fails_the_same_records(monkeypatch, fault):
-    # The planted tree t0 sits at an odd place in the enumeration of [n], so
-    # on two shards only shard 1 maps it.  n is a leaf of t0, so t0 is no
-    # image of any map and lift(t0) runs only where the fault plants it.  A
-    # wrong cell has the right k and deg(n) > 0, so only i can catch it.
+    # The planted tree t0 lies in one unit of the pass over [n], so on two
+    # shards only the one that pulls that unit maps it.  n is a leaf of t0, so
+    # t0 is no image of any map and lift(t0) runs only where the fault plants
+    # it.  A wrong cell has the right k and deg(n) > 0, so only i can catch it.
     n, k, i = 5, 1, 1
     cls = _lowering_class(n, k, i)
-    t0 = next(t for t in _lowering_class(n, k, i, 1, 2) if t.degree(n) == 0)
+    t0 = next(t for t in cls[1:] if t.degree(n) == 0)
     lower, lift = bj.lower, bj.lift
     image = lower(t0)
     # a tree of lifting cell (k + 1, i) rather than (k + 1, i - 1)
@@ -310,13 +327,11 @@ def test_fault_only_shard_one_sees_fails_the_same_records(monkeypatch, fault):
     _no_children_left()
 
 
-@pytest.mark.parametrize("fault, message", [
-    ("raise", r"bijection certifier n=5: shard 1 exited 1 with 0 of \d+ counts$"),
-    ("killed", r"bijection certifier n=5: shard 1 exited -9 with 0 of \d+ counts$"),
-])
-def test_failed_certifier_shard_raises_once_every_child_is_reaped(monkeypatch, fault, message):
+@pytest.mark.parametrize("fault, code", [("raise", 1), ("killed", -9)], ids=["raise", "killed"])
+def test_failed_certifier_shard_raises_once_every_child_is_reaped(monkeypatch, fault, code):
+    # t0 lies in one unit: the shard that pulls it is the one named
     n, k, i = 5, 1, 1
-    t0 = _lowering_class(n, k, i, 1, 2)[0]  # mapped by shard 1 of 2 alone
+    t0 = _lowering_class(n, k, i)[0]
     lower, parent = bj.lower, os.getpid()
 
     def faulty(t, trace=None):
@@ -328,8 +343,10 @@ def test_failed_certifier_shard_raises_once_every_child_is_reaped(monkeypatch, f
 
     monkeypatch.setattr(bj, "lower", faulty)
     _shards(monkeypatch, 2, least=n)
-    with pytest.raises(RuntimeError, match=message):
+    with pytest.raises(RuntimeError) as exc:
         check_bijections(n)
+    assert re.fullmatch(rf"bijection certifier n=5: shard \d exited {code} with 0 of \d+ counts",
+                        str(exc.value)), str(exc.value)
     _no_children_left()
 
 
