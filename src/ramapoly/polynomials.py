@@ -21,18 +21,22 @@ trees on [n] with k improper edges.  Row sums: sum_k psi_k(r, x) = x^r,
 sum_k Q_{n,k}(x) = (x+n)^(n-1), sum_k f_{n,k} = n^(n-1).
 
 All coefficients are exact Python integers, and no route recurses: each
-but from-psi is a memoised table that `_table` fills on an explicit work
-stack with just the cells a request depends on.  shor, bew and f cost O(d)
-per cell of degree d; ramanujan, shor-alt, zeng-a and from-psi make an
-O(d^2) Taylor shift per cell (the Pascal scheme, `IntPoly.shift`).  zeng-b
-is solved top-down, each coefficient from the ones above it, with the
-constant term pinned by f_{n,k}.  `ROUTES` lists every route by family and
-method; the first method of each family is its default.
+is a memoised table that `_table` fills on an explicit work stack with just
+the cells a request depends on.  shor, bew and f cost O(d) per cell of
+degree d; ramanujan, shor-alt, zeng-a and from-psi make one O(d^2) Taylor
+shift per cell (`IntPoly.shift`, multiply-free for x -> x +- 1), and
+ramanujan and shor-alt shift their whole right-hand side, since
+composition is linear.  zeng-b is solved top-down, each coefficient by one
+C-level pass over the row of (x-1)^j in `_DOWN`, with the constant term
+pinned by f_{n,k}.  `ROUTES` lists every route by family and method; the
+first method of each family is its default.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from math import comb
+from operator import add
 from typing import Iterable
 
 __all__ = [
@@ -133,8 +137,16 @@ class IntPoly:
         if c == 0 or len(a) < 2:
             return self
         for i in range(len(a) - 1):
-            for j in range(len(a) - 2, i - 1, -1):
-                a[j] += c * a[j + 1]
+            js = range(len(a) - 2, i - 1, -1)
+            if c == 1:
+                for j in js:
+                    a[j] += a[j + 1]
+            elif c == -1:
+                for j in js:
+                    a[j] -= a[j + 1]
+            else:
+                for j in js:
+                    a[j] += c * a[j + 1]
         return IntPoly(a)
 
     def __call__(self, x: int) -> int:
@@ -172,7 +184,8 @@ class IntPoly:
         return "".join(parts)
 
 
-_ONE = IntPoly.constant(1)
+_ONE, _X = IntPoly.constant(1), IntPoly.x()
+_DOWN: list[list[int]] = []  # [j]: the coefficients of (x-1)^j below x^j, grown by zeng-b
 
 
 # the cells a rule reads, as (row, column) offsets back from its own
@@ -190,26 +203,26 @@ def _table(name: str, doc: str, first: int, lo: int, one, reads: tuple, rule):
     cells it depends on that no earlier request computed.
     """
     zero = one * 0
-    memo = {(first, lo): one}
+    memo = defaultdict(dict, {first: {lo: one}})  # memo[a][k]: the computed cells
 
-    def inside(a: int, k: int) -> bool:
-        return 0 <= k - lo <= a - first
+    def known(a: int, k: int):  # the cell if computed or outside the table, else None
+        return memo[a].get(k) if 0 <= k - lo <= a - first else zero
 
     def cell(a: int, k: int):
         stack = [(a, k)]
         while stack:
             b, j = stack[-1]
-            if (b, j) in memo or not inside(b, j):
+            if known(b, j) is not None:
                 stack.pop()
                 continue
             deps = [(b - da, j - dk) for da, dk in reads]
-            todo = [d for d in deps if d not in memo and inside(*d)]
-            if todo:
-                stack += todo
+            cells = [known(*d) for d in deps]
+            if None in cells:
+                stack += [d for d, c in zip(deps, cells) if c is None]
             else:
                 stack.pop()
-                memo[b, j] = rule(b, j, *(memo.get(d, zero) for d in deps))
-        return memo.get((a, k), zero)
+                memo[b][j] = rule(b, j, *cells)
+        return known(a, k)
 
     cell.__name__ = cell.__qualname__ = name
     cell.__doc__ = doc
@@ -218,19 +231,20 @@ def _table(name: str, doc: str, first: int, lo: int, one, reads: tuple, rule):
 
 def _zeng_b_cell(n: int, k: int, above: IntPoly) -> IntPoly:
     # Q(x) - Q(x-1) = g(x), g = (n+k-1) Q_{n-1,k}, on one int list from the
-    # top: the x^(j-1) coefficient of g fixes a_j, and a_j (x^j - (x-1)^j) =
-    # a_j sum_{i<j} (-1)^(j-i+1) C(j, i) x^i comes off the lower ones.
+    # top: the x^(j-1) coefficient of g fixes a_j, and a_j (x^j - (x-1)^j),
+    # which is -a_j times the row _DOWN[j], comes off the lower ones.
     d = n - 1 - k
     rem = [(n + k - 1) * c for c in above.coeffs]
     rem += [0] * (d - len(rem))
     coeffs = [0] * (d + 1)
+    _DOWN.extend([(-1) ** (j - i) * comb(j, i) for i in range(j)]
+                 for j in range(len(_DOWN), d + 1))
     for j in range(d, 0, -1):
         a, r = divmod(rem[j - 1], j)
         if r:
             raise ArithmeticError(f"non-integer coefficient solving Q({n},{k})")
         coeffs[j] = a
-        for i in range(j):
-            rem[i] += (-1) ** (j - i) * a * comb(j, i)
+        rem[:j] = map(add, rem, map(a.__mul__, _DOWN[j]))
     if any(rem):
         raise ArithmeticError(f"inconsistent difference equation for Q({n},{k})")
     coeffs[0] = f(n, k)
@@ -243,13 +257,13 @@ psi_bew = _table("psi_bew", "psi_k(r, x) by the two-term recurrence in r.",
 psi_ramanujan = _table("psi_ramanujan",
                        "psi_k(r, x) by the original shift recurrence; rows fill in increasing k.",
                        0, 1, _ONE, (_ABOVE, _LEFT), lambda r, k, above, left:
-                       IntPoly((-1, 1)) * above.shift(-1) + left - left.shift(-1))
+                       left + (_X * above - left).shift(-1))
 q_shor = _table("q_shor", "Q_{n,k}(x) by the plain two-term recurrence in n.",
                 1, 0, _ONE, (_ABOVE, _DIAG), lambda n, k, above, diag:
                 IntPoly((n - 1, 1)) * above + (n + k - 2) * diag)
 q_shor_alt = _table("q_shor_alt", "Q_{n,k}(x) by the shifted-argument recurrence.",
                     1, 0, _ONE, (_ABOVE, _DIAG), lambda n, k, above, diag:
-                    IntPoly((1 - k, 1)) * above.shift(1) + (n + k - 2) * diag.shift(1))
+                    (IntPoly((-k, 1)) * above + (n + k - 2) * diag).shift(1))
 q_zeng_a = _table("q_zeng_a", "Q_{n,k}(x) by the mixed recurrence descending in n and k.",
                   1, 0, _ONE, (_ABOVE, _LEFT), lambda n, k, above, left:
                   IntPoly((n - 1, 1)) * above + left - left.shift(-1))
@@ -259,11 +273,9 @@ q_zeng_b = _table("q_zeng_b",
 f = _table("f", "Number of rooted labeled trees on [n] with k improper edges.",
            1, 0, 1, (_ABOVE, _DIAG), lambda n, k, above, diag:
            (n - 1) * above + (n + k - 2) * diag)
-
-
-def q_from_psi(n: int, k: int) -> IntPoly:
-    """Q_{n,k}(x) = psi_{k+1}(n-1, x+n); both sides are zero on the same cells."""
-    return psi_bew(n - 1, k + 1).shift(n)
+q_from_psi = _table("q_from_psi",
+                    "Q_{n,k}(x) = psi_{k+1}(n-1, x+n); both sides are zero on the same cells.",
+                    1, 0, _ONE, (), lambda n, k: psi_bew(n - 1, k + 1).shift(n))
 
 
 # family -> method -> route, as `ramapoly poly --family F --method M` names

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -48,6 +49,17 @@ def test_shift_compose_and_evaluate(p, a, b):
         assert p.shift(a)(x) == p(x + a)
 
 
+@pytest.mark.parametrize("c", (-1, 1, -2, 3, 60))
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-10**30, 10**30), max_size=13))
+def test_shift_matches_the_binomial_closed_form(c, coeffs):
+    # p(x + c) = sum_i b_i x^i with b_i = sum_j a_j C(j, i) c^(j-i)
+    p = IntPoly(coeffs)
+    want = [sum(a * comb(j, i) * c ** (j - i) for j, a in enumerate(p.coeffs) if j >= i)
+            for i in range(len(p.coeffs))]
+    assert p.shift(c) == IntPoly(want)
+
+
 def test_str_format():
     assert str(q_shor(5, 2)) == "45x^2+195x+190"
     assert str(psi_bew(4, 1)) == "x^4-10x^3+35x^2-50x+24"
@@ -90,6 +102,21 @@ def test_out_of_range_is_zero():
     assert q_shor_alt(1, 0) == IntPoly.constant(1)
     assert q_zeng_b(2, 1) == IntPoly.constant(1)
     assert f(3, -1) == 0 and f(3, 3) == 0
+
+
+@pytest.mark.parametrize("above", [(0, 0, 1), (0, 0, 3)])
+def test_zeng_b_refuses_a_non_integer_solve(above):
+    # Q_{5,1} has degree d = 3 and g = 5 * above: 5x^2 asks for a_3 = 5/3;
+    # 15x^2 gives a_3 = 5, and then the x coefficient 15 asks for a_2 = 15/2
+    with pytest.raises(ArithmeticError, match=r"non-integer coefficient solving Q\(5,1\)"):
+        polynomials._zeng_b_cell(5, 1, IntPoly(above))
+
+
+def test_zeng_b_refuses_an_inconsistent_difference_equation():
+    # a difference of degree 3 cannot come from a Q of degree 3
+    assert polynomials._zeng_b_cell(5, 1, q_shor(4, 1)) == q_shor(5, 1)
+    with pytest.raises(ArithmeticError, match=r"inconsistent difference equation for Q\(5,1\)"):
+        polynomials._zeng_b_cell(5, 1, IntPoly((0, 0, 0, 1)))
 
 
 def test_substitution_link():
@@ -155,24 +182,26 @@ def test_routes_are_the_public_functions_they_name():
 _ROUTES = tuple(route.__name__ for methods in ROUTES.values() for route in methods.values())
 _ASKED = ((40, 1), (40, 30), (20, 19), (60, 59))
 
-# prints every route's cells in _ASKED, after asking for them in `order`
+# prints every route's cells in `asked` (or the sha256 of their lines, with
+# `digest`), after asking for them in `order`
 _PROBE = """
-import json, sys
+import hashlib, json, sys
 from ramapoly import polynomials as P
-routes, asked, order = json.loads(sys.argv[1])
+routes, asked, order, digest = json.loads(sys.argv[1])
 out = {}
 for name in routes:
     fn = getattr(P, name)
     for a, k in order:
         fn(a, k)
-    out[name] = [str(fn(a, k)) for a, k in asked]
+    cells = [str(fn(a, k)) for a, k in asked]
+    out[name] = hashlib.sha256("\\n".join(cells).encode()).hexdigest() if digest else cells
 print(json.dumps(out))
 """
 
 
-def _probe(order):
+def _probe(order, asked=_ASKED, routes=_ROUTES, digest=False):
     src = Path(ramapoly.__file__).resolve().parent.parent
-    arg = json.dumps([_ROUTES, _ASKED, order])
+    arg = json.dumps([routes, asked, order, digest])
     proc = subprocess.run([sys.executable, "-c", _PROBE, arg], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     return json.loads(proc.stdout)
@@ -186,6 +215,28 @@ def test_tables_do_not_depend_on_request_order():
     row_by_row = _probe([(a, k) for a in range(61) for k in range(-1, a + 3)])
     assert narrow_first == row_by_row
     assert narrow_first["q_shor"][2] == str(q_shor(20, 19))
+
+
+_PSI_CELLS = [(r, k) for r in range(-1, 62) for k in range(-2, r + 4)]
+_Q_CELLS = [(n, k) for n in range(62) for k in range(-2, n + 3)]
+# family -> (cells, sha256 of their lines in this order), recorded from the
+# routes as they stood before one shift per cell, the multiply-free shifts,
+# the zeng-b row table, the from-psi memo and the row-keyed memos
+_GOLDEN = {
+    "psi": (_PSI_CELLS, "794d1e1a3643710fa59638e818d30fe3406008134e973878c1bc371142aecf85"),
+    "q": (_Q_CELLS, "415dc73ce3b212aece79c9a6eaaa877ef3cf14e0597e6ff713872da1a57c8fa5"),
+    "f": (_Q_CELLS, "1e5f1aa2b7a425f05c311dba714a9b47f5725dc2d58a268d542bcf519063670c"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(ROUTES))
+def test_every_route_to_sixty_matches_its_golden_digest_in_any_order(family):
+    # every cell to N = 60 and out-of-range k, asked row by row and in
+    # reverse, each in a fresh interpreter
+    cells, want = _GOLDEN[family]
+    names = [route.__name__ for route in ROUTES[family].values()]
+    for order in (cells, cells[::-1]):
+        assert _probe(order, cells, names, digest=True) == dict.fromkeys(names, want)
 
 
 def test_near_diagonal_cells_compute_only_what_they_read():
