@@ -21,20 +21,18 @@ trees on [n] with k improper edges.  Row sums: sum_k psi_k(r, x) = x^r,
 sum_k Q_{n,k}(x) = (x+n)^(n-1), sum_k f_{n,k} = n^(n-1).
 
 All coefficients are exact Python integers, and no route recurses: each
-is a memoised table that `_table` fills on an explicit work stack with just
-the cells a request depends on.  shor, bew and f cost O(d) per cell of
-degree d; ramanujan, shor-alt, zeng-a and from-psi make one O(d^2) Taylor
-shift per cell (`IntPoly.shift`, multiply-free for x -> x +- 1), and
-ramanujan and shor-alt shift their whole right-hand side, since
-composition is linear.  zeng-b is solved top-down, each coefficient by one
-C-level pass over the row of (x-1)^j in `_DOWN`, with the constant term
-pinned by f_{n,k}.  `ROUTES` lists every route by family and method; the
-first method of each family is its default.
+but from-psi is a memoised table that `_table` fills on an explicit work
+stack with just the cells a request depends on.  shor, bew and f cost O(d)
+per cell of degree d; ramanujan, shor-alt, zeng-a and from-psi make one
+O(d^2) Taylor shift per cell (`IntPoly.shift`, multiply-free by +-1), of
+the whole right-hand side on ramanujan and shor-alt.  zeng-b is solved
+top-down, each coefficient by one C-level pass over the row of (x-1)^j in
+`_DOWN`, with f_{n,k} as the constant term.  `ROUTES` lists every route by
+family and method; the first method of each family is its default.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from math import comb
 from operator import add
 from typing import Iterable
@@ -185,7 +183,7 @@ class IntPoly:
 
 
 _ONE, _X = IntPoly.constant(1), IntPoly.x()
-_DOWN: list[list[int]] = []  # [j]: the coefficients of (x-1)^j below x^j, grown by zeng-b
+_DOWN: list[list[int]] = []  # [j]: (x-1)^j below x^j; zeng-b grows it and keeps it
 
 
 # the cells a rule reads, as (row, column) offsets back from its own
@@ -203,26 +201,26 @@ def _table(name: str, doc: str, first: int, lo: int, one, reads: tuple, rule):
     cells it depends on that no earlier request computed.
     """
     zero = one * 0
-    memo = defaultdict(dict, {first: {lo: one}})  # memo[a][k]: the computed cells
+    memo = {(first, lo): one}
 
-    def known(a: int, k: int):  # the cell if computed or outside the table, else None
-        return memo[a].get(k) if 0 <= k - lo <= a - first else zero
+    def inside(a: int, k: int) -> bool:
+        return 0 <= k - lo <= a - first
 
     def cell(a: int, k: int):
         stack = [(a, k)]
         while stack:
             b, j = stack[-1]
-            if known(b, j) is not None:
+            if (b, j) in memo or not inside(b, j):
                 stack.pop()
                 continue
             deps = [(b - da, j - dk) for da, dk in reads]
-            cells = [known(*d) for d in deps]
-            if None in cells:
-                stack += [d for d, c in zip(deps, cells) if c is None]
+            todo = [d for d in deps if d not in memo and inside(*d)]
+            if todo:
+                stack += todo
             else:
                 stack.pop()
-                memo[b][j] = rule(b, j, *cells)
-        return known(a, k)
+                memo[b, j] = rule(b, j, *(memo.get(d, zero) for d in deps))
+        return memo.get((a, k), zero)
 
     cell.__name__ = cell.__qualname__ = name
     cell.__doc__ = doc
@@ -273,9 +271,11 @@ q_zeng_b = _table("q_zeng_b",
 f = _table("f", "Number of rooted labeled trees on [n] with k improper edges.",
            1, 0, 1, (_ABOVE, _DIAG), lambda n, k, above, diag:
            (n - 1) * above + (n + k - 2) * diag)
-q_from_psi = _table("q_from_psi",
-                    "Q_{n,k}(x) = psi_{k+1}(n-1, x+n); both sides are zero on the same cells.",
-                    1, 0, _ONE, (), lambda n, k: psi_bew(n - 1, k + 1).shift(n))
+
+
+def q_from_psi(n: int, k: int) -> IntPoly:
+    """Q_{n,k}(x) = psi_{k+1}(n-1, x+n); both sides are zero on the same cells."""
+    return psi_bew(n - 1, k + 1).shift(n)
 
 
 # family -> method -> route, as `ramapoly poly --family F --method M` names

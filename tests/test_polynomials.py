@@ -220,8 +220,8 @@ def test_tables_do_not_depend_on_request_order():
 _PSI_CELLS = [(r, k) for r in range(-1, 62) for k in range(-2, r + 4)]
 _Q_CELLS = [(n, k) for n in range(62) for k in range(-2, n + 3)]
 # family -> (cells, sha256 of their lines in this order), recorded from the
-# routes as they stood before one shift per cell, the multiply-free shifts,
-# the zeng-b row table, the from-psi memo and the row-keyed memos
+# routes as they stood before one shift per cell, the multiply-free shifts
+# and the zeng-b row table
 _GOLDEN = {
     "psi": (_PSI_CELLS, "794d1e1a3643710fa59638e818d30fe3406008134e973878c1bc371142aecf85"),
     "q": (_Q_CELLS, "415dc73ce3b212aece79c9a6eaaa877ef3cf14e0597e6ff713872da1a57c8fa5"),
