@@ -526,14 +526,14 @@ def _heads(n: int) -> list[tuple[int, ...]]:
              if r != 2 and (q, r) not in ((0, 0), (2, 1))] if n > 2 else [(q,) for q in ones])
 
 
-def _k_lambda_rows(n: int, head: Sequence[int] = ()) -> list[list[int]]:
-    # rows[lambda or 0][k]: the (k, lambda) counts over the rooted trees on
-    # [n] whose parent array starts with `head`.  The trees completing one
-    # prefix differ only in the parent q of n, so they share the subtree M of
-    # n, lambda = lambda(M) and every edge off the path from q to the root, all
-    # read from the prefix forest with b = beta(n).  Hanging n under q adds the
-    # edge into n (improper iff q > b), and the edge (u, c) on the path turns
-    # improper iff b < u < low[c]; the walk from the root adds those up top-down.
+def _k_lambda_rows(n: int, head: Sequence[int] = ()) -> Counter:
+    # (k, lambda or None) -> count over the rooted trees on [n] whose parent array
+    # starts with `head`, tallied in rows[lambda or 0][k].  The trees completing one
+    # prefix differ only in the parent q of n, so they share the subtree M of n,
+    # lambda = lambda(M) and every edge off the path from q to the root, all read
+    # from the prefix forest with b = beta(n).  Hanging n under q adds the edge into
+    # n (improper iff q > b), and the edge (u, c) on the path turns improper iff
+    # b < u < low[c]; the walk from the root adds those up top-down.
     rows = [[0] * n for _ in range(n + 1)]
     for _, _, kids, low, k in _prefixes(n, head):
         if not kids[n]:  # b = n: no parent of n moves k (n = 1 is its own root)
@@ -547,7 +547,7 @@ def _k_lambda_rows(n: int, head: Sequence[int] = ()) -> list[list[int]]:
             row[d + (u > b)] += 1
             for c in kids[u]:
                 todo.append((c, d + (b < u < low[c])))
-    return rows
+    return Counter({(k, i or None): c for i, r in enumerate(rows) for k, c in enumerate(r) if c})
 
 
 # Below this n the census runs in-process.  Two shards dealt the units take
@@ -557,18 +557,9 @@ _SHARD_MIN_N = 7
 
 
 def _k_lambda_counts(n: int) -> Counter:
-    # (k, lambda) -> count over all rooted trees on [n], lambda None where the
-    # max label is a leaf, dealt out to one forked shard per usable CPU (at most n).
-    rows = _forked_rows(n, min(_usable_cpus(), n) if n >= _SHARD_MIN_N else 1)
-    return Counter({(k, lam or None): c
-                    for lam, row in enumerate(rows) for k, c in enumerate(row) if c})
-
-
-def _forked_rows(n: int, shards: int) -> list[list[int]]:
-    # _k_lambda_rows(n), summed over its heads as dealt to `shards` shards
-    total = _run_shards(lambda head: (c for row in _k_lambda_rows(n, head) for c in row),
-                        _heads(n), shards, n * (n + 1), f"lambda census n={n}")
-    return [total[i:i + n] for i in range(0, len(total), n)]
+    # _k_lambda_rows over all rooted trees on [n], on forked shards from _SHARD_MIN_N on
+    return _run_shards(partial(_k_lambda_rows, n), _heads(n), n >= _SHARD_MIN_N,
+                       f"lambda census n={n}")
 
 
 def _usable_cpus() -> int:
@@ -578,26 +569,32 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _run_shards(work: Callable[[object], Iterable[int]], units: Sequence, shards: int,
-                size: int, what: str) -> list[int]:
-    # work(unit), `size` ints, summed over `units` (in-process for one shard).  Before
-    # the first fork the parent writes each unit's index as a byte to a task pipe, in
-    # one write that is atomic and cannot block (256 bytes at most, below PIPE_BUF);
-    # each forked child pulls one at a time until the pipe is empty, so a fast shard
-    # takes more.  Every child is reaped before the call returns or raises; a parent
-    # exception kills them first, and a failed or miscounting child raises RuntimeError.
+def _run_shards(work: Callable[[object], Counter], units: Sequence, shard: bool,
+                what: str) -> Counter:
+    # The Counters work(unit) summed over `units`, in-process or, if `shard`, on a forked
+    # child per usable CPU (per unit at most).  Before the first fork the parent writes
+    # each unit's index as a byte to a task pipe, in one atomic write (at most 256 bytes,
+    # below PIPE_BUF); each child pulls one at a time until the pipe is empty, so a fast
+    # shard takes more, then pickles its sum and unit count once to its own pipe.  Every
+    # child is reaped before the call returns or raises; a parent exception kills them
+    # first, and a failed, silent or miscounting child raises RuntimeError.
     if len(units) > 256:
         raise ValueError(f"{what}: {len(units)} units, but one byte names at most 256")
 
-    def add_up(picks: Iterable[int]) -> list[int]:
-        # work(units[i]) summed over the indices i in `picks`, then their number
-        total = [0] * (size + 1)
-        for i in picks:
-            total = [a + b for a, b in zip(total, (*work(units[i]), 1), strict=True)]
-        return total
+    def add_up(picks: Iterable[int]) -> tuple[Counter, int]:
+        # work(units[i]) summed over the indices i in `picks`, and their number
+        total, done = Counter(), 0
+        for done, i in enumerate(picks, 1):
+            part = work(units[i])
+            if not isinstance(part, Counter):  # update would count a list's elements
+                raise TypeError(f"unit {units[i]!r} gave a {type(part).__name__}, not a Counter")
+            total.update(part)
+        return total, done
 
+    shards = min(_usable_cpus(), len(units)) if shard else 1
     if shards < 2:
-        return add_up(range(len(units)))[:-1]
+        return add_up(range(len(units)))[0]
+    import pickle
     import signal
     pids, reads, got = [], [], []
     tasks, deal = os.pipe()
@@ -612,8 +609,8 @@ def _run_shards(work: Callable[[object], Iterable[int]], units: Sequence, shards
                 if pid == 0:  # the child: it never leaves this block
                     code = 1
                     try:
-                        total = add_up(map(ord, iter(partial(os.read, tasks, 1), b"")))
-                        os.write(w, " ".join(map(str, total)).encode())
+                        result = add_up(map(ord, iter(partial(os.read, tasks, 1), b"")))
+                        os.write(w, pickle.dumps(result))  # a short write reads as no result
                         code = 0
                     except Exception as exc:  # an interrupt exits 1 quietly
                         os.write(2, f"{what} shard {j}: {exc!r}\n".encode())
@@ -624,7 +621,7 @@ def _run_shards(work: Callable[[object], Iterable[int]], units: Sequence, shards
             pids.append(pid)
         for r in reads:
             with open(r, "rb", closefd=False) as src:
-                got.append(src.read().split())
+                got.append(src.read())
     except BaseException:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
@@ -633,11 +630,18 @@ def _run_shards(work: Callable[[object], Iterable[int]], units: Sequence, shards
         for r in (tasks, *reads):
             os.close(r)
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    bad = [f"shard {j} exited {code} with {len(ints)} of {size + 1} counts"
-           for j, (code, ints) in enumerate(zip(codes, got)) if code or len(ints) != size + 1]
+    total, done, bad = Counter(), 0, []
+    for j, (code, data) in enumerate(zip(codes, got)):
+        try:
+            part, did = pickle.loads(data)  # raises if nothing came, or half of it
+            total.update(part)
+            done += did
+        except Exception:
+            code = f"{code} with no result"
+        if code:
+            bad.append(f"shard {j} exited {code}")
     if bad:
         raise RuntimeError(f"{what}: " + "; ".join(bad))
-    *total, done = map(sum, zip(*[map(int, ints) for ints in got]))
     if done != len(units):
         raise RuntimeError(f"{what}: the shards did {done} of {len(units)} units")
     return total
@@ -754,7 +758,8 @@ def plane_from_text(text: str) -> PlaneTree:
         labels.append(int(s[start:pos]))
         degrees[stack[-1]] += 1
         degrees.append(0)
-        if pos < end and s[pos] == "(":
+        opened = pos < end and s[pos] == "("
+        if opened:
             stack.append(len(labels))
             pos += 1
         while len(stack) > 1:  # close nodes until another child starts
@@ -762,7 +767,7 @@ def plane_from_text(text: str) -> PlaneTree:
                 pos += 1
             if pos == end:
                 raise TreeError("unbalanced parentheses")
-            if s[pos] != ")":
+            if opened or s[pos] != ")":  # a "(" holds at least one child
                 break
             pos += 1
             stack.pop()

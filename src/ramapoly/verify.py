@@ -15,7 +15,8 @@ import time
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain, combinations, product
+from functools import partial
+from itertools import chain, combinations
 from math import factorial, prod
 from typing import Callable, Hashable, Iterator
 
@@ -23,7 +24,7 @@ from . import bijections as bj
 from .polynomials import ROUTES, IntPoly, f, psi_bew, q_shor
 from .series import genfun_mismatch
 from .trees import (ClassFilter, PlaneTree, RootedTree, _heads, _k_lambda_counts, _run_shards,
-                    _trees, _usable_cpus, enumerate_rooted, enumerate_unrooted)
+                    _trees, enumerate_rooted, enumerate_unrooted)
 
 __all__ = [
     "CheckResult",
@@ -378,12 +379,6 @@ def check_identities(nmax: int) -> VerificationReport:
 # ms in-process), so n = 6 stays the first clear one.
 _CERTIFY_SHARD_MIN_N = 6
 
-# The kinds of cell a tree on [n] is filed in, with the length of their keys
-# (README, "The certifier streams", says which statistics key each)
-_KINDS = {"rooted": 1, "lowering": 2, "flat": 2, "lifting": 2, "restricted": 3, "dom_fold": 2,
-          "cod_fold": 2, "min_dom": 2, "min_cod": 2, "colour": 1, "insert": 2, "fresh": 2}
-_TALLY = ("trees", "maps", "all-improper", *"ABCD")  # A-D: flatten dispatches by case
-
 
 def _fails(t, fwd, inv, image: Callable[[RootedTree], bool], labels: tuple) -> bool:
     # whether inv(fwd(t)) != t, or fwd(t) lacks the labels or the statistics
@@ -395,23 +390,20 @@ def _fails(t, fwd, inv, image: Callable[[RootedTree], bool], labels: tuple) -> b
         return True
 
 
-def _sharded(n: int, work: Callable, units: list, size: int, what: str) -> list[int]:
-    # work(unit) summed over `units`, dealt to one shard per usable CPU from _CERTIFY_SHARD_MIN_N
-    return _run_shards(work, units, _usable_cpus() if n >= _CERTIFY_SHARD_MIN_N else 1, size, what)
-
-
-def _certify_shard(n: int, grow: bool, layout: list, head: tuple) -> list[int]:
-    # The trees on [n] whose parent arrays start with `head`: those in each cell of `layout`,
-    # those that fail each domain cell's map, and _TALLY; `grow` maps [n] into [n + 1] too.
+def _certify_shard(n: int, grow: bool, head: tuple) -> Counter:
+    # The trees on [n] whose parent arrays start with `head`, counted by cell (kind, *stats)
+    # (README, "The certifier streams", says which statistics key each), by failed map
+    # ("failed", kind, *stats), as "trees", "maps", "all-improper" and by flatten case "A"-"D".
+    # `grow` maps [n] into [n + 1] too.
     labels, grown = tuple(range(1, n + 1)), tuple(range(1, n + 2))
-    got, bad, tally = Counter(), Counter(), dict.fromkeys(_TALLY, 0)
+    got = Counter()
 
     def domain(cell, t, fwd, inv, image, on=labels) -> None:
         # t is in a domain cell: count it, and whether it fails the cell's map
         got[cell] += 1
-        tally["maps"] += 2
+        got["maps"] += 2
         if _fails(t, fwd, inv, image, on):
-            bad[cell] += 1
+            got[("failed", *cell)] += 1
 
     def flatten(t, m):
         # the case must be the one read off the image: is the min under the
@@ -419,7 +411,7 @@ def _certify_shard(n: int, grow: bool, layout: list, head: tuple) -> list[int]:
         trace: list = []
         u = bj.flatten_min(t, trace)
         tag = next(e for e in reversed(trace) if isinstance(e, bj.CaseTag))
-        tally[tag.case.value] += 1
+        got[tag.case.value] += 1
         tight = u.degree(n) == m
         case = ("D" if tight else "C") if u.is_descendant(1, n) else ("B" if tight else "A")
         if tag.case.value != case:  # fails the record
@@ -427,10 +419,10 @@ def _certify_shard(n: int, grow: bool, layout: list, head: tuple) -> list[int]:
         return u
 
     for t in _trees(n, head):
-        tally["trees"] += 1
+        got["trees"] += 1
         k, i = t.improper_count(), t.proper_on_max_path()
         dmin, dmax = t.degree(1), t.degree(n)
-        tally["all-improper"] += k == n - 1
+        got["all-improper"] += k == n - 1
         if dmin:
             domain(("rooted", k), t, bj.rooted_fwd, bj.rooted_inv,
                    lambda u: u.improper_count() == k + 1 and u.degree(n) > 0)
@@ -477,21 +469,21 @@ def _certify_shard(n: int, grow: bool, layout: list, head: tuple) -> list[int]:
             domain(("insert", k, dmin + 1), t, bj.insert_root, bj.extract_root,
                    lambda u: (u.parents[0], u.degree(2), u.degree(1), u.improper_count())
                    == (0, 0, dmin + 1, k), grown)
-    return [*map(got.__getitem__, layout), *map(bad.__getitem__, layout), *tally.values()]
+    return got
 
 
-def _cells(counts: dict, kind: str) -> list[tuple[tuple, int]]:
-    # the nonempty cells of a kind, keys increasing
-    return [(key[1:], c) for key, c in counts.items() if key[0] == kind and c]
+def _cells(counts: Counter, *kind: str) -> list[tuple[tuple, int]]:
+    # the nonempty cells of a kind, or of its failures ("failed", kind), keys increasing
+    return sorted((k[len(kind):], c) for k, c in counts.items() if k[:len(kind)] == kind and c)
 
 
-def _note_rooted(rep: VerificationReport, n: int, got: dict, bad: dict, tally: dict) -> None:
+def _note_rooted(rep: VerificationReport, n: int, got: Counter) -> None:
     # the records of the maps within [n], in their fixed order, from its pass's sums
     ok = {}
 
     def forward(name: str, cell: tuple, cod: int) -> None:
         # no tree of the domain cell failed its map, and |D| = |C|
-        ok[cell] = not bad[cell] and got[cell] == cod
+        ok[cell] = not got[("failed", *cell)] and got[cell] == cod
         rep.note(name, ok[cell])
 
     cod = Counter()  # the rooted codomain of k: every codomain cell of k
@@ -512,11 +504,10 @@ def _note_rooted(rep: VerificationReport, n: int, got: dict, bad: dict, tally: d
                     ("restricted", k, i, m), got["restricted", k + 1, i - 1, m + 1])
     for (k, m), _ in _cells(got, "flat"):
         forward(f"flatten classes n={n} k={k} m={m}", ("flat", k, m),
-                sum(c for (kk, j, d), c in _cells(got, "restricted") if (kk, j) == (k + m, 0)
-                    and d >= m))
+                sum(got["restricted", k + m, 0, d] for d in range(m, n)))
     # every case fires from n = 5 on (case A needs five labels)
-    rep.note(f"flatten cases n={n}", n < 5 or all(tally[c] for c in "ABCD"),
-             " ".join(f"{c}={tally[c]}" for c in "ABCD"))
+    rep.note(f"flatten cases n={n}", n < 5 or all(got[c] for c in "ABCD"),
+             " ".join(f"{c}={got[c]}" for c in "ABCD"))
     for (k, b), _ in _cells(got, "dom_fold"):
         forward(f"fold classes n={n} k={k} w={b}", ("dom_fold", k, b), got["cod_fold", k + 1, b])
     for (k, r), c in _cells(got, "min_dom"):
@@ -554,19 +545,18 @@ def certify_plane(rep: VerificationReport, n: int, count: int) -> None:
     the number of all-improper trees on [n], equal to theirs makes it onto."""
     labels = tuple(range(1, n + 1))
 
-    def work(shape: tuple) -> tuple[int, int]:
-        # the plane trees grown from `shape`, and how many of them fail
-        fails = [_fails(p, bj.plane_inv, bj.plane_fwd, lambda t: t.improper_count() == n - 1,
-                        labels) for _, p in _increasing_plane_trees(n, shape)]
-        return len(fails), sum(fails)
+    def work(shape: tuple) -> Counter:
+        # the plane trees grown from `shape`, by whether they fail
+        return Counter(_fails(p, bj.plane_inv, bj.plane_fwd, lambda t: t.improper_count() == n - 1,
+                              labels) for _, p in _increasing_plane_trees(n, shape))
 
     with rep.phase("plane"):  # dealt in the shapes on the first min(n, 4) labels
         units = [shape for shape, _ in _increasing_plane_trees(min(n, 4))]
-        mapped, failed = _sharded(n, work, units, 2, f"plane bijection n={n}")
-    rep.counts["maps applied"] += 2 * mapped
+        fails = _run_shards(work, units, n >= _CERTIFY_SHARD_MIN_N, f"plane bijection n={n}")
+    rep.counts["maps applied"] += 2 * fails.total()
     target = double_factorial(2 * n - 3)
     rep.note(f"plane bijection n={n} (both sides {target})",
-             not failed and count == target == mapped)
+             not fails[True] and count == target == fails.total())
 
 
 @_timed
@@ -586,25 +576,21 @@ def check_bijections(nmax: int) -> VerificationReport:
     passes = []  # the cell counts, failures and tally of each [n]
     with rep.phase("map"):
         for n in range(1, nmax + 1):
-            layout = [(kind, *key) for kind, arity in _KINDS.items()
-                      for key in product(range(n + 1), repeat=arity)]
-            sums = _sharded(n, lambda head: _certify_shard(n, n < nmax, layout, head), _heads(n),
-                            2 * len(layout) + len(_TALLY), f"bijection certifier n={n}")
-            got, bad = dict(zip(layout, sums)), dict(zip(layout, sums[len(layout):]))
-            tally = dict(zip(_TALLY, sums[2 * len(layout):]))
-            passes.append((got, bad, tally))
-            rep.counts["trees visited"] += tally["trees"]
-            rep.counts["maps applied"] += tally["maps"]
+            got = _run_shards(partial(_certify_shard, n, n < nmax), _heads(n),
+                              n >= _CERTIFY_SHARD_MIN_N, f"bijection certifier n={n}")
+            passes.append(got)
+            rep.counts["trees visited"] += got["trees"]
+            rep.counts["maps applied"] += got["maps"]
             if n > 1:
-                _note_rooted(rep, n, got, bad, tally)
-        for n, ((got, bad, _), (cod, _, _)) in enumerate(zip(passes, passes[1:]), 1):
+                _note_rooted(rep, n, got)
+        for n, (got, cod) in enumerate(zip(passes, passes[1:]), 1):
             pairs = sum(c for _, c in _cells(got, "colour"))
             rep.note(f"color split/merge n={n} ({pairs} colored trees)",
-                     not _cells(bad, "colour") and pairs == (n + 1) ** (n - 1))
-            rep.note(f"fresh-root bijection n={n}",
-                     not _cells(bad, "insert") and _cells(got, "insert") == _cells(cod, "fresh"))
-    for n, (_, _, tally) in enumerate(passes, 1):
-        certify_plane(rep, n, tally["all-improper"])
+                     not _cells(got, "failed", "colour") and pairs == (n + 1) ** (n - 1))
+            rep.note(f"fresh-root bijection n={n}", not _cells(got, "failed", "insert")
+                     and _cells(got, "insert") == _cells(cod, "fresh"))
+    for n, got in enumerate(passes, 1):
+        certify_plane(rep, n, got["all-improper"])
     return rep
 
 

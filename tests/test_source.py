@@ -47,3 +47,19 @@ def test_no_memoised_recursion():
         for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.ImportFrom) and node.module == "functools":
                 assert "cache" not in {a.name for a in node.names}, path
+
+
+def _forks(node: ast.AST) -> int:
+    # the calls to os.fork within node
+    return sum(isinstance(c, ast.Call) and ast.unparse(c.func) == "os.fork" for c in ast.walk(node))
+
+
+def test_one_function_forks():
+    # the census and the certifier share one fork driver, and nothing else forks
+    found, forking = 0, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += _forks(tree)
+        forking |= {f"{path.stem}.{node.name}" for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _forks(node)}
+    assert found == 1 and forking == {"trees._run_shards"}

@@ -1,9 +1,11 @@
 import os
+import pickle
 import random
 import re
 import signal
 import time
 from collections import Counter
+from functools import partial
 from itertools import product
 
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from ramapoly.trees import (ClassFilter, CycleError, DisconnectedError, LabelError, PlaneTree,
-                            RootedTree, TreeError, _forked_rows, _heads, _k_lambda_counts,
+                            RootedTree, TreeError, _heads, _k_lambda_counts,
                             _k_lambda_rows, _prefixes, build,
                             enumerate_rooted, enumerate_unrooted, plane_from_text,
                             plane_to_text, tree_from_text, tree_to_text)
@@ -24,6 +26,7 @@ from ramapoly.bijections import DomainError, plane_inv
 from ramapoly.cli import _read_colored
 
 tt = tree_from_text
+_dumps = pickle.dumps
 
 
 # -- construction ----------------------------------------------------------------
@@ -208,17 +211,20 @@ def test_k_lambda_counts_match_golden_census_at_eight():
     assert _k_lambda_counts(8) == CENSUS_8
 
 
-def _counts(rows) -> Counter:
-    return Counter({(k, lam or None): c for lam, row in enumerate(rows)
-                    for k, c in enumerate(row) if c})
+def _forked(monkeypatch, n: int, cpus: int) -> Counter:
+    # the census of [n] dealt to the shards of `cpus` usable CPUs, whatever n
+    monkeypatch.setattr(trees, "_usable_cpus", lambda: cpus)
+    return trees._run_shards(partial(trees._k_lambda_rows, n), _heads(n), True,
+                             f"lambda census n={n}")
 
 
-def test_sharded_census_equals_in_process_count():
+def test_sharded_census_equals_in_process_count(monkeypatch):
     for shards in (2, 3):
-        assert _forked_rows(7, shards) == _k_lambda_rows(7)
-        assert _counts(_forked_rows(8, shards)) == CENSUS_8  # the frozen in-process count
+        assert _forked(monkeypatch, 7, shards) == _k_lambda_rows(7)
+        assert _forked(monkeypatch, 8, shards) == CENSUS_8  # the frozen in-process count
     for n in range(2, 7):  # up to one shard per parent of 1
-        assert all(_forked_rows(n, shards) == _k_lambda_rows(n) for shards in range(1, n + 1))
+        assert all(_forked(monkeypatch, n, shards) == _k_lambda_rows(n)
+                   for shards in range(1, n + 1))
 
 
 def test_every_parent_of_one_covers_n_to_the_n_minus_two_trees():
@@ -233,7 +239,7 @@ def test_every_parent_of_one_covers_n_to_the_n_minus_two_trees():
         for h in [(1,)] + [(0, 0), (2, 1)] * (n > 2):
             assert list(_prefixes(n, h)) == []
         for q in [0, *range(2, n + 1)]:
-            assert sum(sum(map(sum, _k_lambda_rows(n, h))) for h in heads if h[0] == q) == n ** (n - 2)
+            assert sum(_k_lambda_rows(n, h).total() for h in heads if h[0] == q) == n ** (n - 2)
     assert _heads(1) == [(0,)] and [p[:] for p, *_ in _prefixes(1, (0,))] == [[0]]
     assert list(_prefixes(1, (2,))) == []
 
@@ -248,7 +254,7 @@ def test_shuffled_units_give_the_same_census(monkeypatch, shards):
 
     monkeypatch.setattr(trees, "_run_shards", shuffled)
     for n in (3, 7):
-        assert _forked_rows(n, shards) == _k_lambda_rows(n)
+        assert _forked(monkeypatch, n, shards) == _k_lambda_rows(n)
     _no_children_left()
 
 
@@ -263,7 +269,7 @@ def _no_fork(*args):
     (5, {0, 1, 2, 3}, 4, True),  # below the shard threshold
 ])
 def test_census_runs_in_process_where_it_cannot_shard(monkeypatch, n, affinity, cpus, has_fork):
-    want = _counts(_k_lambda_rows(n))
+    want = _k_lambda_rows(n)
     if affinity is None:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     else:
@@ -286,10 +292,10 @@ def test_census_takes_one_shard_per_usable_cpu(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     monkeypatch.setattr(os, "fork", counted)
-    assert _k_lambda_counts(7) == _counts(_k_lambda_rows(7)) and len(forks) == 3
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)  # never more shards than n
+    assert _k_lambda_counts(7) == _k_lambda_rows(7) and len(forks) == 3
+    monkeypatch.setattr(trees, "_usable_cpus", lambda: 64)  # never more shards than units
     forks.clear()
-    assert _k_lambda_counts(7) == _counts(_k_lambda_rows(7)) and len(forks) == 7
+    assert trees._run_shards(Counter, "abc", True, "demo") == Counter("abc") and len(forks) == 3
 
 
 def _no_children_left():
@@ -299,9 +305,9 @@ def _no_children_left():
 
 @pytest.mark.parametrize("fault, code, why", [
     ("raise", 1, "ValueError('injected')"),
-    ("short", 1, "ValueError('zip() argument 2 is shorter than argument 1')"),
+    ("list", 1, "TypeError('unit (0, 1) gave a list, not a Counter')"),
     ("killed", -9, None),
-], ids=["raise", "short", "killed"])
+], ids=["raise", "list", "killed"])
 def test_failed_shard_raises_once_every_child_is_reaped(monkeypatch, capfd, fault, code, why):
     # One unit is faulty: whichever shard pulls it is the one named, with the
     # error it printed, and the sound shards pull the rest.
@@ -313,13 +319,14 @@ def test_failed_shard_raises_once_every_child_is_reaped(monkeypatch, capfd, faul
                 raise ValueError("injected")
             if fault == "killed":
                 os.kill(os.getpid(), signal.SIGKILL)
-            return rows(n, head)[:-1]
+            return list(rows(n, head))  # Counter.update would count its keys
         return rows(n, head)
 
     monkeypatch.setattr(trees, "_k_lambda_rows", faulty)
+    monkeypatch.setattr(trees, "_usable_cpus", lambda: 3)
     with pytest.raises(RuntimeError) as exc:
-        _forked_rows(7, 3)
-    found = re.fullmatch(rf"lambda census n=7: shard (\d) exited {code} with 0 of 57 counts",
+        _k_lambda_counts(7)
+    found = re.fullmatch(rf"lambda census n=7: shard (\d) exited {code} with no result",
                          str(exc.value))
     assert found, str(exc.value)  # exactly one shard named
     err = capfd.readouterr().err
@@ -327,10 +334,28 @@ def test_failed_shard_raises_once_every_child_is_reaped(monkeypatch, capfd, faul
     _no_children_left()
 
 
-def test_fork_driver_refuses_more_units_than_a_byte_names():
+def test_fork_driver_refuses_more_units_than_a_byte_names(monkeypatch):
+    monkeypatch.setattr(trees, "_usable_cpus", lambda: 2)
     with pytest.raises(ValueError, match="257 units"):
-        trees._run_shards(lambda u: [u], range(257), 2, 1, "demo")
-    assert trees._run_shards(lambda u: [u, 1], range(256), 2, 2, "demo") == [255 * 128, 256]
+        trees._run_shards(lambda u: Counter(sum=u), range(257), True, "demo")
+    assert (trees._run_shards(lambda u: Counter(sum=u, units=1), range(256), True, "demo")
+            == Counter(sum=255 * 128, units=256))
+    with pytest.raises(TypeError, match="unit 0 gave a list, not a Counter"):  # in-process
+        trees._run_shards(lambda u: [u], range(3), False, "demo")
+    _no_children_left()
+
+
+@pytest.mark.parametrize("sent, why", [
+    (lambda result: b"cut short", "shard 0 exited 0 with no result; shard 1 exited 0 with no result"),
+    (lambda result: _dumps((result[0], 0)), "the shards did 0 of 2 units"),
+], ids=["unreadable", "miscounted"])
+def test_a_result_that_does_not_add_up_raises(monkeypatch, sent, why):
+    # every child exits 0, but what it pickles is no result, or owns up to no units
+    monkeypatch.setattr(trees, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(pickle, "dumps", sent)
+    with pytest.raises(RuntimeError) as exc:
+        trees._run_shards(Counter, "ab", True, "demo")
+    assert str(exc.value) == f"demo: {why}"
     _no_children_left()
 
 
@@ -345,12 +370,13 @@ def test_interrupted_census_kills_and_reaps_its_children(monkeypatch):
         raise Interrupt
 
     monkeypatch.setattr(trees, "_k_lambda_rows", hang)
+    monkeypatch.setattr(trees, "_usable_cpus", lambda: 2)
     old = signal.signal(signal.SIGALRM, interrupt)
     try:
         t0 = time.perf_counter()
         signal.setitimer(signal.ITIMER_REAL, 0.3)
         with pytest.raises(Interrupt):
-            _forked_rows(7, 2)
+            _k_lambda_counts(7)
         assert time.perf_counter() - t0 < 10
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
@@ -634,6 +660,9 @@ _READ_ERRORS = [
     # the black line of `ramapoly bij --map color --dir fwd`
     (_read_colored, "0 1\nblack: 2 2", LabelError, "duplicate label 2"),
     (_read_colored, "0 1\nblack: x", LabelError, "bad integer 'x'"),
+    # a "(" opens a non-empty child list
+    (_plane_inv_text, "1()", TreeError, "expected a label at position 2"),
+    (_plane_inv_text, "1(2()3)", TreeError, "expected a label at position 4"),
 ]
 
 

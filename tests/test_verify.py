@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -9,7 +10,7 @@ from dataclasses import replace
 import pytest
 
 from golden import CENSUS_8, CENSUS_9
-from ramapoly import bijections as bj, verify as vf
+from ramapoly import bijections as bj, trees, verify as vf
 from ramapoly.trees import ClassFilter, RootedTree, enumerate_rooted
 from ramapoly.verify import (LAMBDA_TABLES, PSI_TABLE, Q_TABLE, CheckResult,
                              VerificationReport, certify_plane, check_bijections,
@@ -240,7 +241,7 @@ def test_one_tree_fault_in_a_growing_map_fails_its_own_record(monkeypatch, w, na
 
 def _shards(monkeypatch, w: int, least: int = 2) -> None:
     # the certifier maps on w shards from n = least on
-    monkeypatch.setattr(vf, "_usable_cpus", lambda: w)
+    monkeypatch.setattr(trees, "_usable_cpus", lambda: w)
     monkeypatch.setattr(vf, "_CERTIFY_SHARD_MIN_N", least)
 
 
@@ -251,6 +252,22 @@ def _no_children_left():
 
 def _records(rep: VerificationReport) -> list[tuple]:
     return [(r.name, r.ok, r.actual) for r in rep.results]
+
+
+def _digest(rep: VerificationReport) -> str:
+    # sha256 of the --json record lines, the timed summary line dropped
+    return hashlib.sha256("".join(ln + "\n" for ln in rep.json_lines()[:-1]).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("w", [1, 3])
+def test_records_match_their_golden_digests(monkeypatch, w):
+    # the records of both suites are golden, on any shard count
+    _shards(monkeypatch, w)
+    assert _digest(check_bijections(6)) == (
+        "a318a50825a82bb86d345cd83c5d87485333af1705b0c3216a9d3415fe7c82bc")
+    assert _digest(check_conjecture(8)) == (
+        "e15cd0628bd4246d23a45fcf2af15c280057139fccda35deb98000a8379476ed")
+    _no_children_left()
 
 
 @pytest.mark.parametrize("nmax", range(2, 7))
@@ -345,7 +362,7 @@ def test_failed_certifier_shard_raises_once_every_child_is_reaped(monkeypatch, f
     _shards(monkeypatch, 2, least=n)
     with pytest.raises(RuntimeError) as exc:
         check_bijections(n)
-    assert re.fullmatch(rf"bijection certifier n=5: shard \d exited {code} with 0 of \d+ counts",
+    assert re.fullmatch(rf"bijection certifier n=5: shard \d exited {code} with no result",
                         str(exc.value)), str(exc.value)
     _no_children_left()
 
