@@ -22,6 +22,7 @@ is exact and pure: operations return new trees and never mutate their inputs.
 from __future__ import annotations
 
 import os
+import re
 from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, compress, repeat
@@ -421,31 +422,26 @@ class ClassFilter:
 # -- enumeration ---------------------------------------------------------------
 
 
-def _prefixes(n: int, head: Sequence[int] = ()
-              ) -> Iterator[tuple[list[int], tuple[int, ...], list, list[int], int]]:
+def _prefixes(n: int, head: Sequence[int] = ()) -> Iterator[tuple[list[int], list, list[int], int]]:
     # Every parent assignment p_1..p_{n-1} that starts with `head` and that the
     # max label n completes into a rooted tree on [n], in lexicographic order,
     # with the live forest it makes on [n] (changed when the next one is asked
-    # for), as (p, free, kids, low, k): p[i] is the parent of i, `free` the
-    # labels outside the subtree of n, under which n may hang, kids[v] the
-    # children of v (kids[0] holds the root among 1..n-1, if any; n, a root, is
-    # in none), low[v] the least label in the subtree of v, and k the number of
-    # improper edges; all lists are increasing.  An explicit stack walks the
-    # levels 1..n-2 depth first; the last level n-1 is expanded in place.
+    # for), as (p, kids, low, k): p[i] is the parent of i, kids[v] the children
+    # of v (kids[0] holds the root among 1..n-1, if any, whose tree holds the
+    # labels n may hang under; n, a root, is in none), low[v] the least label in
+    # the subtree of v, and k the number of improper edges; all lists are
+    # increasing.  An explicit stack walks the levels 1..n-2 depth first; the
+    # last level n-1 is expanded in place.
     kids, low = [[] for _ in range(n + 1)], list(range(n + 1))
     if n == 1:
         if not any(head):
-            yield [0], (), kids, low, 0
+            yield [0], kids, low, 0
         return
     last = n - 1
     p = [0] * n
     # exits[i]: where the parent walk from i first left 1..i-1 when i was
     # assigned (0 at the root).  It exceeds i, so walks over exits climb.
     exits = [0] * n
-    # side[h]: the labels, as a bit mask, of the tree whose root is h, with
-    # h = 0 for the root among 1..i; sets[m]: the labels of mask m
-    side = [0] + [1 << v for v in range(1, n + 1)]
-    sets = [tuple([v for v in range(1, n) if m >> v & 1]) for m in range(1 << n)]
     # Level i's undo record: ks[i], k once i hangs, and the pairs (a, old
     # low[a]) that hanging i pushed onto the trail after marks[i].
     ks, marks = [0] * n, [0] * n
@@ -497,15 +493,12 @@ def _prefixes(n: int, head: Sequence[int] = ()
             if nxt is None:  # `head` left a pinned level nothing
                 return
         else:
-            # last joins the root's side unless it hangs in the tree of n
-            rooted, joined = sets[side[0]], sets[side[0] | side[last]]
-            for p[last], h in options(last):
+            for p[last], _ in options(last):
                 hang(last, p[last])
-                yield p, rooted if h else joined, kids, low, ks[last]
+                yield p, kids, low, ks[last]
                 unhang(last)
             while stack:  # advance the deepest level that has an option left
                 i = len(stack)
-                side[exits[i]] ^= side[i]
                 unhang(i)
                 nxt = next(stack[-1], None)
                 if nxt is not None:
@@ -514,7 +507,6 @@ def _prefixes(n: int, head: Sequence[int] = ()
             else:
                 return
         p[i], exits[i] = nxt
-        side[exits[i]] |= side[i]
         hang(i, p[i])
 
 
@@ -535,7 +527,7 @@ def _k_lambda_rows(n: int, head: Sequence[int] = ()) -> Counter:
     # n (improper iff q > b), and the edge (u, c) on the path turns improper iff
     # b < u < low[c]; the walk from the root adds those up top-down.
     rows = [[0] * n for _ in range(n + 1)]
-    for _, _, kids, low, k in _prefixes(n, head):
+    for _, kids, low, k in _prefixes(n, head):
         if not kids[n]:  # b = n: no parent of n moves k (n = 1 is its own root)
             rows[0][k] += n - 1 or 1
             continue
@@ -652,8 +644,12 @@ def _trees(n: int, head: tuple = (), filt: ClassFilter | None = None) -> Iterato
     if n < 1:
         raise ValueError("n must be positive")
     labels = tuple(range(1, n + 1))
-    for p, free, _, _, _ in _prefixes(n, head):
+    for p, kids, _, _ in _prefixes(n, head):
         prefix = tuple(p[1:])
+        free = kids[0][:]  # the labels outside the subtree of n: the tree of the other root
+        for u in free:  # the list grows while it is walked
+            free += kids[u]
+        free.sort()
         for q in free or (0,):
             t = RootedTree(labels, prefix + (q,))
             if filt is None or filt.matches(t):
@@ -687,15 +683,19 @@ def tree_to_text(t: RootedTree) -> str:
     return "labels: " + " ".join(map(str, t.labels)) + "\n" + line
 
 
+_INT, _LABEL = re.compile(r"-?[0-9]+"), re.compile(r"[0-9]+")  # tree texts hold ASCII digits
+
+
 def _ints(tokens: Sequence[str]) -> list[int]:
-    try:
-        return list(map(int, tokens))
-    except ValueError:  # name the first bad token
-        for tok in tokens:
-            try:
-                int(tok)
-            except ValueError:
-                raise LabelError(f"bad integer {tok!r}") from None
+    # int() also reads "+1", "1_0" and other scripts' digits, but on ASCII tokens
+    # free of "+" and "_" just _INT
+    text = "".join(tokens)
+    if text.isascii() and "+" not in text and "_" not in text:
+        try:
+            return list(map(int, tokens))
+        except ValueError:
+            pass
+    raise LabelError(f"bad integer {next(t for t in tokens if not _INT.fullmatch(t))!r}")
 
 
 def tree_from_text(text: str) -> RootedTree:
@@ -750,12 +750,11 @@ def plane_from_text(text: str) -> PlaneTree:
     labels, degrees = [], [0]  # in preorder, after the degree of a slot above the root
     stack = [0]  # the indices in degrees of that slot and of each open node
     while True:
-        start = pos
-        while pos < end and s[pos].isdigit():
-            pos += 1
-        if start == pos:
-            raise TreeError(f"expected a label at position {start}")
-        labels.append(int(s[start:pos]))
+        label = _LABEL.match(s, pos)
+        if label is None:
+            raise TreeError(f"expected a label at position {pos}")
+        labels.append(int(label[0]))
+        pos = label.end()
         degrees[stack[-1]] += 1
         degrees.append(0)
         opened = pos < end and s[pos] == "("

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
@@ -24,7 +24,7 @@ from . import bijections as bj
 from .polynomials import ROUTES, IntPoly, f, psi_bew, q_shor
 from .series import genfun_mismatch
 from .trees import (ClassFilter, PlaneTree, RootedTree, _heads, _k_lambda_counts, _run_shards,
-                    _trees, enumerate_rooted, enumerate_unrooted)
+                    _trees)
 
 __all__ = [
     "CheckResult",
@@ -139,9 +139,20 @@ def double_factorial(m: int) -> int:
     return prod(range(1, m + 1, 2))
 
 
+# From this n on the certifier and tabulate run one forked shard per usable CPU.
+# In-process against two shards, at n = 5 and 6: a certifier pass over [n] with the
+# colour maps 114 against 67 ms and 1.11 against 0.63 s, the plane record 4.7 against
+# 6.4 and 42 against 27 ms, the identities key 4.6 against 7.0 and 45.0 against 28.9
+# ms (medians of 12-15 alternating runs, 2-vCPU Xeon, Python 3.11).  The n = 5
+# certifier gain is inside the spread of a pass (76-144 ms in-process).
+_VERIFY_SHARD_MIN_N = 6
+
+
 def tabulate(n: int, key: Callable[[RootedTree], Hashable], unrooted: bool = False) -> Counter:
     """key(t) -> count over all trees on [n], rooted at 1 when `unrooted`."""
-    return Counter(map(key, enumerate_unrooted(n) if unrooted else enumerate_rooted(n)))
+    units = [h for h in _heads(n) if not h[0]] if unrooted else _heads(n)
+    return _run_shards(lambda head: Counter(map(key, _trees(n, head))), units,
+                       n >= _VERIFY_SHARD_MIN_N, f"tabulate n={n}")
 
 
 def count_class(n: int, filt: ClassFilter | None = None, unrooted: bool = False) -> int:
@@ -265,26 +276,11 @@ def check_recurrences(nmax: int) -> VerificationReport:
 # -- enumeration identities ------------------------------------------------------
 
 
-def _k_deg1(t: RootedTree) -> tuple[int, int]:
-    return t.improper_count(), t.degree(1)
-
-
-def _k_deg1_internal(t: RootedTree) -> tuple[int, int, bool, bool]:
-    # (k, deg(1), max label internal, second-smallest label internal)
-    return (*_k_deg1(t), t.degree(t.max_label) > 0, t.degree(t.labels[1]) > 0)
-
-
-def _unrooted_summary(size: int):
-    """One pass over trees on [size] rooted at 1: counts keyed by
-    (k, deg(1)) for the full class and the four degree-constrained ones."""
-    keys = ("all", "max_leaf", "max_internal", "second_leaf", "second_internal")
-    out = {key: Counter() for key in keys}
-    tab = tabulate(size, _k_deg1_internal, unrooted=True)
-    for (k, d, max_internal, second_internal), c in tab.items():
-        out["all"][(k, d)] += c
-        out["max_internal" if max_internal else "max_leaf"][(k, d)] += c
-        out["second_internal" if second_internal else "second_leaf"][(k, d)] += c
-    return out
+def _identity_key(t: RootedTree) -> tuple[int, int, bool, bool, bool]:
+    # (k, deg(1), rooted at 1, max label internal, second-smallest label internal)
+    n = t.size
+    return (t.improper_count(), t.degree(1), not t.parents[0], t.degree(n) > 0,
+            n > 1 and t.degree(2) > 0)
 
 
 def _deg1_poly(counter: Counter, k: int) -> IntPoly:
@@ -303,11 +299,24 @@ def check_identities(nmax: int) -> VerificationReport:
     enumerated tree."""
     _require_size(nmax, SUITES["identities"][2])
     rep = VerificationReport("identities")
+    # One pass per [n], over every rooted tree below nmax and the trees rooted at 1
+    # on [nmax].  rooted[n] counts (k, deg(1)) over the rooted trees on [n], and
+    # unrooted[size] over the trees on [size] rooted at 1, in "all" and in the four
+    # classes that pin whether the max or the second-smallest label is a leaf.
+    rooted = {n: Counter() for n in range(1, nmax)}
+    unrooted = {size: defaultdict(Counter) for size in range(2, nmax + 1)}
     with rep.phase("enumerate"):
-        rooted = {n: tabulate(n, _k_deg1) for n in range(1, nmax)}
-        unrooted = {size: _unrooted_summary(size) for size in range(2, nmax + 1)}
-    rep.counts["trees visited"] = (sum(sum(c.values()) for c in rooted.values())
-                                   + sum(sum(s["all"].values()) for s in unrooted.values()))
+        for n in range(1, nmax + 1):
+            tab = tabulate(n, _identity_key, unrooted=n == nmax)
+            rep.counts["trees visited"] += tab.total()
+            for (k, d, at_1, max_internal, second_internal), c in tab.items():
+                if n < nmax:
+                    rooted[n][(k, d)] += c
+                if at_1 and n > 1:
+                    summ = unrooted[n]
+                    summ["all"][(k, d)] += c
+                    summ["max_internal" if max_internal else "max_leaf"][(k, d)] += c
+                    summ["second_internal" if second_internal else "second_leaf"][(k, d)] += c
     with rep.phase("check"):
         for n in range(2, max(nmax, 12) + 1):
             for k in range(n):
@@ -369,15 +378,6 @@ def check_identities(nmax: int) -> VerificationReport:
 
 
 # -- bijection certification ------------------------------------------------------
-
-
-# From this n on the certifier runs one forked shard per usable CPU.  Dealt in
-# units, a pass over [n] with the colour maps takes 114 ms in-process against 67
-# ms on two shards at n = 5 and 1.11 against 0.63 s at n = 6; the plane record
-# 4.7 against 6.4 and 42 against 27 ms (medians of 15 alternating runs, 2-vCPU
-# Xeon, Python 3.11).  The n = 5 gain is inside the spread of a pass (76-144
-# ms in-process), so n = 6 stays the first clear one.
-_CERTIFY_SHARD_MIN_N = 6
 
 
 def _fails(t, fwd, inv, image: Callable[[RootedTree], bool], labels: tuple) -> bool:
@@ -552,7 +552,7 @@ def certify_plane(rep: VerificationReport, n: int, count: int) -> None:
 
     with rep.phase("plane"):  # dealt in the shapes on the first min(n, 4) labels
         units = [shape for shape, _ in _increasing_plane_trees(min(n, 4))]
-        fails = _run_shards(work, units, n >= _CERTIFY_SHARD_MIN_N, f"plane bijection n={n}")
+        fails = _run_shards(work, units, n >= _VERIFY_SHARD_MIN_N, f"plane bijection n={n}")
     rep.counts["maps applied"] += 2 * fails.total()
     target = double_factorial(2 * n - 3)
     rep.note(f"plane bijection n={n} (both sides {target})",
@@ -577,7 +577,7 @@ def check_bijections(nmax: int) -> VerificationReport:
     with rep.phase("map"):
         for n in range(1, nmax + 1):
             got = _run_shards(partial(_certify_shard, n, n < nmax), _heads(n),
-                              n >= _CERTIFY_SHARD_MIN_N, f"bijection certifier n={n}")
+                              n >= _VERIFY_SHARD_MIN_N, f"bijection certifier n={n}")
             passes.append(got)
             rep.counts["trees visited"] += got["trees"]
             rep.counts["maps applied"] += got["maps"]

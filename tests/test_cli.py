@@ -276,6 +276,26 @@ def test_verify_reports_a_failed_shard_as_an_error(capsys, monkeypatch, fault, s
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_enumerate_count_reports_a_failed_shard_as_an_error(capsys, monkeypatch):
+    # count_class tabulates [7] on forked shards: a key that raises on the trees
+    # of one head fails its shard, so nothing is counted
+    monkeypatch.setattr(trees, "_usable_cpus", lambda: 2)
+    matches = ClassFilter.matches
+
+    def fail_on_one_head(self, t):
+        if t.parents[:2] == (3, 1):
+            raise ZeroDivisionError("injected")
+        return matches(self, t)
+
+    monkeypatch.setattr(ClassFilter, "matches", fail_on_one_head)
+    code, out, err = run(capsys, ["enumerate", "--n", "7", "--count"])
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: tabulate n=7: shard ")
+    assert err.rstrip().endswith(" exited 1 with no result")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_verify_all_runs_every_suite_in_table_order(capsys):
     code, out, _ = run(capsys, ["verify", "--suite", "all", "--nmax", "4"])
     summaries = [ln for ln in out.splitlines() if ln.startswith("suite ")]

@@ -392,12 +392,11 @@ def test_prefix_forest_matches_its_parent_tuple():
     # hang must be undone.
     for n in range(1, 7):
         live = None
-        for p, free, kids, low, k in _prefixes(n):
+        for p, kids, low, k in _prefixes(n):
             live = live or (kids, low)
             top = n + 1
             t = RootedTree(tuple(range(1, top + 1)),
                            tuple([q or top for q in p[1:]]) + (top, 0))
-            assert free == tuple(v for v in range(1, n) if n not in oc.o_path_to_root(t, v))
             assert kids == [[u for u in range(1, n) if p[u] == v] for v in range(top)]
             assert low == [0] + [oc.o_beta(t, v) for v in range(1, top)]
             assert k == oc.o_improper_count(t) - 1 - (0 in p[1:])
@@ -663,6 +662,12 @@ _READ_ERRORS = [
     # a "(" opens a non-empty child list
     (_plane_inv_text, "1()", TreeError, "expected a label at position 2"),
     (_plane_inv_text, "1(2()3)", TreeError, "expected a label at position 4"),
+    # labels and integers are ASCII digits: int() also reads other scripts' digits, "_" and "+"
+    (_plane_inv_text, "1(²)", TreeError, "expected a label at position 2"),
+    (_plane_inv_text, "1(٢)", TreeError, "expected a label at position 2"),
+    (tree_from_text, "0 ١", LabelError, "bad integer '١'"),
+    (tree_from_text, "0 1_0 1", LabelError, "bad integer '1_0'"),
+    (tree_from_text, "0 +1", LabelError, "bad integer '+1'"),
 ]
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from golden import CENSUS_8, CENSUS_9
 from ramapoly import bijections as bj, trees, verify as vf
+from ramapoly.polynomials import f, q_shor
 from ramapoly.trees import ClassFilter, RootedTree, enumerate_rooted
 from ramapoly.verify import (LAMBDA_TABLES, PSI_TABLE, Q_TABLE, CheckResult,
                              VerificationReport, certify_plane, check_bijections,
@@ -240,9 +241,9 @@ def test_one_tree_fault_in_a_growing_map_fails_its_own_record(monkeypatch, w, na
 
 
 def _shards(monkeypatch, w: int, least: int = 2) -> None:
-    # the certifier maps on w shards from n = least on
+    # the certifier, the plane record and tabulate run on w shards from n = least on
     monkeypatch.setattr(trees, "_usable_cpus", lambda: w)
-    monkeypatch.setattr(vf, "_CERTIFY_SHARD_MIN_N", least)
+    monkeypatch.setattr(vf, "_VERIFY_SHARD_MIN_N", least)
 
 
 def _no_children_left():
@@ -267,6 +268,10 @@ def test_records_match_their_golden_digests(monkeypatch, w):
         "a318a50825a82bb86d345cd83c5d87485333af1705b0c3216a9d3415fe7c82bc")
     assert _digest(check_conjecture(8)) == (
         "e15cd0628bd4246d23a45fcf2af15c280057139fccda35deb98000a8379476ed")
+    assert _digest(check_identities(7)) == (
+        "b5adddc0758722297ac0fb15aa1c8198fb04ac1cc4cb73465fa3fe99eb53ff76")
+    assert _digest(check_identities(8)) == (
+        "0dda2a0f2b77f771d02babdc596c63938803d583e230798324380a4ffffa9e85")
     _no_children_left()
 
 
@@ -378,6 +383,32 @@ def test_certify_plane_fails_a_wrong_domain_count():
         assert rep.ok is ok and len(rep.results) == 1
 
 
+@pytest.mark.parametrize("unrooted", [False, True])
+@pytest.mark.parametrize("n", [6, 7])
+def test_sharded_tabulate_equals_in_process(monkeypatch, n, unrooted):
+    # tabulate and count_class on 1, 2 and 3 shards, dealt a fixed shuffled order
+    def key(t):
+        return t.parents[-1], t.parents[0]
+
+    filt = ClassFilter(k=2)
+    _shards(monkeypatch, 1)
+    want = vf.tabulate(n, key, unrooted)
+    count = count_class(n, filt, unrooted)
+    # R_{n,2} counts f(n, 2) trees, and Q_{n-1,2}(1) of them are rooted at 1
+    assert want.total() == n ** (n - 1 - unrooted)
+    assert count == (q_shor(n - 1, 2)(1) if unrooted else f(n, 2))
+    run = vf._run_shards
+
+    def shuffled(work, units, *args):
+        return run(work, random.Random(len(units)).sample(units, len(units)), *args)
+
+    monkeypatch.setattr(vf, "_run_shards", shuffled)
+    for w in (1, 2, 3):
+        _shards(monkeypatch, w)
+        assert vf.tabulate(n, key, unrooted) == want and count_class(n, filt, unrooted) == count
+    _no_children_left()
+
+
 def test_forward_records_cover_their_domains():
     # A class that lost a cell on both of its sides would still biject, so
     # the domain sizes are checked against counts: 1 is a leaf in
@@ -431,8 +462,9 @@ def test_identities_report_phases_and_counts():
     assert set(rep.phases) == {"enumerate", "check"}
     assert all(isinstance(ns, int) and ns > 0 for ns in rep.phases.values())
     assert sum(rep.phases.values()) <= rep.wall_ns
-    # the rooted trees on [1..4] and the trees on [2..5] rooted at 1
-    visited = sum(n ** (n - 1) for n in range(1, 5)) + sum(n ** (n - 2) for n in range(2, 6))
+    # one pass per [n]: the rooted trees on [1..4], whose heads p_1 = 0 are the
+    # trees rooted at 1, and the trees on [5] rooted at 1
+    visited = sum(n ** (n - 1) for n in range(1, 5)) + 5 ** 3
     assert rep.counts == {"trees visited": visited}
     last = json.loads(rep.json_lines()[-1])
     assert last["phases_ns"] == rep.phases and last["counts"] == rep.counts
