@@ -430,8 +430,10 @@ def _prefixes(n: int, head: Sequence[int] = ()) -> Iterator[tuple[list[int], lis
     # of v (kids[0] holds the root among 1..n-1, if any, whose tree holds the
     # labels n may hang under; n, a root, is in none), low[v] the least label in
     # the subtree of v, and k the number of improper edges; all lists are
-    # increasing.  An explicit stack walks the levels 1..n-2 depth first; the
-    # last level n-1 is expanded in place.
+    # increasing.  Label i, still a root when its level comes, may hang under any
+    # label outside its subtree, and under 0 while no root is chosen.  An explicit
+    # stack walks the levels 1..n-2 depth first; the last level n-1, where most
+    # prefixes are made, hangs, yields and undoes each option in place.
     kids, low = [[] for _ in range(n + 1)], list(range(n + 1))
     if n == 1:
         if not any(head):
@@ -439,24 +441,18 @@ def _prefixes(n: int, head: Sequence[int] = ()) -> Iterator[tuple[list[int], lis
         return
     last = n - 1
     p = [0] * n
-    # exits[i]: where the parent walk from i first left 1..i-1 when i was
-    # assigned (0 at the root).  It exceeds i, so walks over exits climb.
-    exits = [0] * n
     # Level i's undo record: ks[i], k once i hangs, and the pairs (a, old
     # low[a]) that hanging i pushed onto the trail after marks[i].
     ks, marks = [0] * n, [0] * n
     trail: list[int] = []
 
-    def options(i: int) -> list[tuple[int, int]]:
-        # (parent, exit) for each parent of i that closes no cycle
-        out = [] if kids[0] else [(0, 0)]
-        for q in range(1, n + 1):
-            h = q
-            while 0 < h < i:
-                h = exits[h]
-            if h != i:
-                out.append((q, h))
-        return out if i > len(head) else [o for o in out if o[0] == head[i - 1]]
+    def options(i: int) -> list[int]:
+        # the parents of i that close no cycle, pinned to head[i - 1] within the head
+        sub = [i]
+        for u in sub:  # the list grows while it is walked
+            sub += kids[u]
+        out = [q for q in range(1 if kids[0] else 0, n + 1) if q not in sub]
+        return out if i > len(head) else [q for q in out if q == head[i - 1]]
 
     def hang(i: int, q: int) -> None:
         # Hang the root i under q.  The subtrees of q and its ancestors gain
@@ -489,25 +485,40 @@ def _prefixes(n: int, head: Sequence[int] = ()) -> Iterator[tuple[list[int], lis
         if len(stack) < last - 1:
             i = len(stack) + 1
             stack.append(iter(options(i)))
-            nxt = next(stack[-1], None)  # n is always an option past level 1
-            if nxt is None:  # `head` left a pinned level nothing
+            q = next(stack[-1], None)  # n is always an option past level 1
+            if q is None:  # `head` left a pinned level nothing
                 return
-        else:
-            for p[last], _ in options(last):
-                hang(last, p[last])
-                yield p, kids, low, ks[last]
-                unhang(last)
+        else:  # hang(last, q), yield, unhang(last), inline
+            b, mark = low[last], len(trail)
+            for q in options(last):
+                p[last] = q
+                kids[q].append(last)
+                k = ks[last - 1] + (q > b)
+                a = q
+                while low[a] > b:
+                    u = p[a] if a < last else 0  # a = n is a root
+                    if b < u < low[a]:
+                        k += 1
+                    trail.append(a)
+                    trail.append(low[a])
+                    low[a] = b
+                    a = u
+                yield p, kids, low, k
+                kids[q].pop()
+                while len(trail) > mark:
+                    old = trail.pop()
+                    low[trail.pop()] = old
             while stack:  # advance the deepest level that has an option left
                 i = len(stack)
                 unhang(i)
-                nxt = next(stack[-1], None)
-                if nxt is not None:
+                q = next(stack[-1], None)
+                if q is not None:
                     break
                 stack.pop()
             else:
                 return
-        p[i], exits[i] = nxt
-        hang(i, p[i])
+        p[i] = q
+        hang(i, q)
 
 
 def _heads(n: int) -> list[tuple[int, ...]]:
@@ -532,9 +543,11 @@ def _k_lambda_rows(n: int, head: Sequence[int] = ()) -> Counter:
             rows[0][k] += n - 1 or 1
             continue
         row = rows[_descend(kids, low, n, n)]
+        if not kids[0]:  # n is the root of its one tree
+            row[k] += 1
+            continue
         b = low[n]
-        # from the root, or from slot 0 when n must be the root: one tree
-        todo = [(kids[0][0] if kids[0] else 0, k)]
+        todo = [(kids[0][0], k)]  # from the root
         for u, d in todo:  # the list grows while it is walked
             row[d + (u > b)] += 1
             for c in kids[u]:
@@ -543,7 +556,7 @@ def _k_lambda_rows(n: int, head: Sequence[int] = ()) -> Counter:
 
 
 # Below this n the census runs in-process.  Two shards dealt the units take
-# 14.0 ms at n = 6 against 8.8 ms in-process, and 76 ms at n = 7 against 133 ms
+# 11.1 ms at n = 6 against 8.4 ms in-process, and 63 ms at n = 7 against 79 ms
 # (medians of 15 and 31 alternating runs, 2-vCPU Xeon, Python 3.11).
 _SHARD_MIN_N = 7
 
@@ -604,7 +617,7 @@ def _run_shards(work: Callable[[object], Counter], units: Sequence, shard: bool,
                         result = add_up(map(ord, iter(partial(os.read, tasks, 1), b"")))
                         os.write(w, pickle.dumps(result))  # a short write reads as no result
                         code = 0
-                    except Exception as exc:  # an interrupt exits 1 quietly
+                    except Exception as exc:  # an interrupt ends it with code 1, quietly
                         os.write(2, f"{what} shard {j}: {exc!r}\n".encode())
                     finally:
                         os._exit(code)

@@ -579,6 +579,8 @@ def check_bijections(nmax: int) -> VerificationReport:
             got = _run_shards(partial(_certify_shard, n, n < nmax), _heads(n),
                               n >= _VERIFY_SHARD_MIN_N, f"bijection certifier n={n}")
             passes.append(got)
+            # |D| = |C| compares two counts of one pass: a dropped tree could shrink both
+            rep.check(f"trees seen n={n}", n ** (n - 1), got["trees"])
             rep.counts["trees visited"] += got["trees"]
             rep.counts["maps applied"] += got["maps"]
             if n > 1:

@@ -174,6 +174,22 @@ def test_flatten_case_counts():
     assert cases["flatten cases n=5"].actual == "A=2 B=17 C=14 D=64" and cases["flatten cases n=5"].ok
 
 
+def test_dropped_prefix_fails_the_trees_seen_record(monkeypatch):
+    # a walk that skips one head's last prefix at n = 5 loses the trees it completes
+    real, dropped = trees._prefixes, trees._heads(5)[-1]
+
+    def short(n, head=()):
+        walk = [(p[:], [c[:] for c in kids], low[:], k) for p, kids, low, k in real(n, head)]
+        return iter(walk[:-1] if (n, tuple(head)) == (5, dropped) else walk)
+
+    monkeypatch.setattr(trees, "_prefixes", short)
+    seen = {r.name: r for r in check_bijections(5).results if r.name.startswith("trees seen")}
+    assert list(seen) == [f"trees seen n={n}" for n in range(1, 6)]
+    assert all(seen[f"trees seen n={n}"].ok for n in range(1, 5))
+    assert not seen["trees seen n=5"].ok
+    assert seen["trees seen n=5"].expected == "625" and int(seen["trees seen n=5"].actual) < 625
+
+
 @pytest.mark.parametrize("name, ps, fault, failed", [
     ("rooted_inv", (0, 4, 1, 1), "wrong",
      ["rooted bijection n=4 k=0 (6 trees)", "rooted inverse round-trip n=4 k=1"]),
@@ -265,7 +281,7 @@ def test_records_match_their_golden_digests(monkeypatch, w):
     # the records of both suites are golden, on any shard count
     _shards(monkeypatch, w)
     assert _digest(check_bijections(6)) == (
-        "a318a50825a82bb86d345cd83c5d87485333af1705b0c3216a9d3415fe7c82bc")
+        "80a365ee08789dae271704e89bd28e52297f6ac3bff655685e335fbf3c5a6f41")
     assert _digest(check_conjecture(8)) == (
         "e15cd0628bd4246d23a45fcf2af15c280057139fccda35deb98000a8379476ed")
     assert _digest(check_identities(7)) == (
