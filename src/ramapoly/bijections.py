@@ -42,6 +42,13 @@ Each function checks its preconditions eagerly and raises DomainError
 outside its stated domain.  An optional `trace` list collects dispatch
 records (strings and CaseTag entries) for audits.  Every map works on label
 positions; the colour maps, on [n], read them straight off the parent tuple.
+The maps are pure: none changes its input or the core (`RootedTree._arrays`)
+cached on it.  One step reads its input's core and writes only its result's
+parent tuple.  The rooted maps chain steps on one core per call: the lowers
+of `rooted_inv` run in place on a copy of the input's core (`_open`), and the
+lifts after `flatten_min` on the core of its result.  Each in-place step
+relinks only the path it turns over and updates beta only along it, so the
+star under the max takes linear time; the result keeps that core (`_close`).
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
+from operator import add, sub
 
 from .trees import PlaneTree, RootedTree, _check_labels, _moved
 
@@ -108,12 +116,6 @@ class ColoredRootedTree:
             raise DomainError("black nodes must be children of the min label")
 
 
-def _note(trace, record) -> None:
-    # a record passed as a function is built only when a trace is kept
-    if trace is not None:
-        trace.append(record() if callable(record) else record)
-
-
 # -- lowering and lifting ------------------------------------------------------
 
 
@@ -121,29 +123,100 @@ def lower(t: RootedTree, trace: list | None = None) -> RootedTree:
     """Reverse the path from the max label up to the upper critical node, so
     the max label takes the critical node's place.  Adds one improper edge
     and removes one proper edge from the max-to-root path."""
-    up = t._arrays()[0]
-    proper = t._proper_path()
-    if not proper:
+    seg = _lower(t, trace, False)
+    return _moved(t, {seg[0]: t._arrays()[0][seg[-1]], **dict(zip(seg[1:], seg))})
+
+
+def _lower(s: RootedTree, trace: list | None, keep: bool = True) -> list[int]:
+    # The path from the max up to the head w of its first proper edge, which a lowering
+    # of s turns over; in place if `keep`, on a core s owns (_open)
+    up, kids, low = s._arrays()
+    seg = [len(up) - 1]
+    while up[seg[-1]] > low[seg[-1]]:
+        seg.append(up[seg[-1]])
+    w = up[seg[-1]]
+    if not w:
         raise DomainError("no proper edge on the path from the max label to the root")
-    w = up[proper[0]]
-    path = t._up_path(len(up) - 1)
-    seg = path[:path.index(w) + 1]
-    _note(trace, lambda: f"lower: reverse {t._names(seg)} at critical node {t.labels[w - 1]}")
-    return _moved(t, {seg[0]: up[w], **dict(zip(seg[1:], seg))})
+    seg.append(w)
+    if trace is not None:
+        trace.append(f"lower: reverse {s._names(seg)} at critical node {s.labels[w - 1]}")
+    if keep:  # the max takes w's subtree; the others, from w down, what is left of it
+        low[seg[0]] = low[w]
+        _turn(up, kids, seg)
+        for u in seg[:0:-1]:
+            low[u] = min([u, *map(low.__getitem__, kids[u])])
+    return seg
 
 
 def lift(t: RootedTree, trace: list | None = None) -> RootedTree:
     """Inverse of `lower`: reverse the path from the max label down to the
     lower critical node, which takes the max label's place."""
-    up, kids, _ = t._arrays()
-    n = len(up) - 1
-    if not kids[n]:
-        raise DomainError("max label is a leaf")
-    lam = t._attach(n, n)
-    path = t._up_path(lam)
-    seg = path[path.index(n)::-1]
-    _note(trace, lambda: f"lift: reverse {t._names(seg)} at critical node {t.labels[lam - 1]}")
-    return _moved(t, {**dict(zip(seg, seg[1:])), lam: up[n]})
+    seg = _lift(t, trace)
+    return _moved(t, {**dict(zip(seg, seg[1:])), seg[-1]: t._arrays()[0][seg[0]]})
+
+
+def _lift(s: RootedTree, trace: list | None, times: int = 1) -> list[int]:
+    # The path from the max down to the lower critical node, which a lift of s turns
+    # over: `times` lifts in place on a core s owns (_open), or for one, only the path.
+    up, kids, low = s._arrays()
+    n, keep = len(up) - 1, times > 1
+    if keep:  # a lift takes from the max just its child of least beta: last, it leaves in O(1)
+        kids[n] = sorted(kids[n], key=low.__getitem__, reverse=True)
+    for _ in range(times):
+        if not kids[n]:
+            raise DomainError("max label is a leaf")
+        # _descend(kids, low, n, n), on the max's last two children if they are sorted; a
+        # node passed keeps its side subtrees and those above it, the least of them `out`
+        # (no more than the node: a run of lifts leaves the max two children or more)
+        seg, i, target, out = [], n, low[n], len(up)
+        while i == n or i >= out:
+            seg.append(i)
+            for c in kids[n][-2:] if i == n and keep else kids[i]:
+                if low[c] == target:
+                    nxt = c
+                elif low[c] < out:
+                    out = low[c]
+            if keep:
+                low[i] = out
+            i = nxt
+        seg.append(i)
+        if trace is not None:
+            trace.append(f"lift: reverse {s._names(seg)} at critical node {s.labels[i - 1]}")
+        if keep:  # i, on the path toward the max's beta, already has it as its own
+            _turn(up, kids, seg[::-1])
+    return seg
+
+
+def _open(t: RootedTree) -> RootedTree:
+    # a copy of t, with a copy of its core for the steps above to relink in place:
+    # t and its core never change
+    s = RootedTree(t.labels, t.parents)
+    up, kids, low = t._arrays()
+    s._core = up[:], [k[:] for k in kids], low[:]
+    return s
+
+
+def _close(s: RootedTree) -> RootedTree:
+    # s with the parents of its relinked core, which it keeps
+    up = s._arrays()[0]
+    s.parents = tuple(up[1:] if s.labels[-1] == len(up) - 1
+                      else map((0, *s.labels).__getitem__, up[1:]))
+    return s
+
+
+def _turn(up: list, kids: list, path: list[int]) -> None:
+    # Turn the upward path (x, ..., y) over: each node hangs under the one below it
+    # and x takes y's place.  Only x may be a leaf.
+    x, y, q = path[0], path[-1], up[path[-1]]
+    k = kids[q]
+    k[k.index(y)] = x
+    kids[x] = kids[x] or []
+    for a, b in zip(path, path[1:]):
+        k = kids[b]
+        del k[-1 if k[-1] == a else k.index(a)]  # a lift's path leaves the max at its end
+        kids[a].append(b)
+        up[b] = a
+    up[x] = q
 
 
 # -- stem folding (deg(min)=1 <-> deg(min)=0) ----------------------------------
@@ -170,15 +243,15 @@ def _fold_heads(t: RootedTree, top: int, v: int, trace: list | None) -> tuple[in
     # (the first one also below w); the min always ends the last segment.
     _, kids, low = t._arrays()
     w = low[v]
-    path = t._up_path(1)
-    stem = path[path.index(top)::-1]
+    stem = t._up_path(1, top)[::-1]
     heads = [top]
     out = w  # a segment end u < w leaves out <= u, so w bounds only the first
     for u, nxt in zip(stem, stem[1:]):
         if u < out:
             heads.append(nxt)
         out = min(out, u, *[low[c] for c in kids[u] if c != nxt])
-    _note(trace, lambda: f"fold: w={t.labels[w - 1]} segment heads at {t._names(heads)}")
+    if trace is not None:
+        trace.append(f"fold: w={t.labels[w - 1]} segment heads at {t._names(heads)}")
     return w, heads
 
 
@@ -200,14 +273,14 @@ def _unfold(t: RootedTree, top: int, parent: int, trace: list | None) -> tuple[i
     # under `parent`.  Each head's attachment node exists, since its beta is
     # below the bound (RootedTree._attach).
     _, kids, low = t._arrays()
-    path = t._up_path(1)
-    w = t._mu(path[:path.index(top) + 1])
+    w = t._mu(t._up_path(1, top))
     # heads[-1] holds the min: the domain checks (min not root, lambda > min) put it below top
     heads = sorted([c for c in kids[w] if low[c] < w], key=low.__getitem__, reverse=True)
     bounds = [w] + [low[r] for r in heads[:-1]]
     attach = [t._attach(r, b) for r, b in zip(heads, bounds)]
-    _note(trace, lambda: f"unfold: w={t.labels[w - 1]} segment heads {t._names(heads)} "
-                         f"attach at {t._names(attach)}")
+    if trace is not None:
+        trace.append(f"unfold: w={t.labels[w - 1]} segment heads {t._names(heads)} "
+                     f"attach at {t._names(attach)}")
     return heads[0], {heads[0]: parent, **dict(zip(heads[1:], attach)), top: 1}
 
 
@@ -254,7 +327,8 @@ def flatten_min(t: RootedTree, trace: list | None = None) -> RootedTree:
         case = Case.D
         located, heads = _fold_heads(t, kids[n][0], min(kids[1], key=low.__getitem__), trace)
         moves.update(dict.fromkeys(heads, located))
-    _note(trace, lambda: CaseTag(case, located and t.labels[located - 1], t._names(heads)))
+    if trace is not None:
+        trace.append(CaseTag(case, located and t.labels[located - 1], t._names(heads)))
     return _moved(t, moves)
 
 
@@ -303,7 +377,8 @@ def unflatten_min(t: RootedTree, m: int, trace: list | None = None) -> RootedTre
         holder = next(c for c in kids[n] if low[c] == 1)
         located, moves = _unfold(t, holder, n, trace)
         case, moves = Case.D, {**to_min, **moves}
-    _note(trace, lambda: CaseTag(case, located and t.labels[located - 1]))
+    if trace is not None:
+        trace.append(CaseTag(case, located and t.labels[located - 1]))
     return _moved(t, moves)
 
 
@@ -319,14 +394,17 @@ def rooted_fwd(t: RootedTree, trace: list | None = None) -> RootedTree:
         raise DomainError("min label must have a child")
     proper = t._proper_path()
     if proper:
-        _note(trace, lambda: f"route: {len(proper)} proper edges on the max path -> lower")
+        if trace is not None:
+            trace.append(f"route: {len(proper)} proper edges on the max path -> lower")
         return lower(t, trace)
     m = len(kids[1])
-    _note(trace, lambda: f"route: flatten (m={m}) then {m - 1} lifts")
-    out = flatten_min(t, trace)
-    for _ in range(m - 1):
-        out = lift(out, trace)
-    return out
+    if trace is not None:
+        trace.append(f"route: flatten (m={m}) then {m - 1} lifts")
+    u = flatten_min(t, trace)  # a new tree: the core it builds is its own
+    if m < 3:
+        return lift(u, trace) if m == 2 else u
+    _lift(u, trace, m - 1)
+    return _close(u)
 
 
 def rooted_inv(t: RootedTree, trace: list | None = None) -> RootedTree:
@@ -337,14 +415,16 @@ def rooted_inv(t: RootedTree, trace: list | None = None) -> RootedTree:
     if not kids[n]:
         raise DomainError("max label must have a child")
     if kids[1] or t._attach(n, n) == 1:
-        _note(trace, "route: lift")
+        if trace is not None:
+            trace.append("route: lift")
         return lift(t, trace)
     i = t.proper_on_max_path()
-    _note(trace, lambda: f"route: {i} lowers then unflatten (m={i + 1})")
-    out = t
+    if trace is not None:
+        trace.append(f"route: {i} lowers then unflatten (m={i + 1})")
+    s = _open(t)
     for _ in range(i):
-        out = lower(out, trace)
-    return unflatten_min(out, i + 1, trace)
+        _lower(s, trace)
+    return unflatten_min(_close(s), i + 1, trace)
 
 
 # -- the min-rooted ("unrooted") bijection --------------------------------------
@@ -383,11 +463,13 @@ def unrooted_fwd(t: RootedTree, trace: list | None = None) -> RootedTree:
     x, sub_x = _branch(t, 2)  # the root's branch that holds the second-smallest label
     if sub_x[-1] == n or kids[n]:
         which = "shared branch" if sub_x[-1] == n else "max already internal"
-        _note(trace, lambda: f"case: {which}; recurse into branch {t.labels[x - 1]}")
+        if trace is not None:
+            trace.append(f"case: {which}; recurse into branch {t.labels[x - 1]}")
         return _moved(t, _regraft(t, sub_x, sub_x, rooted_fwd, trace))
     y, sub_y = _branch(t, n)
-    _note(trace, lambda: f"case: leaf max in branch {t.labels[y - 1]}; "
-                         f"swap roles across {t.labels[x - 1]}/{t.labels[y - 1]}")
+    if trace is not None:
+        trace.append(f"case: leaf max in branch {t.labels[y - 1]}; "
+                     f"swap roles across {t.labels[x - 1]}/{t.labels[y - 1]}")
     # the two branches trade the second-smallest label and the max
     return _moved(t, {**_regraft(t, sub_x, sub_x[1:] + [n], rooted_fwd, trace),
                       **_regraft(t, sub_y, [2] + sub_y[:-1])})
@@ -403,12 +485,14 @@ def unrooted_inv(t: RootedTree, trace: list | None = None) -> RootedTree:
         raise DomainError("max label must have a child")
     v, sub_v = _branch(t, 2)  # the root's branch that holds the second-smallest label
     if kids[sub_v[-1]]:  # always when the max is in it
-        _note(trace, lambda: f"case: shared branch; recurse into branch {t.labels[v - 1]}"
-              if sub_v[-1] == n else f"case: branch {t.labels[v - 1]} max internal; "
-                                     "recurse into it")
+        if trace is not None:
+            trace.append(f"case: shared branch; recurse into branch {t.labels[v - 1]}"
+                         if sub_v[-1] == n else f"case: branch {t.labels[v - 1]} max internal; "
+                                                "recurse into it")
         return _moved(t, _regraft(t, sub_v, sub_v, rooted_inv, trace))
     u, sub_u = _branch(t, n)
-    _note(trace, lambda: f"case: swapped roles; recurse into branch {t.labels[u - 1]} and relabel")
+    if trace is not None:
+        trace.append(f"case: swapped roles; recurse into branch {t.labels[u - 1]} and relabel")
     # the inverse runs on the branch as it is; then the two branches trade back
     back = _moved(t, _regraft(t, sub_u, sub_u, rooted_inv, trace))
     return _moved(back, {**_regraft(back, sub_u, [2] + sub_u[:-1]),
@@ -431,9 +515,11 @@ def color_split(c: ColoredRootedTree) -> RootedTree:
     and the rest of the tree, and labels shift up by one."""
     t = c.tree
     n = _require_contiguous(t)
-    # the old root's parent 0 shifts to 1, the fresh root, as the black children's do
-    return RootedTree(tuple(range(1, n + 2)), (0,) + tuple(
-        1 if v in c.black else p + 1 for v, p in zip(t.labels, t.parents)))
+    # the old root's parent 0 shifts to 1, the fresh root; v, at index v, hangs there if black
+    parents = [0, *map(add, t.parents, repeat(1))]
+    for v in c.black:
+        parents[v] = 1
+    return RootedTree(tuple(range(1, n + 2)), tuple(parents))
 
 
 def color_merge(t: RootedTree) -> ColoredRootedTree:
@@ -447,9 +533,10 @@ def color_merge(t: RootedTree) -> ColoredRootedTree:
     while t.parents[holder - 1] != 1:
         holder = t.parents[holder - 1]
     black = frozenset(c - 1 for c in t.children(1) if c != holder)
-    parents = tuple((0 if v == holder else 1) if p == 1 else p - 1
-                    for v, p in zip(t.labels[1:], t.parents[1:]))
-    return ColoredRootedTree(RootedTree(tuple(range(1, n + 1)), parents), black)
+    parents = [*map(sub, t.parents[1:], repeat(1))]  # the holder's parent 1 becomes the root's 0
+    for v in black:
+        parents[v - 1] = 1
+    return ColoredRootedTree(RootedTree(tuple(range(1, n + 1)), tuple(parents)), black)
 
 
 def insert_root(t: RootedTree) -> RootedTree:

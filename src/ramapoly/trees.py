@@ -26,6 +26,7 @@ import re
 from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, compress, repeat
+from operator import eq, gt
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -105,16 +106,18 @@ class RootedTree:
         self.parents = parents
         self._core = None
 
-    def _arrays(self) -> tuple[tuple[int, ...], list, list[int]]:
+    def _arrays(self) -> tuple[list[int], list, list[int]]:
         """(up, kids, low) by position, built once per tree: the parent (0 at
-        the root), the children in increasing order (`()` for a leaf) and the
-        position of beta.  Slot 0 has the root as its only child and low 0."""
+        the root), the children (`()` for a leaf; in increasing order, but in
+        any order on the core a map left) and the position of beta.  Slot 0
+        has the root as its only child and low 0.  The readers below take
+        `self._core or self._arrays()`, an attribute read on the hot path."""
         core = self._core
         if core is None:
             labels, n = self.labels, len(self.labels)
             ups = (self.parents if labels[-1] == n  # on [n] a label is its own position
                    else list(map(dict(zip((0, *labels), range(n + 1))).__getitem__, self.parents)))
-            up = (0,) + tuple(ups)
+            up = [0, *ups]
             kids: list = [()] * (n + 1)
             low = list(range(n + 1))
             for i, p in enumerate(ups, 1):
@@ -140,11 +143,11 @@ class RootedTree:
     def _names(self, positions) -> tuple[int, ...]:
         return tuple([self.labels[i - 1] for i in positions])
 
-    def _up_path(self, i: int) -> list[int]:
-        # positions (i, ..., root) following parent links
-        up = self._arrays()[0]
+    def _up_path(self, i: int, top: int = 0) -> list[int]:
+        # positions (i, ..., top) following parent links, to the root if top is 0
+        up = (self._core or self._arrays())[0]
         path = [i]
-        while up[i]:
+        while i != top and up[i]:
             i = up[i]
             path.append(i)
         return path
@@ -172,10 +175,11 @@ class RootedTree:
         return self.parents[self._pos(v) - 1] or None
 
     def children(self, v: int) -> tuple[int, ...]:  # read off the parents: no core
-        return tuple(compress(self.labels, map(self.labels[self._pos(v) - 1].__eq__, self.parents)))
+        v = self.labels[self._pos(v) - 1]
+        return tuple(compress(self.labels, map(eq, self.parents, repeat(v))))
 
     def degree(self, v: int) -> int:
-        return len(self._arrays()[1][self._pos(v)])
+        return len((self._core or self._arrays())[1][self._pos(v)])
 
     def path_to_root(self, v: int) -> tuple[int, ...]:
         """The sequence (v, ..., root) following parent links."""
@@ -190,12 +194,12 @@ class RootedTree:
 
     def beta(self, v: int) -> int:
         """Minimum label in the subtree rooted at v."""
-        return self.labels[self._arrays()[2][self._pos(v)] - 1]
+        return self.labels[(self._core or self._arrays())[2][self._pos(v)] - 1]
 
     def improper_count(self) -> int:
-        up, _, low = self._arrays()
+        up, _, low = self._core or self._arrays()
         # the root's parent slot 0 never exceeds a position
-        return sum(map(int.__gt__, up, low))
+        return sum(map(gt, up, low))
 
     def proper_on_max_path(self) -> int:
         """Number of proper edges on the path from the max label to the root
@@ -205,7 +209,7 @@ class RootedTree:
     def _proper_path(self) -> list[int]:
         # the positions on the max-to-root path whose entering edge is
         # proper, nearest the max first
-        up, _, low = self._arrays()
+        up, _, low = self._core or self._arrays()
         out = []
         i = len(up) - 1
         while up[i]:
@@ -225,7 +229,7 @@ class RootedTree:
         return self.labels[i - 1]
 
     def _attach(self, i: int, bound: int) -> int:
-        return _descend(*self._arrays()[1:], i, bound)
+        return _descend(*(self._core or self._arrays())[1:], i, bound)
 
     def mu(self) -> int:
         """First node past the min label on the min-to-root path that is
@@ -239,7 +243,7 @@ class RootedTree:
         # subtree; the last node that qualifies is the first seen from the min.
         if len(path) == 1:
             raise TreeError("min label is the root")
-        _, kids, low = self._arrays()
+        _, kids, low = self._core or self._arrays()
         out = len(kids)  # above every position
         for j in range(len(path) - 1, 0, -1):
             u = path[j]
@@ -252,7 +256,7 @@ class RootedTree:
 
     def beta_star(self) -> int:
         """min{beta(a) : a child of the min label}."""
-        _, kids, low = self._arrays()
+        _, kids, low = self._core or self._arrays()
         if not kids[1]:
             raise TreeError("min label is a leaf")
         return self.labels[min([low[a] for a in kids[1]]) - 1]
@@ -348,7 +352,7 @@ class PlaneTree:
         # Each node but the last leaves a child slot open for the next: the
         # degrees up to node j sum past j, and all n of them sum to n - 1.
         if (len(self.labels) != n or min(d, default=0) < 0 or sum(d) != n - 1
-                or not all(map(int.__gt__, accumulate(d[:-1]), range(n - 1)))):
+                or not all(map(gt, accumulate(d[:-1]), range(n - 1)))):
             raise TreeError("not the preorder of a plane tree")
 
     def __repr__(self) -> str:

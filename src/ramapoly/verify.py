@@ -382,7 +382,8 @@ def check_identities(nmax: int) -> VerificationReport:
 
 def _fails(t, fwd, inv, image: Callable[[RootedTree], bool], labels: tuple) -> bool:
     # whether inv(fwd(t)) != t, or fwd(t) lacks the labels or the statistics
-    # of its codomain cell, which `image` reads off the core inv built
+    # of its codomain cell, which `image` reads off fwd(t)'s core: the one a
+    # rooted map kept in place, or else the one inv built
     try:
         u = fwd(t)
         return not (inv(u) == t and u.labels == labels and image(u))
@@ -516,6 +517,12 @@ def _note_rooted(rep: VerificationReport, n: int, got: Counter) -> None:
     for (k, r), _ in _cells(got, "min_cod"):  # derived: see check_bijections
         rep.note(f"min-rooted inverse round-trip size={n} k={k} r={r}",
                  ok.get(("min_dom", k - 1, r), False))
+    # the pass's coverage against the algebra: Q_{n,k}(x) sums (1 + x)^deg(1) over R_{n,k},
+    # and a max leaf hangs under any of n - 1 labels without adding an improper edge
+    for k in range(n):
+        q = q_shor(n, k)
+        rep.check(f"rooted domain covered n={n} k={k}", q(0) - q(-1), got["rooted", k])
+        rep.check(f"rooted codomain covered n={n} k={k}", f(n, k) - (n - 1) * f(n - 1, k), cod[k])
 
 
 def _increasing_plane_trees(n: int, shape: tuple = ((),)) -> Iterator[tuple[tuple, PlaneTree]]:

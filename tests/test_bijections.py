@@ -1,3 +1,4 @@
+import hashlib
 import re
 from itertools import combinations
 
@@ -484,3 +485,37 @@ def test_maps_commute_with_relabeling():
                        lambda u: color_split(ColoredRootedTree(u))):
                 with pytest.raises(DomainError):
                     fn(ts)
+
+
+# sha256 of every map in ANY_LABELS on every rooted tree on [n], n <= 6: the
+# output's parents and each trace entry, or the error's type and message
+GOLDEN_SMALL_SHA256 = "9c24c1c9a65efcb633767fc08e2672cfcced8214d462e2ee6399327051be60a3"
+
+
+def _core(t):
+    # a core with its child lists sorted into tuples: a map's output core may
+    # hold the children in any order, and a leaf's () or []
+    up, kids, low = t._arrays()
+    return tuple(up), tuple(tuple(sorted(k)) for k in kids), tuple(low)
+
+
+def test_maps_golden_on_all_small_trees_and_pure():
+    # Every map gives the same outputs, traces and errors as it always has;
+    # none changes its input or the input's cached core, and an output's core
+    # is the one a fresh build gives.
+    digest = hashlib.sha256()
+    for n in range(1, 7):
+        for t in enumerate_rooted(n):
+            core = repr(t._arrays())
+            for name, fn in ANY_LABELS.items():
+                trace = []
+                try:
+                    out = fn(t, trace)
+                except ValueError as exc:
+                    entry = (name, t.parents, type(exc).__name__, str(exc))
+                else:
+                    entry = (name, t.parents, out.parents, [str(e) for e in trace])
+                    assert _core(out) == _core(RootedTree(out.labels, out.parents)), (name, t)
+                digest.update(repr(entry).encode())
+                assert repr(t._arrays()) == core == repr(RootedTree(t.labels, t.parents)._arrays())
+    assert digest.hexdigest() == GOLDEN_SMALL_SHA256

@@ -281,7 +281,7 @@ def test_records_match_their_golden_digests(monkeypatch, w):
     # the records of both suites are golden, on any shard count
     _shards(monkeypatch, w)
     assert _digest(check_bijections(6)) == (
-        "80a365ee08789dae271704e89bd28e52297f6ac3bff655685e335fbf3c5a6f41")
+        "f314cacf87fad5e859e2b4a4b73475fd6b070cd5bd5c085bb6a309b6965830e2")
     assert _digest(check_conjecture(8)) == (
         "e15cd0628bd4246d23a45fcf2af15c280057139fccda35deb98000a8379476ed")
     assert _digest(check_identities(7)) == (
