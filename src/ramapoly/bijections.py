@@ -43,12 +43,10 @@ outside its stated domain.  An optional `trace` list collects dispatch
 records (strings and CaseTag entries) for audits.  Every map works on label
 positions; the colour maps, on [n], read them straight off the parent tuple.
 The maps are pure: none changes its input or the core (`RootedTree._arrays`)
-cached on it.  One step reads its input's core and writes only its result's
-parent tuple.  The rooted maps chain steps on one core per call: the lowers
-of `rooted_inv` run in place on a copy of the input's core (`_open`), and the
-lifts after `flatten_min` on the core of its result.  Each in-place step
-relinks only the path it turns over and updates beta only along it, so the
-star under the max takes linear time; the result keeps that core (`_close`).
+cached on it.  One step writes only its result's parents (`_moved`).  Runs of
+steps share one core per call: `rooted_inv` lowers on a copy of its input's,
+`rooted_fwd` lifts on the one `flatten_min` built.  Each relinks and re-reads
+beta only along its path, so the star under the max takes linear time.
 """
 
 from __future__ import annotations
@@ -56,7 +54,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
-from operator import add, sub
 
 from .trees import PlaneTree, RootedTree, _check_labels, _moved
 
@@ -123,14 +120,13 @@ def lower(t: RootedTree, trace: list | None = None) -> RootedTree:
     """Reverse the path from the max label up to the upper critical node, so
     the max label takes the critical node's place.  Adds one improper edge
     and removes one proper edge from the max-to-root path."""
-    seg = _lower(t, trace, False)
-    return _moved(t, {seg[0]: t._arrays()[0][seg[-1]], **dict(zip(seg[1:], seg))})
+    seg = _lower_path(t, trace)
+    return _moved(t, {seg[0]: t._core[0][seg[-1]], **dict(zip(seg[1:], seg))})
 
 
-def _lower(s: RootedTree, trace: list | None, keep: bool = True) -> list[int]:
-    # The path from the max up to the head w of its first proper edge, which a lowering
-    # of s turns over; in place if `keep`, on a core s owns (_open)
-    up, kids, low = s._arrays()
+def _lower_path(s: RootedTree, trace: list | None) -> list[int]:
+    # the path from the max up to w, the head of its first proper edge, that lowering s turns over
+    up, _, low = s._arrays()
     seg = [len(up) - 1]
     while up[seg[-1]] > low[seg[-1]]:
         seg.append(up[seg[-1]])
@@ -140,65 +136,66 @@ def _lower(s: RootedTree, trace: list | None, keep: bool = True) -> list[int]:
     seg.append(w)
     if trace is not None:
         trace.append(f"lower: reverse {s._names(seg)} at critical node {s.labels[w - 1]}")
-    if keep:  # the max takes w's subtree; the others, from w down, what is left of it
-        low[seg[0]] = low[w]
-        _turn(up, kids, seg)
-        for u in seg[:0:-1]:
-            low[u] = min([u, *map(low.__getitem__, kids[u])])
     return seg
+
+
+def _lowers(t: RootedTree, trace: list | None, times: int) -> RootedTree:
+    # `times` lowerings of t on one copy of its core, which the result keeps: the max takes
+    # the subtree of w, and the others on the path, from w down, what is left of it (w
+    # keeps its beta: the branch it gives up, past its proper edge, lies above w)
+    s, (up, kids, low) = RootedTree(t.labels, t.parents), t._arrays()
+    s._core = up, kids, low = up[:], [*map(list, kids)], low[:]
+    for _ in range(times):
+        seg = _lower_path(s, trace)
+        low[seg[0]] = low[seg[-1]]
+        _turn(up, kids, seg)
+        for u in seg[-2:0:-1]:
+            low[u] = min([u, *map(low.__getitem__, kids[u])])
+    return _close(s)
 
 
 def lift(t: RootedTree, trace: list | None = None) -> RootedTree:
     """Inverse of `lower`: reverse the path from the max label down to the
     lower critical node, which takes the max label's place."""
-    seg = _lift(t, trace)
-    return _moved(t, {**dict(zip(seg, seg[1:])), seg[-1]: t._arrays()[0][seg[0]]})
+    up, kids, _ = t._arrays()
+    n = len(up) - 1
+    if not kids[n]:
+        raise DomainError("max label is a leaf")
+    seg = t._up_path(t._attach(n, n), n)  # from the lower critical node up to the max
+    if trace is not None:
+        trace.append(f"lift: reverse {t._names(seg[::-1])} at critical node {t.labels[seg[0] - 1]}")
+    return _moved(t, {**dict(zip(seg[1:], seg)), seg[0]: up[n]})
 
 
-def _lift(s: RootedTree, trace: list | None, times: int = 1) -> list[int]:
-    # The path from the max down to the lower critical node, which a lift of s turns
-    # over: `times` lifts in place on a core s owns (_open), or for one, only the path.
+def _lifts(s: RootedTree, trace: list | None, times: int) -> RootedTree:
+    # `times` lifts of s in place, on the core it built, that leave the max a child.  A lift
+    # takes from the max just its child of least beta: sorted last, it is read and dropped in O(1).
     up, kids, low = s._arrays()
-    n, keep = len(up) - 1, times > 1
-    if keep:  # a lift takes from the max just its child of least beta: last, it leaves in O(1)
-        kids[n] = sorted(kids[n], key=low.__getitem__, reverse=True)
+    n = len(up) - 1
+    kids[n] = sorted(kids[n], key=low.__getitem__, reverse=True)
     for _ in range(times):
-        if not kids[n]:
-            raise DomainError("max label is a leaf")
-        # _descend(kids, low, n, n), on the max's last two children if they are sorted; a
-        # node passed keeps its side subtrees and those above it, the least of them `out`
-        # (no more than the node: a run of lifts leaves the max two children or more)
-        seg, i, target, out = [], n, low[n], len(up)
+        # _descend(kids, low, n, n) on the max's last two children: a node passed keeps its
+        # side subtrees and those above it, the least of them `out`
+        seg, i, target, out = [], n, low[n], n
         while i == n or i >= out:
             seg.append(i)
-            for c in kids[n][-2:] if i == n and keep else kids[i]:
+            for c in kids[n][-2:] if i == n else kids[i]:
                 if low[c] == target:
                     nxt = c
                 elif low[c] < out:
                     out = low[c]
-            if keep:
-                low[i] = out
+            low[i] = out
             i = nxt
         seg.append(i)
         if trace is not None:
             trace.append(f"lift: reverse {s._names(seg)} at critical node {s.labels[i - 1]}")
-        if keep:  # i, on the path toward the max's beta, already has it as its own
-            _turn(up, kids, seg[::-1])
-    return seg
-
-
-def _open(t: RootedTree) -> RootedTree:
-    # a copy of t, with a copy of its core for the steps above to relink in place:
-    # t and its core never change
-    s = RootedTree(t.labels, t.parents)
-    up, kids, low = t._arrays()
-    s._core = up[:], [k[:] for k in kids], low[:]
-    return s
+        _turn(up, kids, seg[::-1])  # i, on the path toward the max's beta, keeps it
+    return _close(s)
 
 
 def _close(s: RootedTree) -> RootedTree:
     # s with the parents of its relinked core, which it keeps
-    up = s._arrays()[0]
+    up = s._core[0]
     s.parents = tuple(up[1:] if s.labels[-1] == len(up) - 1
                       else map((0, *s.labels).__getitem__, up[1:]))
     return s
@@ -400,11 +397,8 @@ def rooted_fwd(t: RootedTree, trace: list | None = None) -> RootedTree:
     m = len(kids[1])
     if trace is not None:
         trace.append(f"route: flatten (m={m}) then {m - 1} lifts")
-    u = flatten_min(t, trace)  # a new tree: the core it builds is its own
-    if m < 3:
-        return lift(u, trace) if m == 2 else u
-    _lift(u, trace, m - 1)
-    return _close(u)
+    u = flatten_min(t, trace)  # a new tree: the lifts run on the core it builds
+    return _lifts(u, trace, m - 1) if m > 1 else u
 
 
 def rooted_inv(t: RootedTree, trace: list | None = None) -> RootedTree:
@@ -421,10 +415,7 @@ def rooted_inv(t: RootedTree, trace: list | None = None) -> RootedTree:
     i = t.proper_on_max_path()
     if trace is not None:
         trace.append(f"route: {i} lowers then unflatten (m={i + 1})")
-    s = _open(t)
-    for _ in range(i):
-        _lower(s, trace)
-    return unflatten_min(_close(s), i + 1, trace)
+    return unflatten_min(_lowers(t, trace, i), i + 1, trace)
 
 
 # -- the min-rooted ("unrooted") bijection --------------------------------------
@@ -515,11 +506,9 @@ def color_split(c: ColoredRootedTree) -> RootedTree:
     and the rest of the tree, and labels shift up by one."""
     t = c.tree
     n = _require_contiguous(t)
-    # the old root's parent 0 shifts to 1, the fresh root; v, at index v, hangs there if black
-    parents = [0, *map(add, t.parents, repeat(1))]
-    for v in c.black:
-        parents[v] = 1
-    return RootedTree(tuple(range(1, n + 2)), tuple(parents))
+    # the old root's parent 0 shifts to 1, the fresh root, as the black children's do
+    return RootedTree(tuple(range(1, n + 2)), (0,) + tuple(
+        1 if v in c.black else p + 1 for v, p in zip(t.labels, t.parents)))
 
 
 def color_merge(t: RootedTree) -> ColoredRootedTree:
@@ -533,10 +522,9 @@ def color_merge(t: RootedTree) -> ColoredRootedTree:
     while t.parents[holder - 1] != 1:
         holder = t.parents[holder - 1]
     black = frozenset(c - 1 for c in t.children(1) if c != holder)
-    parents = [*map(sub, t.parents[1:], repeat(1))]  # the holder's parent 1 becomes the root's 0
-    for v in black:
-        parents[v - 1] = 1
-    return ColoredRootedTree(RootedTree(tuple(range(1, n + 1)), tuple(parents)), black)
+    parents = tuple((0 if v == holder else 1) if p == 1 else p - 1
+                    for v, p in zip(t.labels[1:], t.parents[1:]))
+    return ColoredRootedTree(RootedTree(tuple(range(1, n + 1)), parents), black)
 
 
 def insert_root(t: RootedTree) -> RootedTree:

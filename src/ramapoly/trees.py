@@ -26,7 +26,7 @@ import re
 from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, compress, repeat
-from operator import eq, gt
+from operator import gt
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -175,8 +175,7 @@ class RootedTree:
         return self.parents[self._pos(v) - 1] or None
 
     def children(self, v: int) -> tuple[int, ...]:  # read off the parents: no core
-        v = self.labels[self._pos(v) - 1]
-        return tuple(compress(self.labels, map(eq, self.parents, repeat(v))))
+        return tuple(compress(self.labels, map(self.labels[self._pos(v) - 1].__eq__, self.parents)))
 
     def degree(self, v: int) -> int:
         return len((self._core or self._arrays())[1][self._pos(v)])
