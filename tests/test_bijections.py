@@ -519,3 +519,23 @@ def test_maps_golden_on_all_small_trees_and_pure():
                 digest.update(repr(entry).encode())
                 assert repr(t._arrays()) == core == repr(RootedTree(t.labels, t.parents)._arrays())
     assert digest.hexdigest() == GOLDEN_SMALL_SHA256
+
+
+@pytest.mark.parametrize("step", [1, 3])
+def test_runs_of_steps_match_the_one_step_maps_on_a_large_star(step):
+    # The star under the max (n the root, 1 its only child, 2..n-1 under 1) takes a
+    # flatten and n - 3 lifts forward and n - 3 lowers back: the runs rooted_fwd and
+    # rooted_inv make on one core each give the outputs and traces of the one-step maps.
+    n = 400
+    labels = tuple(range(step, step * n + 1, step))
+    t = RootedTree(labels, (labels[-1],) + (labels[0],) * (n - 2) + (0,))
+    run, steps = [], []
+    u = flatten_min(t, steps)
+    for _ in range(n - 3):
+        u = lift(u, steps)
+    assert rooted_fwd(t, run) == u and run[1:] == steps
+    run, steps = [], []
+    v = u
+    for _ in range(n - 3):
+        v = lower(v, steps)
+    assert unflatten_min(v, n - 2, steps) == t == rooted_inv(u, run) and run[1:] == steps
