@@ -42,11 +42,10 @@ Each function checks its preconditions eagerly and raises DomainError
 outside its stated domain.  An optional `trace` list collects dispatch
 records (strings and CaseTag entries) for audits.  Every map works on label
 positions; the colour maps, on [n], read them straight off the parent tuple.
-The maps are pure: none changes its input or the core (`RootedTree._arrays`)
-cached on it.  One step writes only its result's parents (`_moved`).  Runs of
-steps share one core per call: `rooted_inv` lowers on a copy of its input's,
-`rooted_fwd` lifts on the one `flatten_min` built.  Each relinks and re-reads
-beta only along its path, so the star under the max takes linear time.
+The maps are pure: none changes its input or the core cached on it.  A
+single step writes only its result's parents (`_moved`), which on small trees
+costs less than copying a core; a run of lowers or lifts relinks one core per
+call (`_own`), along each step's path only, and the tree it returns keeps it.
 """
 
 from __future__ import annotations
@@ -121,7 +120,42 @@ def lower(t: RootedTree, trace: list | None = None) -> RootedTree:
     the max label takes the critical node's place.  Adds one improper edge
     and removes one proper edge from the max-to-root path."""
     seg = _lower_path(t, trace)
-    return _moved(t, {seg[0]: t._core[0][seg[-1]], **dict(zip(seg[1:], seg))})
+    return _moved(t, {seg[0]: t._arrays()[0][seg[-1]], **dict(zip(seg[1:], seg))})
+
+
+def lift(t: RootedTree, trace: list | None = None) -> RootedTree:
+    """Inverse of `lower`: reverse the path from the max label down to the
+    lower critical node, which takes the max label's place."""
+    up, kids, _ = t._arrays()
+    n = len(up) - 1
+    if not kids[n]:
+        raise DomainError("max label is a leaf")
+    seg = t._up_path(t._attach(n, n), n)  # from the lower critical node up to the max
+    if trace is not None:
+        trace.append(f"lift: reverse {t._names(seg[::-1])} at critical node {t.labels[seg[0] - 1]}")
+    return _moved(t, {**dict(zip(seg[1:], seg)), seg[0]: up[n]})
+
+
+def _own(t: RootedTree) -> RootedTree:
+    # t as a new tree whose core (a copy of t's, if built) the steps below relink in place
+    s = RootedTree(t.labels, t.parents)
+    if core := t._core:
+        s._core = core[0][:], [*map(list, core[1])], core[2][:]
+    return s
+
+
+def _lowers(s: RootedTree, trace: list | None, times: int) -> RootedTree:
+    # `times` lowerings of s on its own core: the max takes the subtree of w, and the others
+    # on the path, from w down, what is left of it (w keeps its beta: the branch it gives
+    # up, past its proper edge, lies above w)
+    up, kids, low = s._arrays()
+    for _ in range(times):
+        seg = _lower_path(s, trace)
+        low[seg[0]] = low[seg[-1]]
+        _turn(up, kids, seg)
+        for u in seg[-2:0:-1]:
+            low[u] = min([u, *map(low.__getitem__, kids[u])])
+    return _close(s)
 
 
 def _lower_path(s: RootedTree, trace: list | None) -> list[int]:
@@ -139,37 +173,9 @@ def _lower_path(s: RootedTree, trace: list | None) -> list[int]:
     return seg
 
 
-def _lowers(t: RootedTree, trace: list | None, times: int) -> RootedTree:
-    # `times` lowerings of t on one copy of its core, which the result keeps: the max takes
-    # the subtree of w, and the others on the path, from w down, what is left of it (w
-    # keeps its beta: the branch it gives up, past its proper edge, lies above w)
-    s, (up, kids, low) = RootedTree(t.labels, t.parents), t._arrays()
-    s._core = up, kids, low = up[:], [*map(list, kids)], low[:]
-    for _ in range(times):
-        seg = _lower_path(s, trace)
-        low[seg[0]] = low[seg[-1]]
-        _turn(up, kids, seg)
-        for u in seg[-2:0:-1]:
-            low[u] = min([u, *map(low.__getitem__, kids[u])])
-    return _close(s)
-
-
-def lift(t: RootedTree, trace: list | None = None) -> RootedTree:
-    """Inverse of `lower`: reverse the path from the max label down to the
-    lower critical node, which takes the max label's place."""
-    up, kids, _ = t._arrays()
-    n = len(up) - 1
-    if not kids[n]:
-        raise DomainError("max label is a leaf")
-    seg = t._up_path(t._attach(n, n), n)  # from the lower critical node up to the max
-    if trace is not None:
-        trace.append(f"lift: reverse {t._names(seg[::-1])} at critical node {t.labels[seg[0] - 1]}")
-    return _moved(t, {**dict(zip(seg[1:], seg)), seg[0]: up[n]})
-
-
 def _lifts(s: RootedTree, trace: list | None, times: int) -> RootedTree:
-    # `times` lifts of s in place, on the core it built, that leave the max a child.  A lift
-    # takes from the max just its child of least beta: sorted last, it is read and dropped in O(1).
+    # `times` lifts of s on its own core, each leaving the max a child.  A lift takes from
+    # the max just its child of least beta: sorted last, it is read and dropped in O(1).
     up, kids, low = s._arrays()
     n = len(up) - 1
     kids[n] = sorted(kids[n], key=low.__getitem__, reverse=True)
@@ -193,14 +199,6 @@ def _lifts(s: RootedTree, trace: list | None, times: int) -> RootedTree:
     return _close(s)
 
 
-def _close(s: RootedTree) -> RootedTree:
-    # s with the parents of its relinked core, which it keeps
-    up = s._core[0]
-    s.parents = tuple(up[1:] if s.labels[-1] == len(up) - 1
-                      else map((0, *s.labels).__getitem__, up[1:]))
-    return s
-
-
 def _turn(up: list, kids: list, path: list[int]) -> None:
     # Turn the upward path (x, ..., y) over: each node hangs under the one below it
     # and x takes y's place.  Only x may be a leaf.
@@ -214,6 +212,14 @@ def _turn(up: list, kids: list, path: list[int]) -> None:
         kids[a].append(b)
         up[b] = a
     up[x] = q
+
+
+def _close(s: RootedTree) -> RootedTree:
+    # s with the parents of its relinked core, which it keeps
+    up = s._core[0]
+    s.parents = tuple(up[1:] if s.labels[-1] == len(up) - 1
+                      else map((0, *s.labels).__getitem__, up[1:]))
+    return s
 
 
 # -- stem folding (deg(min)=1 <-> deg(min)=0) ----------------------------------
@@ -397,8 +403,8 @@ def rooted_fwd(t: RootedTree, trace: list | None = None) -> RootedTree:
     m = len(kids[1])
     if trace is not None:
         trace.append(f"route: flatten (m={m}) then {m - 1} lifts")
-    u = flatten_min(t, trace)  # a new tree: the lifts run on the core it builds
-    return _lifts(u, trace, m - 1) if m > 1 else u
+    out = flatten_min(t, trace)
+    return _lifts(_own(out), trace, m - 1) if m > 1 else out
 
 
 def rooted_inv(t: RootedTree, trace: list | None = None) -> RootedTree:
@@ -415,7 +421,7 @@ def rooted_inv(t: RootedTree, trace: list | None = None) -> RootedTree:
     i = t.proper_on_max_path()
     if trace is not None:
         trace.append(f"route: {i} lowers then unflatten (m={i + 1})")
-    return unflatten_min(_lowers(t, trace, i), i + 1, trace)
+    return unflatten_min(_lowers(_own(t), trace, i), i + 1, trace)
 
 
 # -- the min-rooted ("unrooted") bijection --------------------------------------

@@ -107,11 +107,10 @@ class RootedTree:
         self._core = None
 
     def _arrays(self) -> tuple[list[int], list, list[int]]:
-        """(up, kids, low) by position, built once per tree: the parent (0 at
-        the root), the children (`()` for a leaf; in increasing order, but in
-        any order on the core a map left) and the position of beta.  Slot 0
-        has the root as its only child and low 0.  The readers below take
-        `self._core or self._arrays()`, an attribute read on the hot path."""
+        """(up, kids, low) by position, built once per tree, not to be changed:
+        the parent (0 at the root), the children (`()` for a leaf; increasing
+        unless a map relinked them) and the position of beta.  Slot 0 has the
+        root as its only child and low 0."""
         core = self._core
         if core is None:
             labels, n = self.labels, len(self.labels)
@@ -351,7 +350,7 @@ class PlaneTree:
         # Each node but the last leaves a child slot open for the next: the
         # degrees up to node j sum past j, and all n of them sum to n - 1.
         if (len(self.labels) != n or min(d, default=0) < 0 or sum(d) != n - 1
-                or not all(map(gt, accumulate(d[:-1]), range(n - 1)))):
+                or not all(map(int.__gt__, accumulate(d[:-1]), range(n - 1)))):
             raise TreeError("not the preorder of a plane tree")
 
     def __repr__(self) -> str:
