@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
+from itertools import accumulate, compress
 
 from .trees import PlaneTree, RootedTree, _check_labels, _moved
 
@@ -107,8 +107,10 @@ class ColoredRootedTree:
     black: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        kids = set(self.tree.children(self.tree.min_label))
-        if not set(self.black) <= kids:
+        # one pass over the parents: the min's children that are black are all of them
+        t, black = self.tree, self.black
+        if black and len(black) != sum(map(black.__contains__, compress(
+                t.labels, map(t.labels[0].__eq__, t.parents)))):
             raise DomainError("black nodes must be children of the min label")
 
 
@@ -119,7 +121,13 @@ def lower(t: RootedTree, trace: list | None = None) -> RootedTree:
     """Reverse the path from the max label up to the upper critical node, so
     the max label takes the critical node's place.  Adds one improper edge
     and removes one proper edge from the max-to-root path."""
-    seg = _lower_path(t, trace)
+    return _lowered(t, _lower_path(t, trace))
+
+
+def _lowered(t: RootedTree, seg: list[int]) -> RootedTree:
+    # t lowered along seg from _lower_path, on a new tree: the max takes the place of w
+    if not seg[-1]:
+        raise DomainError("no proper edge on the path from the max label to the root")
     return _moved(t, {seg[0]: t._arrays()[0][seg[-1]], **dict(zip(seg[1:], seg))})
 
 
@@ -159,16 +167,14 @@ def _lowers(s: RootedTree, trace: list | None, times: int) -> RootedTree:
 
 
 def _lower_path(s: RootedTree, trace: list | None) -> list[int]:
-    # the path from the max up to w, the head of its first proper edge, that lowering s turns over
+    # the path from the max up to w, the head of its first proper edge, that lowering s turns
+    # over, noted in trace; w is 0, and nothing noted, when the path has no proper edge
     up, _, low = s._arrays()
     seg = [len(up) - 1]
     while up[seg[-1]] > low[seg[-1]]:
         seg.append(up[seg[-1]])
-    w = up[seg[-1]]
-    if not w:
-        raise DomainError("no proper edge on the path from the max label to the root")
-    seg.append(w)
-    if trace is not None:
+    seg.append(w := up[seg[-1]])
+    if w and trace is not None:
         trace.append(f"lower: reverse {s._names(seg)} at critical node {s.labels[w - 1]}")
     return seg
 
@@ -304,7 +310,7 @@ def flatten_min(t: RootedTree, trace: list | None = None) -> RootedTree:
     n = len(up) - 1
     if not kids[1]:
         raise DomainError("min label must have a child")
-    if t._proper_path():
+    if _lower_path(t, None)[-1]:
         raise DomainError("the max-to-root path must have no proper edge")
     assert kids[n], "a max leaf off the root would start with a proper edge"
     al = max([low[b] for b in kids[n]])
@@ -343,7 +349,7 @@ def unflatten_min(t: RootedTree, m: int, trace: list | None = None) -> RootedTre
         raise DomainError("m must be >= 1")
     if kids[1]:
         raise DomainError("min label must be a leaf")
-    if t._proper_path():
+    if _lower_path(t, None)[-1]:
         raise DomainError("the max-to-root path must have no proper edge")
     if len(kids[n]) < m:
         raise DomainError("max label needs at least m children")
@@ -395,11 +401,12 @@ def rooted_fwd(t: RootedTree, trace: list | None = None) -> RootedTree:
     kids = t._arrays()[1]
     if not kids[1]:
         raise DomainError("min label must have a child")
-    proper = t._proper_path()
-    if proper:
+    note = None if trace is None else []  # the lowering's record, which follows the route's
+    seg = _lower_path(t, note)
+    if seg[-1]:
         if trace is not None:
-            trace.append(f"route: {len(proper)} proper edges on the max path -> lower")
-        return lower(t, trace)
+            trace += [f"route: {t.proper_on_max_path()} proper edges on the max path -> lower", *note]
+        return _lowered(t, seg)
     m = len(kids[1])
     if trace is not None:
         trace.append(f"route: flatten (m={m}) then {m - 1} lifts")
@@ -427,23 +434,36 @@ def rooted_inv(t: RootedTree, trace: list | None = None) -> RootedTree:
 # -- the min-rooted ("unrooted") bijection --------------------------------------
 
 
-def _branch(t: RootedTree, i: int) -> tuple[int, list[int]]:
-    # the root's child above position i > 1, and its subtree's positions, increasing
-    kids, top = t._arrays()[1], t._up_path(i)[-2]
-    sub = [top]
-    for u in sub:  # breadth-first: the list grows while it is walked
-        sub.extend(kids[u])
-    return top, sorted(sub)
+def _branch(t: RootedTree, i: int) -> tuple[int, list[int], list[int]]:
+    # the root's child above position i > 1, its subtree's positions, increasing, and
+    # their parents by rank in that list (0: the root, above it)
+    up, kids, _ = t._arrays()
+    top = t._up_path(i)[-2]
+    mask, todo = bytearray(len(up)), [top]
+    for u in todo:  # breadth-first: the list grows while it is walked
+        mask[u] = 1
+        todo.extend(kids[u])
+    sub, rank = list(compress(range(len(up)), mask)), list(accumulate(mask))
+    return top, sub, list(map(rank.__getitem__, map(up.__getitem__, sub)))
 
 
-def _regraft(t: RootedTree, sub: list[int], onto: list[int], fn=None, trace=None) -> dict:
-    # Position moves that take the subtree of t on the positions `sub`, as a tree
-    # of its own on the labels at `onto`, through fn, and put it back onto `onto`
-    labels = t._names(onto)
-    name = dict(zip(sub, labels))  # the root of t, above sub, becomes 0 and back
-    u = RootedTree(labels, tuple(map(name.get, map(t._arrays()[0].__getitem__, sub), repeat(0))))
-    pos = dict(zip((0, *labels), (1, *onto)))
-    return dict(zip(onto, map(pos.__getitem__, (fn(u, trace) if fn else u).parents)))
+def _regraft(t: RootedTree, ups: list[int], onto: list[int], fn=None, trace=None) -> tuple:
+    # (onto, parents aligned to it) of the tree on the labels at `onto` whose parents by
+    # rank are `ups` (0: the root of t), after fn if given.  Its positions are the ranks,
+    # so its core is built from `ups` with no label lookup.
+    names = (0, *map((0, *t.labels).__getitem__, onto))
+    parents = tuple(map(names.__getitem__, ups))
+    if fn is None:
+        return onto, parents
+    u = RootedTree(names[1:], parents)
+    u._arrays(ups)
+    return onto, fn(u, trace).parents
+
+
+def _rehung(t: RootedTree, *branches: tuple[list[int], tuple]) -> RootedTree:
+    # t with the parents (onto, parents) of each branch, from _regraft, written over its own
+    moves = {i: p or t.labels[0] for onto, parents in branches for i, p in zip(onto, parents)}
+    return RootedTree(t.labels, tuple(map(moves.get, range(1, len(t.labels) + 1), t.parents)))
 
 
 def unrooted_fwd(t: RootedTree, trace: list | None = None) -> RootedTree:
@@ -457,19 +477,19 @@ def unrooted_fwd(t: RootedTree, trace: list | None = None) -> RootedTree:
         raise DomainError("need at least two labels")
     if not kids[2]:
         raise DomainError("second-smallest label must have a child")
-    x, sub_x = _branch(t, 2)  # the root's branch that holds the second-smallest label
+    x, sub_x, ups_x = _branch(t, 2)  # the root's branch that holds the second-smallest label
     if sub_x[-1] == n or kids[n]:
         which = "shared branch" if sub_x[-1] == n else "max already internal"
         if trace is not None:
             trace.append(f"case: {which}; recurse into branch {t.labels[x - 1]}")
-        return _moved(t, _regraft(t, sub_x, sub_x, rooted_fwd, trace))
-    y, sub_y = _branch(t, n)
+        return _rehung(t, _regraft(t, ups_x, sub_x, rooted_fwd, trace))
+    y, sub_y, ups_y = _branch(t, n)
     if trace is not None:
         trace.append(f"case: leaf max in branch {t.labels[y - 1]}; "
                      f"swap roles across {t.labels[x - 1]}/{t.labels[y - 1]}")
     # the two branches trade the second-smallest label and the max
-    return _moved(t, {**_regraft(t, sub_x, sub_x[1:] + [n], rooted_fwd, trace),
-                      **_regraft(t, sub_y, [2] + sub_y[:-1])})
+    return _rehung(t, _regraft(t, ups_x, sub_x[1:] + [n], rooted_fwd, trace),
+                   _regraft(t, ups_y, [2] + sub_y[:-1]))
 
 
 def unrooted_inv(t: RootedTree, trace: list | None = None) -> RootedTree:
@@ -480,20 +500,21 @@ def unrooted_inv(t: RootedTree, trace: list | None = None) -> RootedTree:
         raise DomainError("tree must be rooted at its min label")
     if n < 2 or not kids[n]:
         raise DomainError("max label must have a child")
-    v, sub_v = _branch(t, 2)  # the root's branch that holds the second-smallest label
+    v, sub_v, ups_v = _branch(t, 2)  # the root's branch that holds the second-smallest label
     if kids[sub_v[-1]]:  # always when the max is in it
         if trace is not None:
             trace.append(f"case: shared branch; recurse into branch {t.labels[v - 1]}"
                          if sub_v[-1] == n else f"case: branch {t.labels[v - 1]} max internal; "
                                                 "recurse into it")
-        return _moved(t, _regraft(t, sub_v, sub_v, rooted_inv, trace))
-    u, sub_u = _branch(t, n)
+        return _rehung(t, _regraft(t, ups_v, sub_v, rooted_inv, trace))
+    u, sub_u, ups_u = _branch(t, n)
     if trace is not None:
         trace.append(f"case: swapped roles; recurse into branch {t.labels[u - 1]} and relabel")
     # the inverse runs on the branch as it is; then the two branches trade back
-    back = _moved(t, _regraft(t, sub_u, sub_u, rooted_inv, trace))
-    return _moved(back, {**_regraft(back, sub_u, [2] + sub_u[:-1]),
-                         **_regraft(back, sub_v, sub_v[1:] + [n])})
+    back = _regraft(t, ups_u, sub_u, rooted_inv, trace)[1]  # labels at sub_u: to ranks
+    rank = dict(zip((0, *t._names(sub_u)), range(len(sub_u) + 1)))
+    return _rehung(t, _regraft(t, list(map(rank.__getitem__, back)), [2] + sub_u[:-1]),
+                   _regraft(t, ups_v, sub_v[1:] + [n]))
 
 
 # -- coloring equivalence and the fresh-root map ---------------------------------
@@ -527,10 +548,16 @@ def color_merge(t: RootedTree) -> ColoredRootedTree:
     holder = 2  # climb to the root's child whose subtree holds 2
     while t.parents[holder - 1] != 1:
         holder = t.parents[holder - 1]
-    black = frozenset(c - 1 for c in t.children(1) if c != holder)
-    parents = tuple((0 if v == holder else 1) if p == 1 else p - 1
-                    for v, p in zip(t.labels[1:], t.parents[1:]))
-    return ColoredRootedTree(RootedTree(tuple(range(1, n + 1)), parents), black)
+    black, parents = [], []  # one pass: label v + 1 of t becomes v
+    for v, p in enumerate(t.parents[1:], 1):
+        if p != 1:
+            parents.append(p - 1)
+        elif v + 1 == holder:
+            parents.append(0)
+        else:
+            parents.append(1)
+            black.append(v)
+    return ColoredRootedTree(RootedTree(tuple(range(1, n + 1)), tuple(parents)), frozenset(black))
 
 
 def insert_root(t: RootedTree) -> RootedTree:
@@ -556,11 +583,15 @@ def plane_fwd(t: RootedTree) -> PlaneTree:
     ordered children, and so on inside each piece."""
     if t.improper_count() != t.size - 1:
         raise DomainError("every edge must be improper")
-    up, kids, low = t._arrays()
+    up, _, low = t._arrays()
     # The plane children of m: the pieces left along the path up from m through
     # the nodes whose beta is m, nearest first.  piece[c], the one left at up[c]
     # once c's branch is placed, is the next child's beta in beta order, or up[c].
-    piece = [0] * len(up)
+    N = len(up)
+    order = sorted(range(1, N), key=[p * N + b for p, b in zip(up, low)].__getitem__)
+    piece = [0] * N
+    for a, b in zip(order, [*order[1:], 0]):  # sorted by (parent, beta); slot 0 ends the last
+        piece[a] = low[b] if up[b] == up[a] else up[a]
     pre, degrees, stack = [], [], [1]  # the preorder, by position
     while stack:
         pre.append(m := stack.pop())
@@ -569,10 +600,6 @@ def plane_fwd(t: RootedTree) -> PlaneTree:
             continue
         kept, c = len(stack), m
         while low[c] == m and up[c]:
-            if not piece[c]:  # set for all the siblings at once
-                by_beta = sorted(kids[up[c]], key=low.__getitem__)
-                for a, b in zip(by_beta, [*map(low.__getitem__, by_beta[1:]), up[c]]):
-                    piece[a] = b
             stack.append(piece[c])
             c = up[c]
         degrees.append(len(stack) - kept)

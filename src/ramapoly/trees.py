@@ -106,16 +106,18 @@ class RootedTree:
         self.parents = parents
         self._core = None
 
-    def _arrays(self) -> tuple[list[int], list, list[int]]:
+    def _arrays(self, ups: Sequence | None = None) -> tuple[list[int], list, list[int]] | None:
         """(up, kids, low) by position, built once per tree, not to be changed:
         the parent (0 at the root), the children (`()` for a leaf; increasing
         unless a map relinked them) and the position of beta.  Slot 0 has the
-        root as its only child and low 0."""
+        root as its only child and low 0.  `ups`, the parents as positions,
+        may be given; if they close a cycle, nothing is built and None returned."""
         core = self._core
         if core is None:
             labels, n = self.labels, len(self.labels)
-            ups = (self.parents if labels[-1] == n  # on [n] a label is its own position
-                   else list(map(dict(zip((0, *labels), range(n + 1))).__getitem__, self.parents)))
+            if ups is None:
+                ups = (self.parents if labels[-1] == n  # on [n] a label is its own position
+                       else list(map(dict(zip((0, *labels), range(n + 1))).__getitem__, self.parents)))
             up = [0, *ups]
             kids: list = [()] * (n + 1)
             low = list(range(n + 1))
@@ -125,10 +127,13 @@ class RootedTree:
                 else:
                     kids[p] = [i]
                 # beta: walk up from each position in increasing order, halting at
-                # an ancestor (or slot 0) that already holds a smaller minimum
+                # an ancestor (or slot 0) that already holds a smaller minimum.  A
+                # walk that halts on i, or on a node it set, has gone round a cycle.
                 while low[p] > i:
                     low[p] = i
                     p = up[p]
+                if low[p] == i:
+                    return None
             core = self._core = (up, kids, low)
         return core
 
@@ -202,19 +207,12 @@ class RootedTree:
     def proper_on_max_path(self) -> int:
         """Number of proper edges on the path from the max label to the root
         (0 when the max label is the root)."""
-        return len(self._proper_path())
-
-    def _proper_path(self) -> list[int]:
-        # the positions on the max-to-root path whose entering edge is
-        # proper, nearest the max first
         up, _, low = self._core or self._arrays()
-        out = []
-        i = len(up) - 1
+        count, i = 0, len(up) - 1
         while up[i]:
-            if up[i] < low[i]:
-                out.append(i)
+            count += up[i] < low[i]
             i = up[i]
-        return out
+        return count
 
     def lower_critical(self) -> int:
         """First node u past the max label on the path toward beta(max) that
@@ -287,9 +285,10 @@ def build(root: int, parent: Mapping[int, int]) -> RootedTree:
 
 def _tree(labels: tuple, parents: tuple, keys: Iterable, ups: list | None = None) -> RootedTree:
     # The tree on the sorted distinct positive `labels` with one root among the
-    # aligned `parents` (as positions in `ups`, if known).  Over `keys`, the
-    # labels but the root in order, the first parent that is no label raises,
-    # then the first walk up to meet its own stamp: a cycle.  All in C but the walk.
+    # aligned `parents` (as positions in `ups`, if known), its core built.  Over
+    # `keys`, the labels but the root in order, the first parent that is no label
+    # raises; if the core build meets a cycle, the first walk up to meet its own
+    # stamp names it.
     n = len(labels)
     if ups is None:  # the parents and keys as positions
         pos = dict(zip((0, *labels), range(n + 1)))
@@ -298,15 +297,17 @@ def _tree(labels: tuple, parents: tuple, keys: Iterable, ups: list | None = None
     if ups.count(0) != 1 or min(ups) < 0 or max(ups) > n:
         v = next(v for v in keys if not 0 < ups[v - 1] <= n)
         raise LabelError(f"parent {parents[v - 1]!r} of {labels[v - 1]} is not a label")
-    up, stamp = [0, *ups], [-1] + [0] * n  # slot 0, above the root, ends every walk
-    for v in keys:
-        u = v
-        while not stamp[u]:  # stamp each node with the first walk to reach it
-            stamp[u] = v
-            w, u = u, up[u]
-        if stamp[u] == v:  # named as w names its parent
-            raise CycleError(f"cycle through label {parents[w - 1]}")
-    return RootedTree(labels, parents)
+    t = RootedTree(labels, parents)
+    if t._arrays(ups) is None:
+        up, stamp = [0, *ups], [-1] + [0] * n  # slot 0, above the root, ends every walk
+        for v in keys:
+            u = v
+            while not stamp[u]:  # stamp each node with the first walk to reach it
+                stamp[u] = v
+                w, u = u, up[u]
+            if stamp[u] == v:  # named as w names its parent
+                raise CycleError(f"cycle through label {parents[w - 1]}")
+    return t
 
 
 def _check_labels(labels: Sequence) -> None:

@@ -119,6 +119,24 @@ def o_plane_parents(p: PlaneTree) -> list[int | None]:
     return parents
 
 
+def o_cycle(parents: list[int]) -> int | None:
+    """The label a cycle of the one-root parent line on [n] is named by, or
+    None for a tree: the labels with a parent, in order, each stamp the nodes
+    up to the first one already stamped; the first walk to meet its own stamp
+    has gone round a cycle, and names the node it met again."""
+    up, stamp = [0, *parents], [-1] + [0] * len(parents)  # slot 0, above the root
+    for v in range(1, len(up)):
+        if not up[v]:
+            continue
+        u = v
+        while not stamp[u]:
+            stamp[u] = v
+            u = up[u]
+        if stamp[u] == v:
+            return u
+    return None
+
+
 # -- tree surgery for tests -------------------------------------------------------
 
 

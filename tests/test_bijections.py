@@ -1,4 +1,5 @@
 import hashlib
+import random
 import re
 from itertools import combinations
 
@@ -12,7 +13,7 @@ from ramapoly.bijections import (Case, CaseTag, ColoredRootedTree, DomainError,
                                  lower, plane_fwd, plane_inv, rooted_fwd,
                                  rooted_inv, unflatten_min, unfold_stem,
                                  unrooted_fwd, unrooted_inv)
-from ramapoly.trees import (ClassFilter, RootedTree, build, enumerate_rooted,
+from ramapoly.trees import (ClassFilter, PlaneTree, RootedTree, build, enumerate_rooted,
                             enumerate_unrooted, plane_from_text, plane_to_text,
                             tree_from_text, tree_to_text)
 from ramapoly.verify import double_factorial
@@ -387,6 +388,26 @@ def test_plane_bijection_exhaustive():
             seen.add(p)
             count += 1
         assert count == len(seen) == double_factorial(2 * n - 3)
+
+
+def _increasing_plane(rng: random.Random, n: int) -> PlaneTree:
+    # label v goes into a random slot among the children of a random label below it
+    kids: list[list[int]] = [[] for _ in range(n + 1)]
+    for v in range(2, n + 1):
+        u = rng.randrange(1, v)
+        kids[u].insert(rng.randint(0, len(kids[u])), v)
+    labels, stack = [], [1]
+    while stack:
+        labels.append(v := stack.pop())
+        stack.extend(reversed(kids[v]))
+    return PlaneTree(tuple(labels), tuple(len(kids[v]) for v in labels))
+
+
+def test_plane_round_trip_on_large_random_trees():
+    rng = random.Random(28)
+    for n in (*range(1, 40), *range(100, 2001, 100)):
+        p = _increasing_plane(rng, n)
+        assert plane_fwd(plane_inv(p)) == p, n
 
 
 @settings(max_examples=100, deadline=None)

@@ -726,6 +726,30 @@ def test_malformed_texts_fail_as_build_does():
     assert checked > 30000
 
 
+def test_reader_refuses_cycles_as_the_stamp_walk_names_them():
+    # Every parent line on [n], n <= 6, with one 0 and its other entries in 1..n:
+    # the reader builds the core while it checks, and refuses a cycle with the
+    # label the stamp-walk oracle names; an accepted tree's core is a fresh one's.
+    refused = 0
+    for n in range(1, 7):
+        for parents in product(range(n + 1), repeat=n):
+            if parents.count(0) != 1:
+                continue
+            got, cycle = _outcome(tree_from_text, " ".join(map(str, parents))), oc.o_cycle(parents)
+            if cycle is None:
+                assert got._core == RootedTree(got.labels, got.parents)._arrays(), parents
+            else:
+                assert got == (CycleError, f"cycle through label {cycle}"), parents
+                refused += 1
+    assert refused == sum(n ** n - n ** (n - 1) for n in range(1, 7))
+
+
+def test_build_names_a_cycle_in_key_order():
+    # the first key to walk into a cycle names it: 5, where label order would name 2
+    with pytest.raises(CycleError, match="^cycle through label 5$"):
+        build(1, {5: 4, 4: 5, 3: 2, 2: 3})
+
+
 def test_duplicate_labels_are_refused_not_dropped():
     # a parent map keeps one entry per label, so these once read as a
     # two-node tree and as a cycle through 5
