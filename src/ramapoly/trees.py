@@ -434,9 +434,9 @@ def _prefixes(n: int, head: Sequence[int] = ()) -> Iterator[tuple[list[int], lis
     # labels n may hang under; n, a root, is in none), low[v] the least label in
     # the subtree of v, and k the number of improper edges; all lists are
     # increasing.  Label i, still a root when its level comes, may hang under any
-    # label outside its subtree, and under 0 while no root is chosen.  An explicit
-    # stack walks the levels 1..n-2 depth first; the last level n-1, where most
-    # prefixes are made, hangs, yields and undoes each option in place.
+    # label outside its subtree, and under 0 while no root is chosen.  A stack of
+    # option iterators walks the levels depth first; the last level n-1, where
+    # most prefixes are made, yields and undoes each option in place.
     kids, low = [[] for _ in range(n + 1)], list(range(n + 1))
     if n == 1:
         if not any(head):
@@ -457,25 +457,6 @@ def _prefixes(n: int, head: Sequence[int] = ()) -> Iterator[tuple[list[int], lis
         out = [q for q in range(1 if kids[0] else 0, n + 1) if q not in sub]
         return out if i > len(head) else [q for q in out if q == head[i - 1]]
 
-    def hang(i: int, q: int) -> None:
-        # Hang the root i under q.  The subtrees of q and its ancestors gain
-        # low[i], and an edge (u, a) above them turns improper when low[a]
-        # falls below u; low[0] = 0 stops the walk above a root.
-        kids[q].append(i)
-        b = low[i]
-        marks[i] = len(trail)
-        k = ks[i - 1] + (q > b)
-        a = q
-        while low[a] > b:
-            u = p[a] if a < i else 0  # a > i is a root still
-            if b < u < low[a]:
-                k += 1
-            trail.append(a)
-            trail.append(low[a])
-            low[a] = b
-            a = u
-        ks[i] = k
-
     def unhang(i: int) -> None:
         kids[p[i]].pop()
         mark = marks[i]
@@ -483,45 +464,40 @@ def _prefixes(n: int, head: Sequence[int] = ()) -> Iterator[tuple[list[int], lis
             old = trail.pop()
             low[trail.pop()] = old
 
-    stack: list = []  # stack[i - 1]: the untried options of level i < last
-    while True:
-        if len(stack) < last - 1:
-            i = len(stack) + 1
-            stack.append(iter(options(i)))
-            q = next(stack[-1], None)  # n is always an option past level 1
-            if q is None:  # `head` left a pinned level nothing
-                return
-        else:  # hang(last, q), yield, unhang(last), inline
-            b, mark = low[last], len(trail)
-            for q in options(last):
-                p[last] = q
-                kids[q].append(last)
-                k = ks[last - 1] + (q > b)
-                a = q
-                while low[a] > b:
-                    u = p[a] if a < last else 0  # a = n is a root
-                    if b < u < low[a]:
-                        k += 1
-                    trail.append(a)
-                    trail.append(low[a])
-                    low[a] = b
-                    a = u
-                yield p, kids, low, k
-                kids[q].pop()
-                while len(trail) > mark:
-                    old = trail.pop()
-                    low[trail.pop()] = old
-            while stack:  # advance the deepest level that has an option left
-                i = len(stack)
-                unhang(i)
-                q = next(stack[-1], None)
-                if q is not None:
-                    break
-                stack.pop()
-            else:
-                return
-        p[i] = q
-        hang(i, q)
+    stack = [iter(options(1))]  # stack[i - 1]: the untried options of level i
+    while stack:
+        # low[i] and the trail's length are the same for every option of level i
+        i = len(stack)
+        b, mark = low[i], len(trail)
+        for q in stack[-1]:
+            # Hang the root i under q.  The subtrees of q and its ancestors gain
+            # low[i], and an edge (u, a) above them turns improper when low[a]
+            # falls below u; low[0] = 0 stops the walk above a root.
+            p[i] = q
+            kids[q].append(i)
+            k = ks[i - 1] + (q > b)
+            a = q
+            while low[a] > b:
+                u = p[a] if a < i else 0  # a > i is a root still
+                if b < u < low[a]:
+                    k += 1
+                trail.append(a)
+                trail.append(low[a])
+                low[a] = b
+                a = u
+            if i < last:
+                ks[i], marks[i] = k, mark
+                stack.append(iter(options(i + 1)))
+                break
+            yield p, kids, low, k
+            kids[q].pop()
+            while len(trail) > mark:
+                old = trail.pop()
+                low[trail.pop()] = old
+        else:  # level i is exhausted
+            stack.pop()
+            if i > 1:
+                unhang(i - 1)
 
 
 def _heads(n: int) -> list[tuple[int, ...]]:

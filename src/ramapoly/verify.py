@@ -411,7 +411,7 @@ def _certify_shard(n: int, grow: bool, head: tuple) -> Counter:
         # max, and does the max keep just the m moved children
         trace: list = []
         u = bj.flatten_min(t, trace)
-        tag = next(e for e in reversed(trace) if isinstance(e, bj.CaseTag))
+        tag = trace[-1]  # flatten_min appends its CaseTag last
         got[tag.case.value] += 1
         tight = u.degree(n) == m
         case = ("D" if tight else "C") if u.is_descendant(1, n) else ("B" if tight else "A")

@@ -3,6 +3,7 @@ import pickle
 import random
 import re
 import signal
+import sys
 import time
 from collections import Counter
 from functools import partial
@@ -164,13 +165,12 @@ def test_enumerate_unrooted_rooted_at_min():
 
 
 def test_enumerate_canonical_order_and_uniqueness():
-    seen = [t.parents for t in enumerate_rooted(4)]
-    assert seen == sorted(seen)
-    assert len(seen) == len(set(seen)) == 64
-    prev = None
-    for t in enumerate_rooted(5):
-        assert prev is None or prev < t.parents
-        prev = t.parents
+    # strictly increasing parent tuples are sorted and unique; order is what a
+    # rewritten walk could break without changing any count
+    for n in range(1, 7):
+        seen = [t.parents for t in enumerate_rooted(n)]
+        assert len(seen) == n ** (n - 1)
+        assert all(a < b for a, b in zip(seen, seen[1:]))
 
 
 def _is_tree(ps: tuple[int, ...]) -> bool:
@@ -384,23 +384,52 @@ def test_interrupted_census_kills_and_reaps_its_children(monkeypatch):
     _no_children_left()
 
 
+def _walk_end(n: int, head: tuple) -> dict:
+    # The locals of the frame of _prefixes(n, head), drained, as it returns:
+    # the forest of a walk that yields nothing shows only there.
+    end = {}
+
+    def keep(frame, event, arg):
+        if event == "return":  # a yield is one too; the last is the end
+            end.update(frame.f_locals)
+        return keep
+
+    def trace(frame, event, arg):
+        if frame.f_code is _prefixes.__code__:
+            frame.f_trace_lines = False
+            return keep
+        return None
+
+    old = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        for _ in _prefixes(n, head):
+            pass
+    finally:
+        sys.settrace(old)
+    return end
+
+
 def test_prefix_forest_matches_its_parent_tuple():
-    # The live forest of each prefix against one rebuilt from the prefix
-    # alone.  A virtual root n + 1 above the forest's roots (n, and the root
-    # among 1..n-1 if any) makes it one tree whose subtrees are the forest's;
-    # each edge out of n + 1 is improper.  Once the walk is exhausted, every
-    # hang must be undone.
+    # The live forest of each prefix, unpinned, under every head and under the
+    # dead pins, against one rebuilt from the prefix alone.  A virtual root
+    # n + 1 above the forest's roots (n, and the root among 1..n-1 if any)
+    # makes it one tree whose subtrees are the forest's; each edge out of
+    # n + 1 is improper.  When the walk ends, every hang must be undone, in a
+    # walk that yields nothing too.
     for n in range(1, 7):
-        live = None
-        for p, kids, low, k in _prefixes(n):
-            live = live or (kids, low)
-            top = n + 1
-            t = RootedTree(tuple(range(1, top + 1)),
-                           tuple([q or top for q in p[1:]]) + (top, 0))
-            assert kids == [[u for u in range(1, n) if p[u] == v] for v in range(top)]
-            assert low == [0] + [oc.o_beta(t, v) for v in range(1, top)]
-            assert k == oc.o_improper_count(t) - 1 - (0 in p[1:])
-        assert live == ([[] for _ in range(n + 1)], list(range(n + 1)))
+        top = n + 1
+        for head in [(), *_heads(n), (1,), (0, 0), (2, 1)]:
+            for p, kids, low, k in _prefixes(n, head):
+                assert p[1:len(head) + 1] == list(head[:n - 1])
+                t = RootedTree(tuple(range(1, top + 1)),
+                               tuple([q or top for q in p[1:]]) + (top, 0))
+                assert kids == [[u for u in range(1, n) if p[u] == v] for v in range(top)]
+                assert low == [0] + [oc.o_beta(t, v) for v in range(1, top)]
+                assert k == oc.o_improper_count(t) - 1 - (0 in p[1:])
+            end = _walk_end(n, head)
+            assert end["kids"] == [[] for _ in range(top)] and end["low"] == list(range(top))
+            assert not end.get("trail") and not end.get("stack")
 
 
 def test_enumerate_filtered_sixteen_tree_classes():
