@@ -41,11 +41,13 @@ over arbitrary label sets, with min/max taking those roles):
 Each function checks its preconditions eagerly and raises DomainError
 outside its stated domain.  An optional `trace` list collects dispatch
 records (strings and CaseTag entries) for audits.  Every map works on label
-positions; the colour maps, on [n], read them straight off the parent tuple.
-The maps are pure: none changes its input or the core cached on it.  A
-single step writes only its result's parents (`_moved`), which on small trees
-costs less than copying a core; a run of lowers or lifts relinks one core per
-call (`_own`), along each step's path only, and the tree it returns keeps it.
+positions; the colour maps, on [n], read them straight off the parent tuple,
+and lower, plane_fwd and rooted_fwd's lowering read only up and low, so they
+leave a read tree's core without kids.  The maps are pure: none changes its
+input or its core, but to add the kids.  A single step writes only its
+result's parents (`_moved`), which on small trees costs less than copying a
+core; a run of lowers or lifts relinks one core per call (`_own`), along each
+step's path only, and the tree it returns keeps it.
 """
 
 from __future__ import annotations
@@ -128,7 +130,7 @@ def _lowered(t: RootedTree, seg: list[int]) -> RootedTree:
     # t lowered along seg from _lower_path, on a new tree: the max takes the place of w
     if not seg[-1]:
         raise DomainError("no proper edge on the path from the max label to the root")
-    return _moved(t, {seg[0]: t._arrays()[0][seg[-1]], **dict(zip(seg[1:], seg))})
+    return _moved(t, {seg[0]: t._core[0][seg[-1]], **dict(zip(seg[1:], seg))})
 
 
 def lift(t: RootedTree, trace: list | None = None) -> RootedTree:
@@ -145,9 +147,9 @@ def lift(t: RootedTree, trace: list | None = None) -> RootedTree:
 
 
 def _own(t: RootedTree) -> RootedTree:
-    # t as a new tree whose core (a copy of t's, if built) the steps below relink in place
+    # t as a new tree whose core (a copy of t's, completed, if built) the steps below relink
     s = RootedTree(t.labels, t.parents)
-    if core := t._core:
+    if core := t._core and t._arrays():
         s._core = core[0][:], [*map(list, core[1])], core[2][:]
     return s
 
@@ -169,7 +171,7 @@ def _lowers(s: RootedTree, trace: list | None, times: int) -> RootedTree:
 def _lower_path(s: RootedTree, trace: list | None) -> list[int]:
     # the path from the max up to w, the head of its first proper edge, that lowering s turns
     # over, noted in trace; w is 0, and nothing noted, when the path has no proper edge
-    up, _, low = s._arrays()
+    up, _, low = s._core or s._arrays()
     seg = [len(up) - 1]
     while up[seg[-1]] > low[seg[-1]]:
         seg.append(up[seg[-1]])
@@ -398,8 +400,7 @@ def rooted_fwd(t: RootedTree, trace: list | None = None) -> RootedTree:
     """R_{n,k}[deg(min)>0] -> R_{n,k+1}[deg(max)>0]: one lowering step when
     the max-to-root path has a proper edge, otherwise flatten_min followed
     by deg(min)-1 lifts."""
-    kids = t._arrays()[1]
-    if not kids[1]:
+    if t.labels[0] not in t.parents:
         raise DomainError("min label must have a child")
     note = None if trace is None else []  # the lowering's record, which follows the route's
     seg = _lower_path(t, note)
@@ -407,7 +408,7 @@ def rooted_fwd(t: RootedTree, trace: list | None = None) -> RootedTree:
         if trace is not None:
             trace += [f"route: {t.proper_on_max_path()} proper edges on the max path -> lower", *note]
         return _lowered(t, seg)
-    m = len(kids[1])
+    m = t.parents.count(t.labels[0])
     if trace is not None:
         trace.append(f"route: flatten (m={m}) then {m - 1} lifts")
     out = flatten_min(t, trace)
@@ -583,7 +584,7 @@ def plane_fwd(t: RootedTree) -> PlaneTree:
     ordered children, and so on inside each piece."""
     if t.improper_count() != t.size - 1:
         raise DomainError("every edge must be improper")
-    up, _, low = t._arrays()
+    up, _, low = t._core
     # The plane children of m: the pieces left along the path up from m through
     # the nodes whose beta is m, nearest first.  piece[c], the one left at up[c]
     # once c's branch is placed, is the next child's beta in beta order, or up[c].

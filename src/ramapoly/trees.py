@@ -106,12 +106,13 @@ class RootedTree:
         self.parents = parents
         self._core = None
 
-    def _arrays(self, ups: Sequence | None = None) -> tuple[list[int], list, list[int]] | None:
+    def _arrays(self, ups: Sequence | None = None) -> tuple[list[int], list, list[int]]:
         """(up, kids, low) by position, built once per tree, not to be changed:
         the parent (0 at the root), the children (`()` for a leaf; increasing
         unless a map relinked them) and the position of beta.  Slot 0 has the
         root as its only child and low 0.  `ups`, the parents as positions,
-        may be given; if they close a cycle, nothing is built and None returned."""
+        may be given.  A read tree's core comes without kids (None, `_tree`):
+        the parent and beta readers take it as it is, and this completes it."""
         core = self._core
         if core is None:
             labels, n = self.labels, len(self.labels)
@@ -127,13 +128,19 @@ class RootedTree:
                 else:
                     kids[p] = [i]
                 # beta: walk up from each position in increasing order, halting at
-                # an ancestor (or slot 0) that already holds a smaller minimum.  A
-                # walk that halts on i, or on a node it set, has gone round a cycle.
+                # an ancestor (or slot 0) that already holds a smaller minimum
                 while low[p] > i:
                     low[p] = i
                     p = up[p]
-                if low[p] == i:
-                    return None
+            core = self._core = (up, kids, low)
+        elif core[1] is None:
+            up, _, low = core
+            kids = [()] * len(up)
+            for i, p in enumerate(up[1:], 1):
+                if kids[p]:
+                    kids[p].append(i)
+                else:
+                    kids[p] = [i]
             core = self._core = (up, kids, low)
         return core
 
@@ -182,7 +189,7 @@ class RootedTree:
         return tuple(compress(self.labels, map(self.labels[self._pos(v) - 1].__eq__, self.parents)))
 
     def degree(self, v: int) -> int:
-        return len((self._core or self._arrays())[1][self._pos(v)])
+        return len(self._arrays()[1][self._pos(v)])
 
     def path_to_root(self, v: int) -> tuple[int, ...]:
         """The sequence (v, ..., root) following parent links."""
@@ -225,7 +232,7 @@ class RootedTree:
         return self.labels[i - 1]
 
     def _attach(self, i: int, bound: int) -> int:
-        return _descend(*(self._core or self._arrays())[1:], i, bound)
+        return _descend(*self._arrays()[1:], i, bound)
 
     def mu(self) -> int:
         """First node past the min label on the min-to-root path that is
@@ -239,7 +246,7 @@ class RootedTree:
         # subtree; the last node that qualifies is the first seen from the min.
         if len(path) == 1:
             raise TreeError("min label is the root")
-        _, kids, low = self._core or self._arrays()
+        _, kids, low = self._arrays()
         out = len(kids)  # above every position
         for j in range(len(path) - 1, 0, -1):
             u = path[j]
@@ -252,7 +259,7 @@ class RootedTree:
 
     def beta_star(self) -> int:
         """min{beta(a) : a child of the min label}."""
-        _, kids, low = self._core or self._arrays()
+        _, kids, low = self._arrays()
         if not kids[1]:
             raise TreeError("min label is a leaf")
         return self.labels[min([low[a] for a in kids[1]]) - 1]
@@ -285,10 +292,10 @@ def build(root: int, parent: Mapping[int, int]) -> RootedTree:
 
 def _tree(labels: tuple, parents: tuple, keys: Iterable, ups: list | None = None) -> RootedTree:
     # The tree on the sorted distinct positive `labels` with one root among the
-    # aligned `parents` (as positions in `ups`, if known), its core built.  Over
-    # `keys`, the labels but the root in order, the first parent that is no label
-    # raises; if the core build meets a cycle, the first walk up to meet its own
-    # stamp names it.
+    # aligned `parents` (as positions in `ups`, if known), with the up and low of
+    # its core (`_arrays` adds the kids).  Over `keys`, the labels but the root in
+    # order, the first parent that is no label raises; if the beta walk meets a
+    # cycle, the first walk up to meet its own stamp names it.
     n = len(labels)
     if ups is None:  # the parents and keys as positions
         pos = dict(zip((0, *labels), range(n + 1)))
@@ -297,17 +304,25 @@ def _tree(labels: tuple, parents: tuple, keys: Iterable, ups: list | None = None
     if ups.count(0) != 1 or min(ups) < 0 or max(ups) > n:
         v = next(v for v in keys if not 0 < ups[v - 1] <= n)
         raise LabelError(f"parent {parents[v - 1]!r} of {labels[v - 1]} is not a label")
-    t = RootedTree(labels, parents)
-    if t._arrays(ups) is None:
-        up, stamp = [0, *ups], [-1] + [0] * n  # slot 0, above the root, ends every walk
-        for v in keys:
-            u = v
-            while not stamp[u]:  # stamp each node with the first walk to reach it
-                stamp[u] = v
-                w, u = u, up[u]
-            if stamp[u] == v:  # named as w names its parent
-                raise CycleError(f"cycle through label {parents[w - 1]}")
-    return t
+    up, low = [0, *ups], list(range(n + 1))
+    for i, p in enumerate(ups, 1):  # _arrays's beta walk, without the kids
+        while low[p] > i:
+            low[p] = i
+            p = up[p]
+        if low[p] == i:  # halted on i, or on a node it set: round a cycle
+            break
+    else:
+        t = RootedTree(labels, parents)
+        t._core = up, None, low
+        return t
+    stamp = [-1] + [0] * n  # slot 0, above the root, ends every walk
+    for v in keys:
+        u = v
+        while not stamp[u]:  # stamp each node with the first walk to reach it
+            stamp[u] = v
+            w, u = u, up[u]
+        if stamp[u] == v:  # named as w names its parent
+            raise CycleError(f"cycle through label {parents[w - 1]}")
 
 
 def _check_labels(labels: Sequence) -> None:
@@ -675,7 +690,8 @@ def tree_to_text(t: RootedTree) -> str:
     return "labels: " + " ".join(map(str, t.labels)) + "\n" + line
 
 
-_INT, _LABEL = re.compile(r"-?[0-9]+"), re.compile(r"[0-9]+")  # tree texts hold ASCII digits
+# tree texts hold ASCII digits; a split by _LABEL keeps the labels, between the separators
+_INT, _LABEL = re.compile(r"-?[0-9]+"), re.compile(r"([0-9]+)")
 
 
 def _ints(tokens: Sequence[str]) -> list[int]:
@@ -738,6 +754,28 @@ def plane_to_text(p: PlaneTree) -> str:
 
 def plane_from_text(text: str) -> PlaneTree:
     s = text.strip()
+    # Split in C into labels and the separators around them, then one pass: after label
+    # j, "(" and spaces open its child list and spaces and c ")" close c lists; slot n
+    # stands above the root.  Other text goes to the character walk, which names the fault.
+    tokens = _LABEL.split(s)
+    seps, n = tokens[::2], len(tokens) // 2
+    shift = {sep: 1 if sep.rstrip(" ") == "(" else -sep.count(")")
+             for sep in {*seps} if sep.rstrip(" ") == "(" or not sep.strip(" )")}
+    stack, degrees = [n], [0] * (n + 1)
+    try:
+        for j, d in enumerate(map(shift.__getitem__, seps[1:])):
+            degrees[stack[-1]] += 1
+            if d > 0:
+                stack.append(j)
+            elif d:
+                del stack[d:]
+    except (KeyError, IndexError):  # not a separator, or a ")" with no "(" open
+        pass
+    else:
+        if not seps[0] and stack == [n] and degrees[n] == 1:
+            labels = list(map(int, tokens[1::2]))
+            _check_labels(labels)
+            return PlaneTree(tuple(labels), tuple(degrees[:-1]))
     pos, end = 0, len(s)
     labels, degrees = [], [0]  # in preorder, after the degree of a slot above the root
     stack = [0]  # the indices in degrees of that slot and of each open node

@@ -7,9 +7,11 @@ avoiding the library's children-DFS and incremental-minimum code paths.
 
 from __future__ import annotations
 
+import re
+
 import hypothesis.strategies as st
 
-from ramapoly.trees import LabelError, PlaneTree, RootedTree, build
+from ramapoly.trees import LabelError, PlaneTree, RootedTree, TreeError, _check_labels, build
 
 
 # -- strategies -----------------------------------------------------------------
@@ -117,6 +119,43 @@ def o_plane_parents(p: PlaneTree) -> list[int | None]:
         if d:
             waiting.append([v, d])
     return parents
+
+
+def o_plane_from_text(text: str) -> PlaneTree:
+    """The plane-tree reader as a walk over the characters: after a label, a
+    "(" opens its child list, and spaces and ")" lead to the next label; the
+    first character out of place is named, then the first bad label."""
+    s = text.strip()
+    pos, end = 0, len(s)
+    labels, degrees = [], [0]  # in preorder, after the degree of a slot above the root
+    stack = [0]  # the indices in degrees of that slot and of each open node
+    while True:
+        label = re.compile(r"[0-9]+").match(s, pos)
+        if label is None:
+            raise TreeError(f"expected a label at position {pos}")
+        labels.append(int(label[0]))
+        pos = label.end()
+        degrees[stack[-1]] += 1
+        degrees.append(0)
+        opened = pos < end and s[pos] == "("
+        if opened:
+            stack.append(len(labels))
+            pos += 1
+        while len(stack) > 1:  # close nodes until another child starts
+            while pos < end and s[pos] == " ":
+                pos += 1
+            if pos == end:
+                raise TreeError("unbalanced parentheses")
+            if opened or s[pos] != ")":  # a "(" holds at least one child
+                break
+            pos += 1
+            stack.pop()
+        if len(stack) == 1:
+            break
+    if pos != end:
+        raise TreeError(f"trailing input at position {pos}")
+    _check_labels(labels)
+    return PlaneTree(tuple(labels), tuple(degrees[1:]))
 
 
 def o_cycle(parents: list[int]) -> int | None:

@@ -542,6 +542,80 @@ def test_maps_golden_on_all_small_trees_and_pure():
     assert digest.hexdigest() == GOLDEN_SMALL_SHA256
 
 
+# every map, as fn(t, trace): those of ANY_LABELS and the maps on [n] (color_split
+# with every other child of the min black)
+EVERY_MAP = {
+    **ANY_LABELS,
+    "color_split": lambda t, trace: color_split(
+        ColoredRootedTree(t, frozenset(t.children(t.min_label)[::2]))),
+    "color_merge": lambda t, trace: color_merge(t),
+    "insert_root": lambda t, trace: insert_root(t),
+    "extract_root": lambda t, trace: extract_root(t),
+    "plane_fwd": lambda t, trace: plane_fwd(t),
+}
+
+
+def _large_trees():
+    # seeded trees of 50 to 1,001 labels, each on [n] and on sparse labels: rooted
+    # anywhere, at the min with 2 inner, at the max with the min inner, at the min
+    # with 2 a leaf (insert_root), and all-improper
+    rng = random.Random(30)
+    trees = []
+    for n in (50, 300, 1000):
+        for head in ((rng.randint(1, n),), (1, 2), (n, 1)):  # the root, then its child
+            rest = [v for v in range(1, n + 1) if v not in head]
+            order = [*head, *rng.sample(rest, n - len(head))]
+            parent = {order[i]: order[rng.randrange(i)] for i in range(1, n)}
+            parent[order[-1]] = head[-1]  # the last label placed is a leaf
+            trees.append(build(head[0], parent))
+        trees += [insert_root(trees[-3]), plane_inv(_increasing_plane(rng, n))]
+    return trees + [relabel(t, range(7, 7 * t.size + 1, 7)) for t in trees]
+
+
+def _run(fn, t):
+    # (result, trace) or (exception type, message)
+    trace = []
+    try:
+        out = fn(t, trace)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return out, trace
+
+
+def test_maps_on_read_trees_match_fresh_builds():
+    # A tree read from text holds the up and low of its core, and no kids.  On every
+    # tree on [n], n <= 6, and the seeded large trees, every map gives a read tree the
+    # output and trace, or error, it gives a fresh build, the output's core is a fresh
+    # build's, and so is the read tree's core once completed.
+    for t in [*(t for n in range(1, 7) for t in enumerate_rooted(n)), *_large_trees()]:
+        text = tree_to_text(t)
+        for name, fn in EVERY_MAP.items():
+            read, fresh = tree_from_text(text), RootedTree(t.labels, t.parents)
+            assert read._core[1] is None
+            got = _run(fn, read)
+            assert got == _run(fn, fresh), (name, t)
+            if isinstance(got[0], RootedTree):
+                assert _core(got[0]) == _core(RootedTree(got[0].labels, got[0].parents)), (name, t)
+            assert read._arrays() == fresh._arrays() == RootedTree(t.labels, t.parents)._arrays()
+
+
+def test_maps_reading_no_children_leave_a_read_tree_without_them():
+    # The colour and fresh-root maps read the parents; lower and plane_fwd read up and
+    # beta, and so does rooted_fwd on its lowering route.  None of them completes the
+    # core of a tree read from text, whether it maps the tree or refuses it.
+    names = ("color_split", "color_merge", "insert_root", "extract_root", "lower",
+             "plane_fwd", "rooted_fwd")
+    for t in [*(t for n in range(1, 7) for t in enumerate_rooted(n)), *_large_trees()]:
+        for name in names:
+            read, trace = tree_from_text(tree_to_text(t)), []
+            try:
+                EVERY_MAP[name](read, trace)
+            except DomainError:
+                pass
+            if not any(str(e).startswith("route: flatten") for e in trace):
+                assert read._core[1] is None, (name, t)
+
+
 @pytest.mark.parametrize("step", [1, 3])
 def test_runs_of_steps_match_the_one_step_maps_on_a_large_star(step):
     # The star under the max (n the root, 1 its only child, 2..n-1 under 1) takes a

@@ -23,7 +23,7 @@ import conftest as oc
 from conftest import rooted_trees
 from golden import CENSUS_8, SIXTEEN_DEG1, SIXTEEN_DEG4
 from ramapoly import trees
-from ramapoly.bijections import DomainError, plane_inv
+from ramapoly.bijections import DomainError, plane_fwd, plane_inv
 from ramapoly.cli import _read_colored
 
 tt = tree_from_text
@@ -625,6 +625,37 @@ def test_plane_errors():
         plane_from_text("1)2")
 
 
+def _plane_edits(text):
+    # every one-character deletion, insertion and replacement of text
+    for i in range(len(text) + 1):
+        for c in "() 03x":
+            yield text[:i] + c + text[i:]
+            if i < len(text):
+                yield text[:i] + c + text[i + 1:]
+        if i < len(text):
+            yield text[:i] + text[i + 1:]
+
+
+def test_plane_reader_matches_the_character_walk():
+    # The reader gives the character walk's tree, or its error type and message, on
+    # every increasing plane tree on [n], n <= 6, and its mirror image (label v read
+    # as n + 1 - v), and on every one-character edit of a seeded sample of them,
+    # moved onto two-digit labels too.
+    sized = [(n, plane_to_text(plane_fwd(t))) for n in range(1, 7) for t in enumerate_rooted(n)
+             if t.improper_count() == n - 1]
+    assert len(sized) == 1 + 1 + 3 + 15 + 105 + 945
+    texts = [text for _, text in sized]
+    mirrored = [re.sub(r"[0-9]+", lambda m: str(n + 1 - int(m[0])), text) for n, text in sized]
+    rng = random.Random(30)
+    sample = rng.sample(texts[-1050:], 40)
+    sample += [re.sub(r"[0-9]+", lambda m: str(9 + 3 * int(m[0])), t) for t in sample[:20]]
+    checked = 0
+    for text in (*texts, *mirrored, *(e for t in sample for e in _plane_edits(t))):
+        assert _outcome(plane_from_text, text) == _outcome(oc.o_plane_from_text, text), text
+        checked += 1
+    assert checked > 10000
+
+
 def _plane_pair(pair):
     return PlaneTree(*pair)
 
@@ -757,8 +788,9 @@ def test_malformed_texts_fail_as_build_does():
 
 def test_reader_refuses_cycles_as_the_stamp_walk_names_them():
     # Every parent line on [n], n <= 6, with one 0 and its other entries in 1..n:
-    # the reader builds the core while it checks, and refuses a cycle with the
-    # label the stamp-walk oracle names; an accepted tree's core is a fresh one's.
+    # the reader runs the beta walk while it checks, and refuses a cycle with the
+    # label the stamp-walk oracle names; an accepted tree keeps the up and low of
+    # a fresh core, and its completed core is a fresh one's.
     refused = 0
     for n in range(1, 7):
         for parents in product(range(n + 1), repeat=n):
@@ -766,7 +798,9 @@ def test_reader_refuses_cycles_as_the_stamp_walk_names_them():
                 continue
             got, cycle = _outcome(tree_from_text, " ".join(map(str, parents))), oc.o_cycle(parents)
             if cycle is None:
-                assert got._core == RootedTree(got.labels, got.parents)._arrays(), parents
+                fresh = RootedTree(got.labels, got.parents)._arrays()
+                assert got._core[::2] == fresh[::2], parents
+                assert got._arrays() == fresh, parents
             else:
                 assert got == (CycleError, f"cycle through label {cycle}"), parents
                 refused += 1
