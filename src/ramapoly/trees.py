@@ -111,37 +111,31 @@ class RootedTree:
         the parent (0 at the root), the children (`()` for a leaf; increasing
         unless a map relinked them) and the position of beta.  Slot 0 has the
         root as its only child and low 0.  `ups`, the parents as positions,
-        may be given.  A read tree's core comes without kids (None, `_tree`):
-        the parent and beta readers take it as it is, and this completes it."""
+        may be given.  A read tree has (up, None, low) from `_beta`, which the
+        parent and beta readers take as it is, until this adds the kids."""
         core = self._core
         if core is None:
             labels, n = self.labels, len(self.labels)
             if ups is None:
                 ups = (self.parents if labels[-1] == n  # on [n] a label is its own position
                        else list(map(dict(zip((0, *labels), range(n + 1))).__getitem__, self.parents)))
-            up = [0, *ups]
-            kids: list = [()] * (n + 1)
-            low = list(range(n + 1))
-            for i, p in enumerate(ups, 1):
-                if kids[p]:
-                    kids[p].append(i)
-                else:
-                    kids[p] = [i]
-                # beta: walk up from each position in increasing order, halting at
-                # an ancestor (or slot 0) that already holds a smaller minimum
-                while low[p] > i:
-                    low[p] = i
-                    p = up[p]
-            core = self._core = (up, kids, low)
-        elif core[1] is None:
+            up, low = [0, *ups], list(range(n + 1))
+        elif core[1] is None:  # low is done, so each walk below halts at once
             up, _, low = core
-            kids = [()] * len(up)
-            for i, p in enumerate(up[1:], 1):
-                if kids[p]:
-                    kids[p].append(i)
-                else:
-                    kids[p] = [i]
-            core = self._core = (up, kids, low)
+            ups = up[1:]
+        else:
+            return core
+        kids: list = [()] * len(up)
+        for i, p in enumerate(ups, 1):
+            if kids[p]:
+                kids[p].append(i)
+            else:
+                kids[p] = [i]
+            # beta, as in _beta: on small trees one loop with the kids costs less than two
+            while low[p] > i:
+                low[p] = i
+                p = up[p]
+        core = self._core = (up, kids, low)
         return core
 
     def _pos(self, v: int) -> int:
@@ -304,18 +298,11 @@ def _tree(labels: tuple, parents: tuple, keys: Iterable, ups: list | None = None
     if ups.count(0) != 1 or min(ups) < 0 or max(ups) > n:
         v = next(v for v in keys if not 0 < ups[v - 1] <= n)
         raise LabelError(f"parent {parents[v - 1]!r} of {labels[v - 1]} is not a label")
-    up, low = [0, *ups], list(range(n + 1))
-    for i, p in enumerate(ups, 1):  # _arrays's beta walk, without the kids
-        while low[p] > i:
-            low[p] = i
-            p = up[p]
-        if low[p] == i:  # halted on i, or on a node it set: round a cycle
-            break
-    else:
+    if core := _beta(ups):
         t = RootedTree(labels, parents)
-        t._core = up, None, low
+        t._core = core
         return t
-    stamp = [-1] + [0] * n  # slot 0, above the root, ends every walk
+    up, stamp = [0, *ups], [-1] + [0] * n  # slot 0, above the root, ends every walk
     for v in keys:
         u = v
         while not stamp[u]:  # stamp each node with the first walk to reach it
@@ -323,6 +310,20 @@ def _tree(labels: tuple, parents: tuple, keys: Iterable, ups: list | None = None
             w, u = u, up[u]
         if stamp[u] == v:  # named as w names its parent
             raise CycleError(f"cycle through label {parents[w - 1]}")
+
+
+def _beta(ups: Sequence) -> tuple | None:
+    # (up, None, low), a core but its kids, from the parents as positions; None if they close
+    # a cycle.  Walk up from each position in increasing order, halting at an ancestor (or
+    # slot 0) that holds a smaller minimum; a walk that halts on i, or on a node it set, looped.
+    up, low = [0, *ups], list(range(len(ups) + 1))
+    for i, p in enumerate(ups, 1):
+        while low[p] > i:
+            low[p] = i
+            p = up[p]
+        if low[p] == i:
+            return None
+    return up, None, low
 
 
 def _check_labels(labels: Sequence) -> None:
