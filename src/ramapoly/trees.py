@@ -29,7 +29,7 @@ from itertools import accumulate, compress, repeat
 from operator import gt
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 __all__ = [
     "TreeError",
@@ -473,13 +473,6 @@ def _prefixes(n: int, head: Sequence[int] = ()) -> Iterator[tuple[list[int], lis
         out = [q for q in range(1 if kids[0] else 0, n + 1) if q not in sub]
         return out if i > len(head) else [q for q in out if q == head[i - 1]]
 
-    def unhang(i: int) -> None:
-        kids[p[i]].pop()
-        mark = marks[i]
-        while len(trail) > mark:
-            old = trail.pop()
-            low[trail.pop()] = old
-
     stack = [iter(options(1))]  # stack[i - 1]: the untried options of level i
     while stack:
         # low[i] and the trail's length are the same for every option of level i
@@ -510,10 +503,14 @@ def _prefixes(n: int, head: Sequence[int] = ()) -> Iterator[tuple[list[int], lis
             while len(trail) > mark:
                 old = trail.pop()
                 low[trail.pop()] = old
-        else:  # level i is exhausted
+        else:  # level i is exhausted: undo the hang of i - 1 above it
             stack.pop()
             if i > 1:
-                unhang(i - 1)
+                kids[p[i - 1]].pop()
+                mark = marks[i - 1]
+                while len(trail) > mark:
+                    old = trail.pop()
+                    low[trail.pop()] = old
 
 
 def _heads(n: int) -> list[tuple[int, ...]]:
@@ -755,55 +752,47 @@ def plane_to_text(p: PlaneTree) -> str:
 
 def plane_from_text(text: str) -> PlaneTree:
     s = text.strip()
-    # Split in C into labels and the separators around them, then one pass: after label
-    # j, "(" and spaces open its child list and spaces and c ")" close c lists; slot n
-    # stands above the root.  Other text goes to the character walk, which names the fault.
+    # Split in C into labels and the separators around them, then one pass: before
+    # label j + 1, "(" and spaces open the child list of label j, and spaces and c ")"
+    # close c lists.  The pass stops at the first separator out of place, and
+    # _plane_fault walks that one to name the fault.
     tokens = _LABEL.split(s)
     seps, n = tokens[::2], len(tokens) // 2
+    if seps[0] or not n:
+        raise TreeError("expected a label at position 0")
     shift = {sep: 1 if sep.rstrip(" ") == "(" else -sep.count(")")
              for sep in {*seps} if sep.rstrip(" ") == "(" or not sep.strip(" )")}
-    stack, degrees = [n], [0] * (n + 1)
+    stack, degrees = [], [0] * n  # the open nodes; no slot above the root
     try:
-        for j, d in enumerate(map(shift.__getitem__, seps[1:])):
-            degrees[stack[-1]] += 1
-            if d > 0:
+        for j, d in enumerate(map(shift.get, seps[1:-1])):
+            if d > 0:  # None, no separator, raises TypeError
                 stack.append(j)
             elif d:
                 del stack[d:]
-    except (KeyError, IndexError):  # not a separator, or a ")" with no "(" open
+            degrees[stack[-1]] += 1  # IndexError once the root's list is closed
+    except (TypeError, IndexError):
         pass
     else:
-        if not seps[0] and stack == [n] and degrees[n] == 1:
+        if shift.get(seps[-1]) == -len(stack):  # the last separator closes every list
             labels = list(map(int, tokens[1::2]))
             _check_labels(labels)
-            return PlaneTree(tuple(labels), tuple(degrees[:-1]))
-    pos, end = 0, len(s)
-    labels, degrees = [], [0]  # in preorder, after the degree of a slot above the root
-    stack = [0]  # the indices in degrees of that slot and of each open node
-    while True:
-        label = _LABEL.match(s, pos)
-        if label is None:
+            return PlaneTree(tuple(labels), tuple(degrees))
+        j = n - 1
+    # the separator after label j, and the lists open before it
+    _plane_fault(s, len("".join(tokens[:2 * j + 2])), sum(map(shift.get, seps[1:j + 1])))
+
+
+def _plane_fault(s: str, pos: int, depth: int) -> NoReturn:
+    # Walk the characters of the separator at pos, after a label with depth lists open,
+    # the way a reader of one character at a time would, and raise the fault it meets.
+    opened = s.startswith("(", pos)
+    pos, depth = pos + opened, depth + opened
+    while depth:  # close lists until another child would start
+        while pos < len(s) and s[pos] == " ":
+            pos += 1
+        if pos == len(s):
+            raise TreeError("unbalanced parentheses")
+        if opened or s[pos] != ")":  # a "(" holds at least one child
             raise TreeError(f"expected a label at position {pos}")
-        labels.append(int(label[0]))
-        pos = label.end()
-        degrees[stack[-1]] += 1
-        degrees.append(0)
-        opened = pos < end and s[pos] == "("
-        if opened:
-            stack.append(len(labels))
-            pos += 1
-        while len(stack) > 1:  # close nodes until another child starts
-            while pos < end and s[pos] == " ":
-                pos += 1
-            if pos == end:
-                raise TreeError("unbalanced parentheses")
-            if opened or s[pos] != ")":  # a "(" holds at least one child
-                break
-            pos += 1
-            stack.pop()
-        if len(stack) == 1:
-            break
-    if pos != end:
-        raise TreeError(f"trailing input at position {pos}")
-    _check_labels(labels)
-    return PlaneTree(tuple(labels), tuple(degrees[1:]))
+        pos, depth = pos + 1, depth - 1
+    raise TreeError(f"trailing input at position {pos}")

@@ -11,6 +11,7 @@ import re
 
 import hypothesis.strategies as st
 
+from ramapoly.bijections import DomainError
 from ramapoly.trees import LabelError, PlaneTree, RootedTree, TreeError, _check_labels, build
 
 
@@ -156,6 +157,36 @@ def o_plane_from_text(text: str) -> PlaneTree:
         raise TreeError(f"trailing input at position {pos}")
     _check_labels(labels)
     return PlaneTree(tuple(labels), tuple(degrees[1:]))
+
+
+def o_turned(t: RootedTree, path: list[int]) -> RootedTree:
+    """t with the upward path (x, ..., y) reversed: each node of it hangs under
+    the one before it, and x takes y's place under y's parent."""
+    parent = {v: t.parent(v) for v in t.labels}
+    parent[path[0]] = parent[path[-1]]
+    parent.update(zip(path[1:], path))
+    root = next(v for v, p in parent.items() if p is None)
+    return build(root, {v: p for v, p in parent.items() if p is not None})
+
+
+def o_lower(t: RootedTree) -> RootedTree:
+    """Reverse the path from the max label up to the upper critical node, so
+    the max label takes the critical node's place."""
+    w = o_upper_critical(t)
+    if w is None:
+        raise DomainError("no proper edge on the path from the max label to the root")
+    path = o_path_to_root(t, t.max_label)
+    return o_turned(t, path[: path.index(w) + 1])
+
+
+def o_lift(t: RootedTree) -> RootedTree:
+    """Reverse the path from the max label down to the lower critical node,
+    which takes the max label's place."""
+    u = o_lower_critical(t)
+    if u is None:
+        raise DomainError("max label is a leaf")
+    path = o_path_to_root(t, u)
+    return o_turned(t, path[: path.index(t.max_label) + 1])
 
 
 def o_cycle(parents: list[int]) -> int | None:

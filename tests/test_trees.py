@@ -625,9 +625,10 @@ def test_plane_errors():
         plane_from_text("1)2")
 
 
-def _plane_edits(text):
-    # every one-character deletion, insertion and replacement of text
-    for i in range(len(text) + 1):
+def _plane_edits(text, positions=None):
+    # every one-character deletion, insertion and replacement of text, at every position
+    # or at those given
+    for i in range(len(text) + 1) if positions is None else positions:
         for c in "() 03x":
             yield text[:i] + c + text[i:]
             if i < len(text):
@@ -636,11 +637,30 @@ def _plane_edits(text):
             yield text[:i] + text[i + 1:]
 
 
+def _increasing_plane_text(rng, n):
+    # a seeded increasing plane tree on [n]: label v goes into one of the 2v - 3 child
+    # slots of the tree on [v - 1], the deg(u) + 1 of each node u in label order
+    kids = [[] for _ in range(n + 1)]
+    for v in range(2, n + 1):
+        r, u = rng.randrange(2 * v - 3), 1
+        while r > len(kids[u]):
+            r -= len(kids[u]) + 1
+            u += 1
+        kids[u].insert(r, v)
+    order, todo = [], [1]
+    while todo:
+        order.append(todo.pop())
+        todo += reversed(kids[order[-1]])
+    return plane_to_text(PlaneTree(tuple(order), tuple(len(kids[u]) for u in order)))
+
+
 def test_plane_reader_matches_the_character_walk():
     # The reader gives the character walk's tree, or its error type and message, on
     # every increasing plane tree on [n], n <= 6, and its mirror image (label v read
     # as n + 1 - v), and on every one-character edit of a seeded sample of them,
-    # moved onto two-digit labels too.
+    # moved onto two-digit labels too.  Long texts, seeded ones on [50..200] and the
+    # path on [200], and their edits at seeded positions and at the last four, which
+    # lie in the last separator, put faults deep in the text, many lists deep.
     sized = [(n, plane_to_text(plane_fwd(t))) for n in range(1, 7) for t in enumerate_rooted(n)
              if t.improper_count() == n - 1]
     assert len(sized) == 1 + 1 + 3 + 15 + 105 + 945
@@ -649,8 +669,14 @@ def test_plane_reader_matches_the_character_walk():
     rng = random.Random(30)
     sample = rng.sample(texts[-1050:], 40)
     sample += [re.sub(r"[0-9]+", lambda m: str(9 + 3 * int(m[0])), t) for t in sample[:20]]
+    long = [_increasing_plane_text(rng, n) for n in range(50, 201, 10)]
+    long.append("(".join(map(str, range(1, 201))) + ")" * 199)
+    edits = [e for t in long for e in _plane_edits(
+        t, [*rng.sample(range(len(t) - 3), 36), *range(len(t) - 3, len(t) + 1)])]
+    assert len(edits) == len(long) * (39 * 13 + 6)  # 40 positions, the last at the end
     checked = 0
-    for text in (*texts, *mirrored, *(e for t in sample for e in _plane_edits(t))):
+    for text in (*texts, *mirrored, *(e for t in sample for e in _plane_edits(t)), *long,
+                 *edits):
         assert _outcome(plane_from_text, text) == _outcome(oc.o_plane_from_text, text), text
         checked += 1
     assert checked > 10000
